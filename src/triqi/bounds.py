@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
 from .spectral import (DEFAULT_SUPPORT_TOL, diag_rank_one_trace_power, eigh,
-                       rank_one_spectrum, support_powers)
+                       rank_one_spectrum, support_powers, trace_power_terms)
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -38,8 +38,9 @@ class _PairContext:
     """Cached evaluation context for repeated Q_s calls on one hypothesis pair.
 
     Uses the structured diagonal-plus-rank-one path whenever both operators
-    share a structured basis; falls back to dense eigendecompositions with a
-    precomputed eigenvector overlap table otherwise.
+    share a structured basis, with its O(dim) reductions done once here;
+    falls back to dense eigendecompositions with a precomputed eigenvector
+    overlap table otherwise.
     """
 
     def __init__(self, rho0: DensityOperator, rho1: DensityOperator,
@@ -48,14 +49,17 @@ class _PairContext:
             raise ValueError(f"space mismatch: {rho0.space.cutoffs} vs {rho1.space.cutoffs}")
         self.support_tol = support_tol
         self._swapped = False
-        self._structured = self._try_structured(rho0, rho1)
-        if self._structured is None:
+        structured = self._try_structured(rho0, rho1)
+        if structured is None:
             # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s), so a pair whose
             # rank-one term sits on the first operator still has a fast path
-            self._structured = self._try_structured(rho1, rho0)
-            self._swapped = self._structured is not None
-        if self._structured is None:
+            structured = self._try_structured(rho1, rho0)
+            self._swapped = structured is not None
+        if structured is None:
+            self._terms = None
             self._init_dense(rho0, rho1)
+        else:
+            self._terms = trace_power_terms(*structured, support_tol)
 
     @staticmethod
     def _try_structured(rho0: DensityOperator, rho1: DensityOperator):
@@ -85,10 +89,8 @@ class _PairContext:
     def q(self, s: float) -> float:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s={s} outside [0, 1]")
-        if self._structured is not None:
-            d0, spectrum = self._structured
-            s_eff = 1.0 - s if self._swapped else s
-            return diag_rank_one_trace_power(d0, spectrum, s_eff, self.support_tol)
+        if self._terms is not None:
+            return diag_rank_one_trace_power(self._terms, 1.0 - s if self._swapped else s)
         a = support_powers(self._w0, s, self.support_tol)
         b = support_powers(self._w1, 1.0 - s, self.support_tol)
         return float(a @ self._overlap @ b)

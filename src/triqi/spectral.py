@@ -349,48 +349,102 @@ def sqrt_diag_plus_rank_one(d, eta: float, v) -> SecularRoot:
     return SecularRoot(rank_one_spectrum(d, 1.0 - eta, eta, v))
 
 
-def diag_rank_one_trace_power(d0, spectrum: RankOneSpectrum, s: float,
-                              support_tol: float = DEFAULT_SUPPORT_TOL) -> float:
-    """``Tr( diag(d0)^s * A^{1-s} )`` with A given by ``spectrum``, shared basis.
+@dataclass(frozen=True)
+class TracePowerTerms:
+    """Once-per-pair data for ``Tr( diag(d0)^s * A^{1-s} )``, A given by a spectrum.
 
-    Both powers follow the support convention of :func:`support_powers`.  The
-    cost is O(active set) plus one vectorized pass over the inactive
-    coordinates, so cutoffs in the thousands per mode stay cheap.
+    Holds the support references ``d0max`` and ``lam_max``, the small
+    per-group slices of ``d0`` and ``|v|^2``, and the inactive-coordinate term
+    ``rest``.  When ``d0`` equals the spectrum's diagonal (A = scale * diag(d0)
+    plus rank one, as for every hypothesis pair), an inactive coordinate
+    contributes ``d0^s (scale d0)^{1-s} = scale^{1-s} d0`` on both supports,
+    so ``rest`` is the support-masked mass ``M = sum d0`` over them.  Any other
+    pair keeps ``rest = (d0, d, active)`` for a per-call pass over its
+    inactive coordinates.
+    """
+
+    support_tol: float
+    d0max: float
+    lam_max: float
+    scale: float
+    roots: np.ndarray
+    root_weights: np.ndarray
+    group_values: tuple[float, ...]
+    group_d0: tuple[np.ndarray, ...]
+    group_av2: tuple[np.ndarray, ...]
+    group_mass: tuple[float, ...]
+    rest: float | tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def trace_power_terms(d0, spectrum: RankOneSpectrum,
+                      support_tol: float = DEFAULT_SUPPORT_TOL) -> TracePowerTerms:
+    """Every O(dim) reduction of :func:`diag_rank_one_trace_power`, done once.
+
+    Keeps nothing dim-sized, except references to ``d0`` and the spectrum's
+    diagonal when the two differ.
     """
     d0 = np.asarray(d0, dtype=float)
     if d0.shape != spectrum.d.shape:
         raise ValueError("diagonal dimension mismatch")
     d0max = max(float(d0.max(initial=0.0)), 1e-300)
+    lam_max = max(float(np.max(spectrum.roots, initial=0.0)),
+                  float(np.max(spectrum.scale * spectrum.d, initial=0.0)), 1e-300)
+    groups = spectrum.groups
+    active = np.concatenate([g.indices for g in groups]) if groups else np.zeros(0, dtype=int)
+    if np.array_equal(d0, spectrum.d):
+        sup = (d0 > support_tol * d0max) & (spectrum.scale * d0 > support_tol * lam_max)
+        sup[active] = False
+        rest = float(np.sum(d0[sup]))
+    else:
+        rest = (d0, spectrum.d, active)
+    return TracePowerTerms(
+        support_tol, d0max, lam_max, spectrum.scale, spectrum.roots, spectrum.root_weights,
+        tuple(g.value for g in groups), tuple(d0[g.indices] for g in groups),
+        tuple(np.abs(spectrum.v[g.indices]) ** 2 for g in groups),
+        tuple(g.mass for g in groups), rest)
+
+
+def diag_rank_one_trace_power(terms: TracePowerTerms, s: float) -> float:
+    """``Tr( diag(d0)^s * A^{1-s} )`` from :func:`trace_power_terms`, shared basis.
+
+    Both powers follow the support convention of :func:`support_powers`.  The
+    cost is O(active set): the secular groups plus ``scale^{1-s} M`` for the
+    inactive coordinates, exact at ``s = 0`` and ``s = 1`` too.  Only a pair
+    whose ``d0`` differs from the spectrum's diagonal pays one vectorized pass
+    over its inactive coordinates per call.
+    """
+    tol = terms.support_tol
 
     def pow0(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sup = x > support_tol * d0max
+        sup = x > tol * terms.d0max
         out = np.zeros_like(x)
         out[sup] = 1.0 if s == 0 else x[sup] ** s
         return out
 
-    lam_all_max = max(float(np.max(spectrum.roots, initial=0.0)),
-                      float(np.max(spectrum.scale * spectrum.d, initial=0.0)), 1e-300)
-
     def pow1(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sup = x > support_tol * lam_all_max
+        sup = x > tol * terms.lam_max
         out = np.zeros_like(x)
         out[sup] = 1.0 if s == 1 else x[sup] ** (1.0 - s)
         return out
 
     total = 0.0
-    groups = spectrum.groups
-    if groups:
+    if terms.group_values:
         # carrier-projected d0^s mass per group, t_g = w^dag diag(d0^s) w
-        t = np.array([float(np.sum(np.abs(spectrum.v[g.indices]) ** 2 * pow0(d0[g.indices]))) / g.mass
-                      for g in groups])
-        lam_pow = pow1(spectrum.roots)
-        total += float(np.sum(lam_pow[:, None] * spectrum.root_weights * t[None, :]))
+        t = np.array([float(np.sum(av2 * pow0(d0g))) / mass for av2, d0g, mass
+                      in zip(terms.group_av2, terms.group_d0, terms.group_mass)])
+        lam_pow = pow1(terms.roots)
+        total += float(np.sum(lam_pow[:, None] * terms.root_weights * t[None, :]))
         # deflated directions inside each group keep the group eigenvalue
-        for g, tg in zip(groups, t):
-            s_grp = float(np.sum(pow0(d0[g.indices])))
-            total += pow1(np.array([g.value]))[0] * (s_grp - tg)
-    inactive = ~spectrum._active_mask if groups else np.ones(len(d0), dtype=bool)
-    total += float(np.sum(pow0(d0[inactive]) * pow1(spectrum.scale * spectrum.d[inactive])))
+        for value, d0g, tg in zip(terms.group_values, terms.group_d0, t):
+            s_grp = float(np.sum(pow0(d0g)))
+            total += pow1(np.array([value]))[0] * (s_grp - tg)
+    if isinstance(terms.rest, float):
+        # nonzero M needs scale > 0, so the power stays real
+        if terms.rest:
+            total += terms.scale ** (1.0 - s) * terms.rest
+    else:
+        d0, d, active = terms.rest
+        inactive = np.ones(len(d0), dtype=bool)
+        inactive[active] = False
+        total += float(np.sum(pow0(d0[inactive]) * pow1(terms.scale * d[inactive])))
     return total

@@ -80,12 +80,17 @@ class ProtocolParams:
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        # NaN fails every comparison, so finiteness is checked first
+        if not math.isfinite(self.theta) or self.theta < 0:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.nbar2 <= 0 or self.nbar3 <= 0:
-            raise ValueError("background mean photon numbers must be positive")
+        if not (math.isfinite(self.nbar2) and math.isfinite(self.nbar3)) \
+                or self.nbar2 <= 0 or self.nbar3 <= 0:
+            raise ValueError("background mean photon numbers must be finite and positive, "
+                             f"got {self.nbar2}, {self.nbar3}")
+        if math.isnan(self.tail_bound):
+            raise ValueError("tail_bound must not be NaN")
         if self.background not in BACKGROUND_VARIANTS:
             raise ValueError(f"background must be one of {BACKGROUND_VARIANTS}")
         if self.idler not in IDLER_VARIANTS:
@@ -382,10 +387,6 @@ class HypothesisPair:
     params: ProtocolParams
     rho0: DensityOperator
     rho1: DensityOperator
-
-    @property
-    def rho0_structured(self) -> DensityOperator:
-        return as_diag_plus_low_rank(self.rho0)
 
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:

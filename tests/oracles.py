@@ -98,3 +98,48 @@ def partial_trace_ref(mat, dims, keep):
         left -= 1
     d = int(np.prod([dims[m] for m in keep]))
     return tensor.reshape(d, d)
+
+
+def trace_power_ref(d0, spectrum, s, support_tol=1e-12):
+    """``Tr( diag(d0)^s * A^{1-s} )`` with one full pass per call.
+
+    The per-call formula of the structured lane before its inactive-coordinate
+    sum moved to a once-per-pair reduction: secular groups plus an explicit
+    pass over every inactive coordinate, both powers under the ``0^0 = 0``
+    support convention.
+    """
+    d0 = np.asarray(d0, dtype=float)
+    d0max = max(float(d0.max(initial=0.0)), 1e-300)
+
+    def pow0(x):
+        x = np.asarray(x, dtype=float)
+        sup = x > support_tol * d0max
+        out = np.zeros_like(x)
+        out[sup] = 1.0 if s == 0 else x[sup] ** s
+        return out
+
+    lam_all_max = max(float(np.max(spectrum.roots, initial=0.0)),
+                      float(np.max(spectrum.scale * spectrum.d, initial=0.0)), 1e-300)
+
+    def pow1(x):
+        x = np.asarray(x, dtype=float)
+        sup = x > support_tol * lam_all_max
+        out = np.zeros_like(x)
+        out[sup] = 1.0 if s == 1 else x[sup] ** (1.0 - s)
+        return out
+
+    total = 0.0
+    groups = spectrum.groups
+    if groups:
+        t = np.array([float(np.sum(np.abs(spectrum.v[g.indices]) ** 2 * pow0(d0[g.indices]))) / g.mass
+                      for g in groups])
+        lam_pow = pow1(spectrum.roots)
+        total += float(np.sum(lam_pow[:, None] * spectrum.root_weights * t[None, :]))
+        for g, tg in zip(groups, t):
+            s_grp = float(np.sum(pow0(d0[g.indices])))
+            total += pow1(np.array([g.value]))[0] * (s_grp - tg)
+    inactive = np.ones(len(d0), dtype=bool)
+    for g in groups:
+        inactive[g.indices] = False
+    total += float(np.sum(pow0(d0[inactive]) * pow1(spectrum.scale * spectrum.d[inactive])))
+    return total

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from triqi.bounds import (advantage_ratio, bhattacharyya_bound,
+from triqi.bounds import (_PairContext, advantage_ratio, bhattacharyya_bound,
                           chernoff, error_bound_2gamma, error_bound_3gamma,
                           evaluate_point, helstrom_optimum, povm_error, q_s)
 from triqi.errors import NumericalError, RegimeWarning
-from triqi.fock import DensityOperator, build_space
+from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
-                           GOLDEN_POINT_TRACED)
+                           GOLDEN_POINT_TRACED, golden_sweep_spec)
+from triqi.spectral import rank_one_spectrum
 from triqi.states import build_hypothesis_pair, three_photon_state
 
-from oracles import QsGrid, qs_ref
+from oracles import QsGrid, qs_ref, trace_power_ref
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -275,3 +276,31 @@ def test_structured_matches_dense_q_half_and_helstrom(params):
     structured_h = helstrom_optimum(pair.rho0, pair.rho1)
     dense_h = helstrom_optimum(dense_copy(pair.rho0), dense_copy(pair.rho1))
     assert structured_h == pytest.approx(dense_h, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "params",
+    DENSE_CHECK_POINTS + (
+        GOLDEN_POINT.with_updates(eta=0.0),
+        GOLDEN_POINT.with_updates(eta=1.0),
+        # a golden-sweep row at dim 285k, beyond every dense check
+        golden_sweep_spec().fixed.with_updates(nbar2=20.0, nbar3=20.0, background="thermal"),
+    ),
+    ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))]
+    + ["golden_eta0", "golden_eta1", "sweep_thermal_nbar20"])
+def test_pair_context_matches_full_pass_oracle(params):
+    pair = build_hypothesis_pair(params)
+    s0 = as_diag_plus_low_rank(pair.rho0).structure
+    s1 = pair.rho1.structure
+    d0 = s0.diag_scale * s0.diag
+    spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    direct = _PairContext(pair.rho0, pair.rho1)
+    swapped = _PairContext(pair.rho1, pair.rho0)
+    # hypothesis pairs share rho0's diagonal, so both take the once-per-pair mass
+    assert isinstance(direct._terms.rest, float) and not direct._swapped
+    assert isinstance(swapped._terms.rest, float) and swapped._swapped
+    for s in np.linspace(0.0, 1.0, 21):
+        s = float(s)
+        assert direct.q(s) == pytest.approx(trace_power_ref(d0, spectrum, s), rel=1e-13), s
+        assert swapped.q(s) == pytest.approx(trace_power_ref(d0, spectrum, 1.0 - s),
+                                             rel=1e-13), s

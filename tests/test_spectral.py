@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose
 from pathlib import Path
 
 from triqi.errors import NumericalError
-from triqi.fock import as_diag_plus_low_rank
+from triqi.bounds import q_s
+from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.spectral import (diag_rank_one_trace_power, eigh, matrix_power,
                             rank_one_spectrum, sqrt_diag_plus_rank_one, support_powers,
-                            trace_product)
+                            trace_power_terms, trace_product)
 from triqi.states import build_hypothesis_pair, thermal_probs
 
 from oracles import mpow_ref, qs_ref, thermal_probs_ref
@@ -270,14 +271,41 @@ def test_secular_rejects_negative_weight():
                           np.array([1.0, 0.0], dtype=complex))
 
 
-@pytest.mark.parametrize("params", DENSE_CHECK_POINTS,
-                         ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))])
+STRUCTURED_CHECK_S = (0.0, 0.25, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    DENSE_CHECK_POINTS + (GOLDEN_POINT.with_updates(eta=0.0), GOLDEN_POINT.with_updates(eta=1.0)),
+    ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))] + ["golden_eta0", "golden_eta1"])
 def test_structured_vs_dense_q_half(params):
     pair = build_hypothesis_pair(params)
     assert pair.rho0.space.total_dim <= 1000
     s0 = as_diag_plus_low_rank(pair.rho0).structure
     s1 = pair.rho1.structure
     spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
-    structured = diag_rank_one_trace_power(s0.diag_scale * s0.diag, spectrum, 0.5)
-    dense = qs_ref(pair.rho0.to_dense(), pair.rho1.to_dense(), 0.5)
-    assert structured == pytest.approx(dense, abs=1e-10)
+    terms = trace_power_terms(s0.diag_scale * s0.diag, spectrum)
+    m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
+    for s in STRUCTURED_CHECK_S:
+        structured = diag_rank_one_trace_power(terms, s)
+        assert structured == pytest.approx(qs_ref(m0, m1, s), abs=1e-10), s
+
+
+def test_structured_vs_dense_distinct_diagonals():
+    # rho1's diagonal is not rho0's, so the inactive coordinates take the
+    # per-call pass instead of the once-per-pair mass
+    pair = build_hypothesis_pair(GOLDEN_POINT)
+    s0 = as_diag_plus_low_rank(pair.rho0).structure
+    s1 = pair.rho1.structure
+    diag1 = np.roll(s1.diag, 5)
+    rho1 = DensityOperator.diag_plus_low_rank(pair.rho1.space, diag1, s1.diag_scale, s1.weights,
+                                              s1.vectors, mode_rotations=s1.mode_rotations)
+    spectrum = rank_one_spectrum(diag1, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    terms = trace_power_terms(s0.diag_scale * s0.diag, spectrum)
+    assert isinstance(terms.rest, tuple)
+    m0, m1 = pair.rho0.to_dense(), rho1.to_dense()
+    for s in STRUCTURED_CHECK_S:
+        dense = qs_ref(m0, m1, s)
+        assert diag_rank_one_trace_power(terms, s) == pytest.approx(dense, abs=1e-10), s
+        assert q_s(pair.rho0, rho1, s) == pytest.approx(dense, abs=1e-10), s
+        assert q_s(rho1, pair.rho0, s) == pytest.approx(qs_ref(m1, m0, s), abs=1e-10), s

@@ -41,6 +41,14 @@ def test_params_validation():
         ProtocolParams(theta=0.1, eta=0.1, nbar2=1.0, nbar3=1.0, cutoffs=(2, 1, 6))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("theta", math.nan), ("theta", math.inf), ("nbar2", math.nan), ("nbar3", math.nan),
+    ("nbar2", math.inf), ("nbar3", math.inf), ("tail_bound", math.nan)])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError):
+        GOLDEN_POINT.with_updates(**{field: value})
+
+
 def test_regime_flags():
     p = ProtocolParams(theta=0.01, eta=0.01, nbar2=50.0, nbar3=50.0, background="flat")
     flags = p.regime_flags()

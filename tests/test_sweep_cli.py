@@ -105,6 +105,15 @@ def test_sweep_error_column_keeps_going():
     assert rows[0]["exponent"] is not None
 
 
+def test_sweep_records_non_finite_theta_in_error_cell():
+    spec = small_spec(axes=(("theta", (0.01, float("nan"))),), outputs=("exponent", "helstrom"))
+    table = run_sweep(spec)
+    rows = [dict(zip(table.columns, r)) for r in table.rows]
+    assert rows[0]["error"] == ""
+    assert rows[1]["error"].startswith("ValueError: theta must be finite")
+    assert rows[1]["exponent"] is None and rows[1]["helstrom"] is None
+
+
 def test_sweep_worker_pool_preserves_order():
     spec = small_spec(axes=(("eta", (1e-3, 3e-3, 1e-2)),))
     serial = run_sweep(spec)
