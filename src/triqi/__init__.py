@@ -17,8 +17,7 @@ from .fock import (DensityOperator, Ket, SpaceDescriptor, annihilation, build_sp
                    creation, number_operator, partial_trace, tensor_ket)
 from .overlap_audit import (SignChoice, TraceAudit, audit_overlap, closed_form_overlap,
                             principal_overlap, signed_root_overlap)
-from .spectral import (EigenSystem, SecularRoot, eigh, matrix_power,
-                       sqrt_diag_plus_rank_one, trace_product)
+from .spectral import EigenSystem, eigh, matrix_power, trace_product
 from .states import (HypothesisPair, ProtocolParams, background_state,
                      build_hypothesis_pair, evolve_exact, hypothesis_h0,
                      hypothesis_h1, load_params, mean_photon_number, thermal_state,
@@ -28,14 +27,14 @@ from .sweep import SweepSpec, SweepTable, emit, run_sweep
 __all__ = [
     "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem",
     "HypothesisPair", "Ket", "NumericalError", "ProtocolParams", "RegimeWarning",
-    "SecularRoot", "SignChoice", "SpaceDescriptor", "SweepSpec", "SweepTable",
-    "TraceAudit", "TriqiError", "TruncationError", "advantage_ratio",
+    "SignChoice", "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit",
+    "TriqiError", "TruncationError", "advantage_ratio",
     "annihilation", "audit_overlap", "background_state", "bhattacharyya_bound",
     "build_hypothesis_pair", "build_space", "chernoff", "closed_form_overlap",
     "creation", "eigh", "emit", "error_bound_2gamma", "error_bound_3gamma",
     "evaluate_point", "evolve_exact", "helstrom_optimum", "hypothesis_h0",
     "hypothesis_h1", "load_params", "matrix_power", "mean_photon_number",
     "number_operator", "partial_trace", "povm_error", "principal_overlap",
-    "q_s", "run_sweep", "signed_root_overlap", "sqrt_diag_plus_rank_one",
-    "tensor_ket", "thermal_state", "three_photon_state", "trace_product",
+    "q_s", "run_sweep", "signed_root_overlap", "tensor_ket", "thermal_state",
+    "three_photon_state", "trace_product",
 ]

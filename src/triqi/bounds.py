@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
-from .spectral import (DEFAULT_SUPPORT_TOL, diag_rank_one_trace_power, eigh,
-                       rank_one_spectrum, support_powers, trace_power_terms)
+from .spectral import DEFAULT_SUPPORT_TOL, StructuredPair, eigh, support_powers
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -34,13 +33,36 @@ GAUSSIAN_REGIME_NOTE = (
 )
 
 
-class _PairContext:
-    """Cached evaluation context for repeated Q_s calls on one hypothesis pair.
+def _shared_basis(rho0: DensityOperator, rho1: DensityOperator,
+                  support_tol: float = DEFAULT_SUPPORT_TOL) -> tuple[StructuredPair | None, bool]:
+    """Detect whether a user-supplied pair shares one structured basis.
 
-    Uses the structured diagonal-plus-rank-one path whenever both operators
-    share a structured basis, with its O(dim) reductions done once here;
-    falls back to dense eigendecompositions with a precomputed eigenvector
-    overlap table otherwise.
+    Returns the pair as a :class:`StructuredPair` and whether it had to swap
+    the arguments, which happens when the rank-one term sits on ``rho0``;
+    ``(None, False)`` when the pair has no such basis.
+    """
+    try:
+        s0 = as_diag_plus_low_rank(rho0).structure
+        s1 = as_diag_plus_low_rank(rho1).structure
+    except NumericalError:
+        return None, False
+    swapped = s0.rank == 1 and s1.rank == 0
+    if swapped:
+        s0, s1 = s1, s0
+    if s0.rank > 0 or s1.rank > 1 or not same_rotations(s0, s1):
+        return None, False
+    d0 = s0.diag_scale * s0.diag
+    weight = s1.weights[0] if s1.rank == 1 else 0.0
+    vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(d0, dtype=complex)
+    return StructuredPair(d0, s1.diag, s1.diag_scale, weight, vec, support_tol), swapped
+
+
+class _PairContext:
+    """Cached evaluation context for repeated Q_s calls on one user-supplied pair.
+
+    Reads a :class:`StructuredPair` whenever both operators share a structured
+    basis; falls back to dense eigendecompositions with a precomputed
+    eigenvector overlap table otherwise.
     """
 
     def __init__(self, rho0: DensityOperator, rho1: DensityOperator,
@@ -48,33 +70,9 @@ class _PairContext:
         if rho0.space.cutoffs != rho1.space.cutoffs:
             raise ValueError(f"space mismatch: {rho0.space.cutoffs} vs {rho1.space.cutoffs}")
         self.support_tol = support_tol
-        self._swapped = False
-        structured = self._try_structured(rho0, rho1)
-        if structured is None:
-            # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s), so a pair whose
-            # rank-one term sits on the first operator still has a fast path
-            structured = self._try_structured(rho1, rho0)
-            self._swapped = structured is not None
-        if structured is None:
-            self._terms = None
+        self._structured, self._swapped = _shared_basis(rho0, rho1, support_tol)
+        if self._structured is None:
             self._init_dense(rho0, rho1)
-        else:
-            self._terms = trace_power_terms(*structured, support_tol)
-
-    @staticmethod
-    def _try_structured(rho0: DensityOperator, rho1: DensityOperator):
-        try:
-            s0 = as_diag_plus_low_rank(rho0).structure
-            s1 = as_diag_plus_low_rank(rho1).structure
-        except NumericalError:
-            return None
-        if s0.rank > 0 or s1.rank > 1 or not same_rotations(s0, s1):
-            return None
-        d0 = s0.diag_scale * s0.diag
-        weight = s1.weights[0] if s1.rank == 1 else 0.0
-        vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(d0, dtype=complex)
-        spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, weight, vec)
-        return d0, spectrum
 
     def _init_dense(self, rho0: DensityOperator, rho1: DensityOperator) -> None:
         es0 = eigh(rho0.to_dense())
@@ -89,8 +87,9 @@ class _PairContext:
     def q(self, s: float) -> float:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s={s} outside [0, 1]")
-        if self._terms is not None:
-            return diag_rank_one_trace_power(self._terms, 1.0 - s if self._swapped else s)
+        if self._structured is not None:
+            # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s)
+            return self._structured.q(1.0 - s if self._swapped else s)
         a = support_powers(self._w0, s, self.support_tol)
         b = support_powers(self._w1, 1.0 - s, self.support_tol)
         return float(a @ self._overlap @ b)
@@ -119,11 +118,16 @@ def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6,
     ``-CONVEXITY_SLACK``) before the unimodal search is trusted; the scan also
     supplies the reported Q_s curve, endpoints included.
     """
+    return _golden_section(_PairContext(rho0, rho1, support_tol).q, tol, grid_step, max_iter)
+
+
+def _golden_section(q, tol: float = 1e-6, grid_step: float = 0.05,
+                    max_iter: int = 200) -> ChernoffResult:
+    """The search of :func:`chernoff` over any Q_s evaluator ``q``."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    ctx = _PairContext(rho0, rho1, support_tol)
     grid_s = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    grid_q = np.array([ctx.q(float(s)) for s in grid_s])
+    grid_q = np.array([q(float(s)) for s in grid_s])
     second = grid_q[2:] - 2.0 * grid_q[1:-1] + grid_q[:-2]
     if second.size and float(second.min()) < -CONVEXITY_SLACK:
         raise NumericalError(
@@ -133,22 +137,22 @@ def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6,
     a, b = 0.0, 1.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = ctx.q(c), ctx.q(d)
+    fc, fd = q(c), q(d)
     iters = 0
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = ctx.q(c)
+            fc = q(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = ctx.q(d)
+            fd = q(d)
         iters += 1
         if iters > max_iter:
             raise NumericalError(f"golden-section did not converge; last bracket [{a}, {b}]")
     s_star = 0.5 * (a + b)
-    q_star = ctx.q(s_star)
+    q_star = q(s_star)
     # the infimum may sit at an endpoint of the closed interval
     for s_end, q_end in ((0.0, float(grid_q[0])), (1.0, float(grid_q[-1]))):
         if q_end < q_star:
@@ -172,32 +176,13 @@ def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 
     """Minimum single-shot error (1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)."""
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"prior pi0={pi0} outside [0, 1]")
-    pi1 = 1.0 - pi0
-    structured = _helstrom_structured(rho0, rho1, pi0, pi1)
+    structured, swapped = _shared_basis(rho0, rho1)
     if structured is not None:
-        return structured
-    diff = pi1 * rho1.to_dense() - pi0 * rho0.to_dense()
+        # the trace norm is even under negation, so swapped roles swap the priors
+        return structured.helstrom(1.0 - pi0 if swapped else pi0)
+    diff = (1.0 - pi0) * rho1.to_dense() - pi0 * rho0.to_dense()
     eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
-
-
-def _helstrom_structured(rho0, rho1, pi0: float, pi1: float) -> float | None:
-    try:
-        s0 = as_diag_plus_low_rank(rho0).structure
-        s1 = as_diag_plus_low_rank(rho1).structure
-    except NumericalError:
-        return None
-    if s0.rank == 1 and s1.rank == 0:
-        # the trace norm is even under negation, so swap the roles
-        s0, s1 = s1, s0
-        pi0, pi1 = pi1, pi0
-    if s0.rank > 0 or s1.rank > 1 or not same_rotations(s0, s1):
-        return None
-    diff_diag = pi1 * s1.diag_scale * s1.diag - pi0 * s0.diag_scale * s0.diag
-    weight = pi1 * s1.weights[0] if s1.rank == 1 else 0.0
-    vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(diff_diag, dtype=complex)
-    spectrum = rank_one_spectrum(diff_diag, 1.0, weight, vec)
-    return 0.5 * (1.0 - spectrum.trace_abs())
 
 
 def povm_error(rho0: DensityOperator, rho1: DensityOperator,
@@ -325,16 +310,20 @@ def evaluate_point(params: ProtocolParams, m_shots: int = 1,
 
     ``kappa`` defaults to sqrt(eta) and ``n_signal`` to theta^2, the preset
     identifications connecting the protocol to the Gaussian benchmark; both
-    stay independently settable.
+    stay independently settable.  ``pair``, if given, must have been built
+    from ``params``; every quantity reads its structured form.
     """
     if pair is None:
         pair = build_hypothesis_pair(params)
+    elif pair.params != params:
+        raise ValueError("pair was built from other parameters than params")
     kappa = math.sqrt(params.eta) if kappa is None else kappa
     n_signal = params.theta ** 2 if n_signal is None else n_signal
 
-    result = chernoff(pair.rho0, pair.rho1, tol=tol)
-    q_half = q_s(pair.rho0, pair.rho1, 0.5)
-    hel = helstrom_optimum(pair.rho0, pair.rho1, 0.5)
+    structured = pair.structured
+    result = _golden_section(structured.q, tol)
+    q_half = structured.q(0.5)
+    hel = structured.helstrom(0.5)
     p3g = error_bound_3gamma(params.eta, params.nbar_mean, m_shots)
     p2g = error_bound_2gamma(kappa, n_signal, params.nbar_mean, m_shots)
     ratio = advantage_ratio(n_signal) if 0.0 < n_signal < 1.0 else math.nan

@@ -292,6 +292,9 @@ class DensityOperator:
             raise ValueError("diagonal/vector dimensions do not match the space")
         d.setflags(write=False)
         vecs.setflags(write=False)
+        for rot in mode_rotations or ():
+            if rot is not None:
+                rot.setflags(write=False)
         structure = DiagPlusLowRank(d, float(diag_scale), tuple(float(w) for w in weights),
                                     vecs, mode_rotations)
         return cls(space, structure, trace_normalized)

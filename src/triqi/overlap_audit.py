@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import q_s
 from .errors import RegimeWarning, TriqiError
-from .states import (ProtocolParams, RegimeFlags, build_hypothesis_pair,
+from .states import (HypothesisPair, ProtocolParams, RegimeFlags, build_hypothesis_pair,
                      flat_levels, flat_probs, thermal_probs)
 
 MATCH_TOLERANCE_FACTOR = 10.0
@@ -140,8 +139,7 @@ def signed_root_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIG
 
 def principal_overlap(params: ProtocolParams) -> float:
     """Tr(rho0^{1/2} rho1^{1/2}) with principal (PSD) roots on both sides."""
-    pair = build_hypothesis_pair(params)
-    return q_s(pair.rho0, pair.rho1, 0.5)
+    return build_hypothesis_pair(params).structured.q(0.5)
 
 
 @dataclass(frozen=True)
@@ -224,15 +222,18 @@ class TraceAudit:
 
 
 def audit_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
-                  fit_gap: bool = False) -> TraceAudit:
+                  fit_gap: bool = False, pair: HypothesisPair | None = None) -> TraceAudit:
     """Assemble the full trace audit at one parameter point.
 
     The verdict classifies agreement orders only: ``regime_violated`` when the
     validity flags fail, ``matches_paper_order`` when the signed value agrees
     with the closed form within the stated order tolerance, ``deviates``
     otherwise.  Sub-computations that fail are marked incomplete rather than
-    aborting the audit.
+    aborting the audit.  ``pair``, if given, must have been built from
+    ``params``; the principal value then reads it instead of building its own.
     """
+    if pair is not None and pair.params != params:
+        raise ValueError("pair was built from other parameters than params")
     flags = params.regime_flags()
     analytic = closed_form_overlap(params.eta, params.nbar_mean)
     incomplete = []
@@ -247,7 +248,7 @@ def audit_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
 
     principal = None
     try:
-        principal = principal_overlap(params)
+        principal = principal_overlap(params) if pair is None else pair.structured.q(0.5)
     except (TriqiError, ValueError) as exc:
         incomplete.append(f"principal: {exc}")
 

@@ -176,35 +176,6 @@ class RankOneSpectrum:
         total += float(np.sum(np.abs(self.scale * self.d[~self._active_mask])))
         return total
 
-    def function_dense(self, fn) -> np.ndarray:
-        """Materialize ``fn`` of the operator (small dimensions only)."""
-        n = len(self.d)
-        out = np.diag(fn(self.scale * self.d).astype(complex))
-        m = len(self.groups)
-        if m == 0:
-            return out
-        carriers = []
-        for g in self.groups:
-            w = self.v[g.indices] / np.sqrt(g.mass)
-            carriers.append(w)
-            # replace the carrier direction's diagonal weight inside the group
-            block = np.ix_(g.indices, g.indices)
-            out[block] -= fn(np.array([g.value]))[0] * np.outer(w, w.conj())
-        qw = self.root_weights
-        deltas = np.array([g.value for g in self.groups])
-        masses = np.array([g.mass for g in self.groups])
-        for j, lam in enumerate(self.roots):
-            u = np.zeros(n, dtype=complex)
-            coef = np.sqrt(masses) / (deltas - lam)
-            coef /= np.linalg.norm(coef)
-            for g, w, cg in zip(self.groups, carriers, coef):
-                u[g.indices] = cg * w
-            out += fn(np.array([lam]))[0] * np.outer(u, u.conj())
-        return out
-
-    def dense(self) -> np.ndarray:
-        return self.function_dense(lambda x: x)
-
 
 def rank_one_spectrum(d, scale: float, weight: float, v,
                       deflation_rel: float = DEFLATION_REL_GAP) -> RankOneSpectrum:
@@ -301,52 +272,6 @@ def _secular_roots(deltas: np.ndarray, masses: np.ndarray, weight: float) -> np.
                 raise NumericalError(
                     f"secular solve did not converge for root {j} in ({a}, {b}): {exc}") from exc
     return roots
-
-
-@dataclass(frozen=True)
-class SecularRoot:
-    """Principal square root of ``(1 - eta) * diag(d) + eta * v v^dag``."""
-
-    spectrum: RankOneSpectrum
-
-    @property
-    def base_diagonal(self) -> np.ndarray:
-        return self.spectrum.d
-
-    @property
-    def update_weight(self) -> float:
-        return self.spectrum.weight
-
-    @property
-    def update_vector(self) -> np.ndarray:
-        return self.spectrum.v
-
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues()
-
-    def sqrt_eigenvalues(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.eigenvalues(), 0.0, None))
-
-    def dense_sqrt(self) -> np.ndarray:
-        return self.spectrum.function_dense(lambda x: np.sqrt(np.clip(x, 0.0, None)))
-
-
-def sqrt_diag_plus_rank_one(d, eta: float, v) -> SecularRoot:
-    """Structured principal root of ``(1 - eta) diag(d) + eta v v^dag``.
-
-    ``d`` must be entrywise nonnegative and ``v`` unit norm, so the operator
-    is PSD and the principal root exists.
-    """
-    d = np.asarray(d, dtype=float)
-    v = np.asarray(v, dtype=complex)
-    if float(d.min(initial=0.0)) < 0.0:
-        raise ValueError("base diagonal must be nonnegative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"update vector norm {norm} is not 1")
-    return SecularRoot(rank_one_spectrum(d, 1.0 - eta, eta, v))
 
 
 @dataclass(frozen=True)
@@ -448,3 +373,44 @@ def diag_rank_one_trace_power(terms: TracePowerTerms, s: float) -> float:
         inactive[active] = False
         total += float(np.sum(pow0(d0[inactive]) * pow1(terms.scale * d[inactive])))
     return total
+
+
+@dataclass(frozen=True)
+class StructuredPair:
+    """Two operators in one shared basis: ``rho0 = diag(d0)`` and
+    ``rho1 = scale * diag(d1) + weight * v v^dag``.
+
+    Every hypothesis pair has this shape, with ``d1`` the same array as
+    ``d0``.  The arrays are made read-only so that one pair can be shared by
+    every quantity of a point; the secular spectrum of ``rho1`` and the
+    once-per-pair Q_s reductions are computed on first use and cached.
+    """
+
+    d0: np.ndarray
+    d1: np.ndarray
+    scale: float
+    weight: float
+    v: np.ndarray
+    support_tol: float = DEFAULT_SUPPORT_TOL
+
+    def __post_init__(self):
+        for arr in (self.d0, self.d1, self.v):
+            arr.setflags(write=False)
+
+    @cached_property
+    def spectrum(self) -> RankOneSpectrum:
+        return rank_one_spectrum(self.d1, self.scale, self.weight, self.v)
+
+    @cached_property
+    def terms(self) -> TracePowerTerms:
+        return trace_power_terms(self.d0, self.spectrum, self.support_tol)
+
+    def q(self, s: float) -> float:
+        """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], support convention."""
+        return diag_rank_one_trace_power(self.terms, s)
+
+    def helstrom(self, pi0: float) -> float:
+        """Minimum error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)``, ``pi1 = 1 - pi0``."""
+        pi1 = 1.0 - pi0
+        diff = pi1 * self.scale * self.d1 - pi0 * self.d0
+        return 0.5 * (1.0 - rank_one_spectrum(diff, 1.0, pi1 * self.weight, self.v).trace_abs())

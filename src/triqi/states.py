@@ -16,6 +16,7 @@ import numpy as np
 from .errors import TruncationError
 from .fock import (DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor,
                    apply_mode_unitaries, as_diag_plus_low_rank, build_space)
+from .spectral import StructuredPair
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
 IDLER_VARIANTS = ("paper_pure", "traced")
@@ -371,23 +372,33 @@ def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
     state: the base diagonal is shared with rho0's and only scaled by
     ``1 - eta``, and the triplet projector enters as the single rank-one term.
     """
-    h0 = as_diag_plus_low_rank(hypothesis_h0(params))
-    space = h0.space
-    psi = three_photon_state(params.theta, space)
-    v = apply_mode_unitaries(psi.amplitudes, space, h0.structure.mode_rotations, adjoint=True)
-    return DensityOperator.diag_plus_low_rank(
-        space, h0.structure.diag, 1.0 - params.eta, (params.eta,), v,
-        mode_rotations=h0.structure.mode_rotations)
+    return build_hypothesis_pair(params).rho1
 
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """The two discrimination hypotheses plus the parameters that built them."""
+    """The two discrimination hypotheses plus the parameters that built them.
+
+    ``structured`` is the same pair in rho0's eigenbasis, sharing the arrays
+    of ``rho1``; every bound and the principal root overlap read it.
+    """
 
     params: ProtocolParams
     rho0: DensityOperator
     rho1: DensityOperator
+    structured: StructuredPair
 
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
-    return HypothesisPair(params, hypothesis_h0(params), hypothesis_h1(params))
+    """Build rho0 once and derive rho1 and the structured pair from its eigenbasis."""
+    rho0 = hypothesis_h0(params)
+    h0 = as_diag_plus_low_rank(rho0).structure
+    space = rho0.space
+    psi = three_photon_state(params.theta, space)
+    v = apply_mode_unitaries(psi.amplitudes, space, h0.mode_rotations, adjoint=True)
+    rho1 = DensityOperator.diag_plus_low_rank(
+        space, h0.diag, 1.0 - params.eta, (params.eta,), v, mode_rotations=h0.mode_rotations)
+    s1 = rho1.structure
+    structured = StructuredPair(h0.diag, s1.diag, s1.diag_scale, s1.weights[0],
+                                s1.vectors[:, 0])
+    return HypothesisPair(params, rho0, rho1, structured)

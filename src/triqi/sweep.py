@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import bounds, overlap_audit, textfmt
 from .errors import TriqiError
-from .states import ProtocolParams, params_from_mapping, parse_key_values
+from .states import (ProtocolParams, build_hypothesis_pair, params_from_mapping,
+                     parse_key_values)
 
 MAX_POINTS = 100_000
 
@@ -126,12 +127,17 @@ def _evaluate_row(spec: SweepSpec, point: tuple) -> tuple:
     try:
         params, extras = _point_params(spec, values)
         record: dict = {}
+        # an audit-only row leaves the build to the audit, which records its
+        # failure as incomplete instead of failing the row
+        pair = None
         if any(o in BOUND_OUTPUTS for o in spec.outputs):
+            pair = build_hypothesis_pair(params)
             report = bounds.evaluate_point(params, m_shots=extras["m_shots"],
-                                           kappa=extras["kappa"], n_signal=extras["n_signal"])
+                                           kappa=extras["kappa"], n_signal=extras["n_signal"],
+                                           pair=pair)
             record.update(report.as_record())
         if any(o in AUDIT_OUTPUTS for o in spec.outputs):
-            record.update(overlap_audit.audit_overlap(params).as_record())
+            record.update(overlap_audit.audit_overlap(params, pair=pair).as_record())
         row.extend(record.get(o) for o in spec.outputs)
         flags = params.regime_flags().as_dict()
         row.extend(flags[c.split(".", 1)[1]] for c in FLAG_COLUMNS)

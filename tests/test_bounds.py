@@ -238,6 +238,12 @@ def test_evaluate_point_record_fields():
     assert len(rec["q_curve.s"]) == 21
 
 
+def test_evaluate_point_rejects_pair_of_other_params():
+    with pytest.raises(ValueError, match="other parameters"):
+        evaluate_point(GOLDEN_POINT, pair=build_hypothesis_pair(GOLDEN_POINT.with_updates(eta=0.1)))
+    assert evaluate_point(GOLDEN_POINT, pair=GOLDEN_PAIR) == evaluate_point(GOLDEN_POINT)
+
+
 def test_qs_symmetry_on_structured_only_size():
     # dimension 5000 forbids the dense lane; both argument orders must still run
     pair = build_hypothesis_pair(AUDIT_POINT)
@@ -270,12 +276,14 @@ def test_chernoff_q_star_below_sampled_curve():
                          ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))])
 def test_structured_matches_dense_q_half_and_helstrom(params):
     pair = build_hypothesis_pair(params)
-    structured_q = q_s(pair.rho0, pair.rho1, 0.5)
-    dense_q = q_s(dense_copy(pair.rho0), dense_copy(pair.rho1), 0.5)
-    assert structured_q == pytest.approx(dense_q, abs=1e-10)
-    structured_h = helstrom_optimum(pair.rho0, pair.rho1)
-    dense_h = helstrom_optimum(dense_copy(pair.rho0), dense_copy(pair.rho1))
-    assert structured_h == pytest.approx(dense_h, abs=1e-10)
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    assert q_s(pair.rho0, pair.rho1, 0.5) == pytest.approx(q_s(d0, d1, 0.5), abs=1e-10)
+    for pi0 in (0.0, 0.2, 0.5, 0.7, 1.0):
+        # the reversed order takes the swapped-priors branch of the detector
+        assert helstrom_optimum(pair.rho0, pair.rho1, pi0) == \
+            pytest.approx(helstrom_optimum(d0, d1, pi0), abs=1e-10), pi0
+        assert helstrom_optimum(pair.rho1, pair.rho0, pi0) == \
+            pytest.approx(helstrom_optimum(d1, d0, pi0), abs=1e-10), pi0
 
 
 @pytest.mark.parametrize(
@@ -297,8 +305,8 @@ def test_pair_context_matches_full_pass_oracle(params):
     direct = _PairContext(pair.rho0, pair.rho1)
     swapped = _PairContext(pair.rho1, pair.rho0)
     # hypothesis pairs share rho0's diagonal, so both take the once-per-pair mass
-    assert isinstance(direct._terms.rest, float) and not direct._swapped
-    assert isinstance(swapped._terms.rest, float) and swapped._swapped
+    assert isinstance(direct._structured.terms.rest, float) and not direct._swapped
+    assert isinstance(swapped._structured.terms.rest, float) and swapped._swapped
     for s in np.linspace(0.0, 1.0, 21):
         s = float(s)
         assert direct.q(s) == pytest.approx(trace_power_ref(d0, spectrum, s), rel=1e-13), s

@@ -185,6 +185,13 @@ def test_audit_marks_incomplete_subcomputations():
     assert a.principal is not None  # the principal path has no two-level requirement
 
 
+def test_audit_reads_a_passed_pair_of_its_params():
+    pair = build_hypothesis_pair(GOLDEN_POINT)
+    assert audit_overlap(GOLDEN_POINT, pair=pair) == audit_overlap(GOLDEN_POINT)
+    with pytest.raises(ValueError, match="other parameters"):
+        audit_overlap(GOLDEN_POINT.with_updates(eta=0.1), pair=pair)
+
+
 @pytest.mark.parametrize("params", DENSE_CHECK_POINTS,
                          ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))])
 def test_principal_structured_dense_agreement(params):

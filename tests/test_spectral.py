@@ -10,11 +10,11 @@ from triqi.bounds import q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.spectral import (diag_rank_one_trace_power, eigh, matrix_power,
-                            rank_one_spectrum, sqrt_diag_plus_rank_one, support_powers,
-                            trace_power_terms, trace_product)
+                            rank_one_spectrum, support_powers, trace_power_terms,
+                            trace_product)
 from triqi.states import build_hypothesis_pair, thermal_probs
 
-from oracles import mpow_ref, qs_ref, thermal_probs_ref
+from oracles import qs_ref, thermal_probs_ref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -183,8 +183,7 @@ def test_sqrt_rank_one_commuting_closed_form():
     d = np.full(n, 1.0 / n)
     v = np.zeros(n, dtype=complex)
     v[2] = 1.0
-    root = sqrt_diag_plus_rank_one(d, eta, v)
-    eigs = root.eigenvalues()
+    eigs = rank_one_spectrum(d, 1.0 - eta, eta, v).eigenvalues()
     expected = np.sort(np.concatenate([[(1 - eta) / n + eta], np.full(n - 1, (1 - eta) / n)]))
     assert_allclose(eigs, expected, atol=1e-14)
 
@@ -192,15 +191,8 @@ def test_sqrt_rank_one_commuting_closed_form():
 def test_sqrt_rank_one_eta_zero():
     d = np.array([0.1, 0.2, 0.7])
     v = np.array([1.0, 0.0, 0.0], dtype=complex)
-    root = sqrt_diag_plus_rank_one(d, 0.0, v)
-    assert_allclose(np.sort(root.sqrt_eigenvalues()), np.sqrt(np.sort(d)), atol=1e-15)
-
-
-def test_sqrt_rank_one_validates_input():
-    with pytest.raises(ValueError):
-        sqrt_diag_plus_rank_one(np.array([-0.1, 1.0]), 0.1, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        sqrt_diag_plus_rank_one(np.array([0.5, 0.5]), 0.1, np.array([1.0, 1.0]))
+    eigs = rank_one_spectrum(d, 1.0, 0.0, v).eigenvalues()
+    assert_allclose(np.sort(np.sqrt(np.clip(eigs, 0.0, None))), np.sqrt(np.sort(d)), atol=1e-15)
 
 
 def test_rank_one_thermal_cross_section_oracle():
@@ -248,10 +240,9 @@ def test_rank_one_dense_sqrt_agrees_with_eigh_path():
     v[::3] = 0.0  # keep some coordinates inactive
     v /= np.linalg.norm(v)
     eta = 0.15
-    root = sqrt_diag_plus_rank_one(d, eta, v)
+    spectrum = rank_one_spectrum(d, 1.0 - eta, eta, v)
     dense = (1 - eta) * np.diag(d).astype(complex) + eta * np.outer(v, v.conj())
-    assert_allclose(root.dense_sqrt(), mpow_ref(dense, 0.5), atol=1e-10)
-    assert_allclose(np.sort(root.eigenvalues()), np.linalg.eigvalsh(dense), atol=1e-12)
+    assert_allclose(np.sort(spectrum.eigenvalues()), np.linalg.eigvalsh(dense), atol=1e-12)
 
 
 def test_rank_one_degenerate_deflation():

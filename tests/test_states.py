@@ -258,6 +258,18 @@ def test_hypothesis_pair_matches_direct_mixture_oracle():
     assert_allclose(tr.rho1.to_dense(), r1t, atol=1e-14)
 
 
+def test_hypothesis_pair_arrays_are_read_only():
+    pair = build_hypothesis_pair(GOLDEN_POINT)
+    rotation = pair.rho1.structure.mode_rotations[0]
+    sp = pair.structured
+    for arr in (rotation, sp.d0, sp.d1, sp.v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the structured pair shares rho1's arrays instead of copying them
+    assert sp.d0 is sp.d1 is pair.rho1.structure.diag
+    assert np.shares_memory(sp.v, pair.rho1.structure.vectors)
+
+
 def test_hypothesis_h1_affine_in_eta():
     etas = (0.0, 0.3, 1.0)
     mats = {eta: hypothesis_h1(GOLDEN_POINT.with_updates(eta=eta)).to_dense()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triqi import bounds, fock, overlap_audit, spectral, states, sweep
 from triqi.bounds import evaluate_point
 from triqi.cli import main
 from triqi.overlap_audit import audit_overlap
@@ -79,7 +80,7 @@ def test_sweep_n_signal_axis_gives_ratio_column():
 
 
 def test_sweep_rows_match_single_shot_calls():
-    spec = small_spec(outputs=("exponent", "q_half", "helstrom", "t_papersign"))
+    spec = small_spec(outputs=("exponent", "q_half", "helstrom", "t_papersign", "t_principal"))
     table = run_sweep(spec)
     for row in table.rows:
         d = dict(zip(table.columns, row))
@@ -90,6 +91,36 @@ def test_sweep_rows_match_single_shot_calls():
         assert d["q_half"] == report.bhattacharyya_q
         assert d["helstrom"] == report.helstrom_error
         assert d["t_papersign"] == audit.signed_root
+        assert d["t_principal"] == audit.principal
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` wherever a triqi module binds it; returns the call list."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (states, fock, spectral, bounds, overlap_audit, sweep):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_row_builds_its_pair_once(monkeypatch):
+    builds = _count_calls(monkeypatch, states, "build_hypothesis_pair")
+    conversions = _count_calls(monkeypatch, fock, "as_diag_plus_low_rank")
+    spectra = _count_calls(monkeypatch, spectral, "rank_one_spectrum")
+    fixed = ProtocolParams(theta=0.01, eta=1e-3, nbar2=3.0, nbar3=3.0, cutoffs=(2, 6, 6),
+                           background="thermal", tail_bound=float("inf"))
+    spec = SweepSpec(axes=(("eta", (1e-3,)),), fixed=fixed,
+                     outputs=("exponent", "q_half", "helstrom", "t_papersign", "t_principal"))
+    table = run_sweep(spec)
+    assert dict(zip(table.columns, table.rows[0]))["error"] == ""
+    # one pair, one structure conversion, the Q_s and the Helstrom spectrum
+    assert (len(builds), len(conversions), len(spectra)) == (1, 1, 2)
 
 
 def test_sweep_error_column_keeps_going():
