@@ -16,13 +16,15 @@ import numpy as np
 
 from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
-from .spectral import DEFAULT_SUPPORT_TOL, StructuredPair, eigh, support_powers
+from .spectral import StructuredPair, eigh, support_powers
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 CONVEXITY_SLACK = 1e-9
+GRID_STEP = 0.05
+MAX_ITER = 200
 
 # The benchmark bound is stated for low background occupancy (N_B << 1) while
 # the sensitivity comparison assumes high background occupancy (nbar >> 1);
@@ -33,8 +35,7 @@ GAUSSIAN_REGIME_NOTE = (
 )
 
 
-def _shared_basis(rho0: DensityOperator, rho1: DensityOperator,
-                  support_tol: float = DEFAULT_SUPPORT_TOL) -> tuple[StructuredPair | None, bool]:
+def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[StructuredPair | None, bool]:
     """Detect whether a user-supplied pair shares one structured basis.
 
     Returns the pair as a :class:`StructuredPair` and whether it had to swap
@@ -54,7 +55,7 @@ def _shared_basis(rho0: DensityOperator, rho1: DensityOperator,
     d0 = s0.diag_scale * s0.diag
     weight = s1.weights[0] if s1.rank == 1 else 0.0
     vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(d0, dtype=complex)
-    return StructuredPair(d0, s1.diag, s1.diag_scale, weight, vec, support_tol), swapped
+    return StructuredPair(d0, s1.diag, s1.diag_scale, weight, vec), swapped
 
 
 class _PairContext:
@@ -65,12 +66,10 @@ class _PairContext:
     eigenvector overlap table otherwise.
     """
 
-    def __init__(self, rho0: DensityOperator, rho1: DensityOperator,
-                 support_tol: float = DEFAULT_SUPPORT_TOL):
+    def __init__(self, rho0: DensityOperator, rho1: DensityOperator):
         if rho0.space.cutoffs != rho1.space.cutoffs:
             raise ValueError(f"space mismatch: {rho0.space.cutoffs} vs {rho1.space.cutoffs}")
-        self.support_tol = support_tol
-        self._structured, self._swapped = _shared_basis(rho0, rho1, support_tol)
+        self._structured, self._swapped = _shared_basis(rho0, rho1)
         if self._structured is None:
             self._init_dense(rho0, rho1)
 
@@ -90,15 +89,14 @@ class _PairContext:
         if self._structured is not None:
             # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s)
             return self._structured.q(1.0 - s if self._swapped else s)
-        a = support_powers(self._w0, s, self.support_tol)
-        b = support_powers(self._w1, 1.0 - s, self.support_tol)
+        a = support_powers(self._w0, s)
+        b = support_powers(self._w1, 1.0 - s)
         return float(a @ self._overlap @ b)
 
 
-def q_s(rho0: DensityOperator, rho1: DensityOperator, s: float,
-        support_tol: float = DEFAULT_SUPPORT_TOL) -> float:
+def q_s(rho0: DensityOperator, rho1: DensityOperator, s: float) -> float:
     """Tr(rho0^s rho1^{1-s}) with powers restricted to the support (0^0 = 0)."""
-    return _PairContext(rho0, rho1, support_tol).q(s)
+    return _PairContext(rho0, rho1).q(s)
 
 
 @dataclass(frozen=True)
@@ -109,24 +107,22 @@ class ChernoffResult:
     grid: tuple
 
 
-def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6,
-             grid_step: float = 0.05, max_iter: int = 200,
-             support_tol: float = DEFAULT_SUPPORT_TOL) -> ChernoffResult:
+def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6) -> ChernoffResult:
     """Minimize Q_s over s in [0, 1] by golden-section search.
 
     A coarse grid pre-scan certifies convexity (second differences above
     ``-CONVEXITY_SLACK``) before the unimodal search is trusted; the scan also
     supplies the reported Q_s curve, endpoints included.
     """
-    return _golden_section(_PairContext(rho0, rho1, support_tol).q, tol, grid_step, max_iter)
+    return _golden_section(_PairContext(rho0, rho1).q, tol)
 
 
-def _golden_section(q, tol: float = 1e-6, grid_step: float = 0.05,
-                    max_iter: int = 200) -> ChernoffResult:
+def _golden_section(q, tol: float) -> ChernoffResult:
     """The search of :func:`chernoff` over any Q_s evaluator ``q``."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    grid_s = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    # NaN fails every comparison, so a NaN tolerance must not pass as positive
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    grid_s = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
     grid_q = np.array([q(float(s)) for s in grid_s])
     second = grid_q[2:] - 2.0 * grid_q[1:-1] + grid_q[:-2]
     if second.size and float(second.min()) < -CONVEXITY_SLACK:
@@ -149,7 +145,7 @@ def _golden_section(q, tol: float = 1e-6, grid_step: float = 0.05,
             d = a + _INV_PHI * (b - a)
             fd = q(d)
         iters += 1
-        if iters > max_iter:
+        if iters > MAX_ITER:
             raise NumericalError(f"golden-section did not converge; last bracket [{a}, {b}]")
     s_star = 0.5 * (a + b)
     q_star = q(s_star)
@@ -161,15 +157,14 @@ def _golden_section(q, tol: float = 1e-6, grid_step: float = 0.05,
     return ChernoffResult(s_star, q_star, exponent, tuple(zip(grid_s.tolist(), grid_q.tolist())))
 
 
-def bhattacharyya_bound(rho0: DensityOperator, rho1: DensityOperator, m_shots: int,
-                        support_tol: float = DEFAULT_SUPPORT_TOL) -> float:
+def bhattacharyya_bound(rho0: DensityOperator, rho1: DensityOperator, m_shots: int) -> float:
     """(1/2) [Tr(rho0^{1/2} rho1^{1/2})]^M, the s = 1/2 error bound.
 
     Weaker than the Chernoff infimum but closed-form friendly.
     """
     if m_shots < 1:
         raise ValueError("shot count must be >= 1")
-    return 0.5 * q_s(rho0, rho1, 0.5, support_tol) ** m_shots
+    return 0.5 * q_s(rho0, rho1, 0.5) ** m_shots
 
 
 def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 0.5) -> float:

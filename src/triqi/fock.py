@@ -23,6 +23,7 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 NORM_TOL = 1e-12
+ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -218,17 +219,15 @@ def _rotation_matrix(space: SpaceDescriptor, mode_rotations) -> np.ndarray | Non
     return reduce(np.kron, mats)
 
 
-def apply_mode_unitaries(vec: np.ndarray, space: SpaceDescriptor, mode_rotations,
-                         adjoint: bool = False) -> np.ndarray:
-    """Apply per-mode unitaries (or their adjoints) to a state vector."""
+def to_rotated_basis(vec: np.ndarray, space: SpaceDescriptor, mode_rotations) -> np.ndarray:
+    """Take a Fock-basis vector into the rotated basis: apply the rotations' adjoints."""
     if mode_rotations is None:
         return np.asarray(vec, dtype=complex)
     out = np.asarray(vec, dtype=complex).reshape(space.cutoffs)
     for m, rot in enumerate(mode_rotations):
         if rot is None:
             continue
-        u = rot.conj().T if adjoint else rot
-        out = np.moveaxis(np.tensordot(u, out, axes=([1], [m])), 0, m)
+        out = np.moveaxis(np.tensordot(rot.conj().T, out, axes=([1], [m])), 0, m)
     return out.reshape(-1)
 
 
@@ -406,7 +405,7 @@ def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
         mode_rotations=tuple(rotations), trace_normalized=rho.trace_normalized)
 
 
-def same_rotations(a, b, tol: float = 1e-12) -> bool:
+def same_rotations(a, b) -> bool:
     """True when two DiagPlusLowRank structures share the same basis rotations."""
     ra = a.mode_rotations
     rb = b.mode_rotations
@@ -421,7 +420,7 @@ def same_rotations(a, b, tol: float = 1e-12) -> bool:
             continue
         if x is None or y is None:
             return False
-        if x.shape != y.shape or np.max(np.abs(x - y)) > tol:
+        if x.shape != y.shape or np.max(np.abs(x - y)) > ROTATION_TOL:
             return False
     return True
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,22 +152,23 @@ class GapFit:
     sign_change: bool
 
 
-def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
-                      ladder: tuple[float, ...] = GAP_FIT_LADDER) -> GapFit:
+def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS) -> GapFit:
     """Fit the leading eta-order of the principal-vs-signed gap as eta -> 0.
 
     Evaluates both traces on a geometric eta ladder scaled off the working
-    point.  A sign change of the gap inside the window would make the log-log
-    slope unreliable; the fit is still reported, flagged accordingly.
+    point, from one pair build: only eta changes along the ladder.  A sign
+    change of the gap inside the window would make the log-log slope
+    unreliable; the fit is still reported, flagged accordingly.
     """
-    etas = tuple(params.eta * f for f in sorted(ladder))
+    etas = tuple(params.eta * f for f in sorted(GAP_FIT_LADDER))
+    pair = build_hypothesis_pair(params)
     gaps = []
     with warnings.catch_warnings():
         # probing the eta -> 0 asymptotics leaves the regime on purpose
         warnings.simplefilter("ignore", RegimeWarning)
         for e in etas:
-            p = replace(params, eta=e)
-            gaps.append(principal_overlap(p) - signed_root_overlap(p, signs).value)
+            rung = pair.with_eta(e)
+            gaps.append(rung.structured.q(0.5) - signed_root_overlap(rung.params, signs).value)
     gaps_arr = np.array(gaps)
     sign_change = bool(np.any(gaps_arr > 0) and np.any(gaps_arr < 0))
     nz = np.abs(gaps_arr) > 0

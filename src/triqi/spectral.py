@@ -18,9 +18,10 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError
 
-DEFAULT_SUPPORT_TOL = 1e-12
+SUPPORT_TOL = 1e-12
 DEFLATION_REL_GAP = 1e-13
 EIGH_HERMITIAN_TOL = 1e-10
+TRACE_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eigh(matrix: np.ndarray, hermitian_tol: float = EIGH_HERMITIAN_TOL,
-         dense_limit: int | None = None) -> EigenSystem:
+def eigh(matrix: np.ndarray, dense_limit: int | None = None) -> EigenSystem:
     """Hermitian eigendecomposition with an input symmetry check."""
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -45,33 +45,34 @@ def eigh(matrix: np.ndarray, hermitian_tol: float = EIGH_HERMITIAN_TOL,
         raise NumericalError(f"dimension {mat.shape[0]} exceeds dense limit {dense_limit}")
     dev = np.max(np.abs(mat - mat.conj().T))
     scale = max(float(np.max(np.abs(mat))), 1e-300)
-    if dev > hermitian_tol * scale:
-        raise NumericalError(f"matrix deviates from Hermitian by {dev} (tol {hermitian_tol * scale})")
+    if dev > EIGH_HERMITIAN_TOL * scale:
+        raise NumericalError(f"matrix deviates from Hermitian by {dev} (tol {EIGH_HERMITIAN_TOL * scale})")
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     return EigenSystem(w, v)
 
 
-def support_powers(eigenvalues: np.ndarray, s: float,
-                   support_tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:
+def _powers(x: np.ndarray, p: float, ref: float) -> np.ndarray:
+    """``x^p`` on the support ``x > SUPPORT_TOL * ref`` and 0 off it (0^0 = 0)."""
+    sup = x > SUPPORT_TOL * ref
+    out = np.zeros_like(x)
+    out[sup] = 1.0 if p == 0 else x[sup] ** p
+    return out
+
+
+def support_powers(eigenvalues: np.ndarray, s: float) -> np.ndarray:
     """Eigenvalue map lambda -> lambda^s with 0^0 = 0 on the truncated support.
 
-    Values below ``support_tol * max`` count as zero; ``s = 0`` therefore
+    Values below ``SUPPORT_TOL * max`` count as zero; ``s = 0`` therefore
     yields the support indicator.
     """
     w = np.asarray(eigenvalues, dtype=float)
     top = float(np.max(w, initial=0.0))
     if float(np.min(w, initial=0.0)) < -1e-10 * max(top, 1e-300):
         raise NumericalError(f"negative eigenvalue {w.min()} beyond PSD tolerance")
-    sup = w > support_tol * max(top, 1e-300)
-    out = np.zeros_like(w)
-    if s == 0:
-        out[sup] = 1.0
-    else:
-        out[sup] = w[sup] ** s
-    return out
+    return _powers(w, s, max(top, 1e-300))
 
 
-def matrix_power(rho, s: float, support_tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:
+def matrix_power(rho, s: float) -> np.ndarray:
     """Fractional power of a PSD operator via functional calculus.
 
     Accepts a dense matrix or anything with ``to_dense()``.  ``s`` must lie in
@@ -81,15 +82,15 @@ def matrix_power(rho, s: float, support_tol: float = DEFAULT_SUPPORT_TOL) -> np.
         raise ValueError(f"power s={s} outside [0, 1]")
     mat = rho.to_dense() if hasattr(rho, "to_dense") else np.asarray(rho)
     es = eigh(mat)
-    f = support_powers(es.eigenvalues, s, support_tol)
+    f = support_powers(es.eigenvalues, s)
     return (es.eigenvectors * f) @ es.eigenvectors.conj().T
 
 
-def trace_product(a: np.ndarray, b: np.ndarray, imag_tol: float = 1e-10) -> float:
+def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """Real part of Tr(AB) for Hermitian A, B; warns on imaginary residue.
 
-    ``imag_tol`` is relative to ``sum |a_ij b_ji|``, the scale of the rounding
-    error of the summed trace, not to ``|Tr(AB)|``: a trace-orthogonal
+    ``TRACE_IMAG_TOL`` is relative to ``sum |a_ij b_ji|``, the scale of the
+    rounding error of the summed trace, not to ``|Tr(AB)|``: a trace-orthogonal
     Hermitian pair has ``|Tr(AB)|`` at the rounding level itself.
     """
     a = np.asarray(a)
@@ -99,7 +100,7 @@ def trace_product(a: np.ndarray, b: np.ndarray, imag_tol: float = 1e-10) -> floa
     terms = a * b.T
     t = complex(np.sum(terms))
     scale = float(np.sum(np.abs(terms)))
-    if abs(t.imag) > imag_tol * scale:
+    if abs(t.imag) > TRACE_IMAG_TOL * scale:
         warnings.warn(f"trace product has imaginary residue {t.imag}", stacklevel=2)
     return float(t.real)
 
@@ -138,10 +139,15 @@ class RankOneSpectrum:
     roots: np.ndarray
 
     @cached_property
-    def _active_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self.d), dtype=bool)
-        for g in self.groups:
-            mask[g.indices] = True
+    def active(self) -> np.ndarray:
+        """Indices of the grouped coordinates, the only ones the update touches."""
+        return np.concatenate([np.zeros(0, dtype=int)] + [g.indices for g in self.groups])
+
+    @cached_property
+    def inactive(self) -> np.ndarray:
+        """Mask of the ungrouped coordinates, which keep ``scale * d``."""
+        mask = np.ones(len(self.d), dtype=bool)
+        mask[self.active] = False
         return mask
 
     @cached_property
@@ -164,8 +170,7 @@ class RankOneSpectrum:
         for g in self.groups:
             if len(g.indices) > 1:
                 parts.append(np.full(len(g.indices) - 1, g.value))
-        inactive = ~self._active_mask
-        parts.append(self.scale * self.d[inactive])
+        parts.append(self.scale * self.d[self.inactive])
         return np.sort(np.concatenate(parts))
 
     def trace_abs(self) -> float:
@@ -173,17 +178,16 @@ class RankOneSpectrum:
         total = float(np.sum(np.abs(self.roots)))
         for g in self.groups:
             total += abs(g.value) * (len(g.indices) - 1)
-        total += float(np.sum(np.abs(self.scale * self.d[~self._active_mask])))
+        total += float(np.sum(np.abs(self.scale * self.d[self.inactive])))
         return total
 
 
-def rank_one_spectrum(d, scale: float, weight: float, v,
-                      deflation_rel: float = DEFLATION_REL_GAP) -> RankOneSpectrum:
+def rank_one_spectrum(d, scale: float, weight: float, v) -> RankOneSpectrum:
     """Eigen data of ``scale * diag(d) + weight * v v^dag`` for weight >= 0.
 
     Coordinates where ``v`` vanishes keep their diagonal values; active
     coordinates are grouped by (nearly) equal scaled diagonal value (relative
-    gap below ``deflation_rel``), each group carrying one secular direction.
+    gap below ``DEFLATION_REL_GAP``), each group carrying one secular direction.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=complex)
@@ -204,7 +208,7 @@ def rank_one_spectrum(d, scale: float, weight: float, v,
     cur_idx: list[int] = []
     cur_val = 0.0
     for i in order:
-        if cur_idx and abs(dd[i] - cur_val) <= deflation_rel * ref:
+        if cur_idx and abs(dd[i] - cur_val) <= DEFLATION_REL_GAP * ref:
             cur_idx.append(int(i))
         else:
             if cur_idx:
@@ -275,115 +279,15 @@ def _secular_roots(deltas: np.ndarray, masses: np.ndarray, weight: float) -> np.
 
 
 @dataclass(frozen=True)
-class TracePowerTerms:
-    """Once-per-pair data for ``Tr( diag(d0)^s * A^{1-s} )``, A given by a spectrum.
-
-    Holds the support references ``d0max`` and ``lam_max``, the small
-    per-group slices of ``d0`` and ``|v|^2``, and the inactive-coordinate term
-    ``rest``.  When ``d0`` equals the spectrum's diagonal (A = scale * diag(d0)
-    plus rank one, as for every hypothesis pair), an inactive coordinate
-    contributes ``d0^s (scale d0)^{1-s} = scale^{1-s} d0`` on both supports,
-    so ``rest`` is the support-masked mass ``M = sum d0`` over them.  Any other
-    pair keeps ``rest = (d0, d, active)`` for a per-call pass over its
-    inactive coordinates.
-    """
-
-    support_tol: float
-    d0max: float
-    lam_max: float
-    scale: float
-    roots: np.ndarray
-    root_weights: np.ndarray
-    group_values: tuple[float, ...]
-    group_d0: tuple[np.ndarray, ...]
-    group_av2: tuple[np.ndarray, ...]
-    group_mass: tuple[float, ...]
-    rest: float | tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def trace_power_terms(d0, spectrum: RankOneSpectrum,
-                      support_tol: float = DEFAULT_SUPPORT_TOL) -> TracePowerTerms:
-    """Every O(dim) reduction of :func:`diag_rank_one_trace_power`, done once.
-
-    Keeps nothing dim-sized, except references to ``d0`` and the spectrum's
-    diagonal when the two differ.
-    """
-    d0 = np.asarray(d0, dtype=float)
-    if d0.shape != spectrum.d.shape:
-        raise ValueError("diagonal dimension mismatch")
-    d0max = max(float(d0.max(initial=0.0)), 1e-300)
-    lam_max = max(float(np.max(spectrum.roots, initial=0.0)),
-                  float(np.max(spectrum.scale * spectrum.d, initial=0.0)), 1e-300)
-    groups = spectrum.groups
-    active = np.concatenate([g.indices for g in groups]) if groups else np.zeros(0, dtype=int)
-    if np.array_equal(d0, spectrum.d):
-        sup = (d0 > support_tol * d0max) & (spectrum.scale * d0 > support_tol * lam_max)
-        sup[active] = False
-        rest = float(np.sum(d0[sup]))
-    else:
-        rest = (d0, spectrum.d, active)
-    return TracePowerTerms(
-        support_tol, d0max, lam_max, spectrum.scale, spectrum.roots, spectrum.root_weights,
-        tuple(g.value for g in groups), tuple(d0[g.indices] for g in groups),
-        tuple(np.abs(spectrum.v[g.indices]) ** 2 for g in groups),
-        tuple(g.mass for g in groups), rest)
-
-
-def diag_rank_one_trace_power(terms: TracePowerTerms, s: float) -> float:
-    """``Tr( diag(d0)^s * A^{1-s} )`` from :func:`trace_power_terms`, shared basis.
-
-    Both powers follow the support convention of :func:`support_powers`.  The
-    cost is O(active set): the secular groups plus ``scale^{1-s} M`` for the
-    inactive coordinates, exact at ``s = 0`` and ``s = 1`` too.  Only a pair
-    whose ``d0`` differs from the spectrum's diagonal pays one vectorized pass
-    over its inactive coordinates per call.
-    """
-    tol = terms.support_tol
-
-    def pow0(x: np.ndarray) -> np.ndarray:
-        sup = x > tol * terms.d0max
-        out = np.zeros_like(x)
-        out[sup] = 1.0 if s == 0 else x[sup] ** s
-        return out
-
-    def pow1(x: np.ndarray) -> np.ndarray:
-        sup = x > tol * terms.lam_max
-        out = np.zeros_like(x)
-        out[sup] = 1.0 if s == 1 else x[sup] ** (1.0 - s)
-        return out
-
-    total = 0.0
-    if terms.group_values:
-        # carrier-projected d0^s mass per group, t_g = w^dag diag(d0^s) w
-        t = np.array([float(np.sum(av2 * pow0(d0g))) / mass for av2, d0g, mass
-                      in zip(terms.group_av2, terms.group_d0, terms.group_mass)])
-        lam_pow = pow1(terms.roots)
-        total += float(np.sum(lam_pow[:, None] * terms.root_weights * t[None, :]))
-        # deflated directions inside each group keep the group eigenvalue
-        for value, d0g, tg in zip(terms.group_values, terms.group_d0, t):
-            s_grp = float(np.sum(pow0(d0g)))
-            total += pow1(np.array([value]))[0] * (s_grp - tg)
-    if isinstance(terms.rest, float):
-        # nonzero M needs scale > 0, so the power stays real
-        if terms.rest:
-            total += terms.scale ** (1.0 - s) * terms.rest
-    else:
-        d0, d, active = terms.rest
-        inactive = np.ones(len(d0), dtype=bool)
-        inactive[active] = False
-        total += float(np.sum(pow0(d0[inactive]) * pow1(terms.scale * d[inactive])))
-    return total
-
-
-@dataclass(frozen=True)
 class StructuredPair:
     """Two operators in one shared basis: ``rho0 = diag(d0)`` and
     ``rho1 = scale * diag(d1) + weight * v v^dag``.
 
     Every hypothesis pair has this shape, with ``d1`` the same array as
     ``d0``.  The arrays are made read-only so that one pair can be shared by
-    every quantity of a point; the secular spectrum of ``rho1`` and the
-    once-per-pair Q_s reductions are computed on first use and cached.
+    every quantity of a point.  The secular spectrum of ``rho1`` and every
+    O(dim) reduction of :func:`diag_rank_one_trace_power` are computed on
+    first use and cached.
     """
 
     d0: np.ndarray
@@ -391,9 +295,10 @@ class StructuredPair:
     scale: float
     weight: float
     v: np.ndarray
-    support_tol: float = DEFAULT_SUPPORT_TOL
 
     def __post_init__(self):
+        if self.d0.shape != self.d1.shape:
+            raise ValueError("diagonal dimension mismatch")
         for arr in (self.d0, self.d1, self.v):
             arr.setflags(write=False)
 
@@ -402,15 +307,73 @@ class StructuredPair:
         return rank_one_spectrum(self.d1, self.scale, self.weight, self.v)
 
     @cached_property
-    def terms(self) -> TracePowerTerms:
-        return trace_power_terms(self.d0, self.spectrum, self.support_tol)
+    def _support_refs(self) -> tuple[float, float]:
+        """Support references of ``rho0`` and ``rho1``: their largest eigenvalues."""
+        d0max = max(float(self.d0.max(initial=0.0)), 1e-300)
+        lam_max = max(float(np.max(self.spectrum.roots, initial=0.0)),
+                      float(np.max(self.scale * self.d1, initial=0.0)), 1e-300)
+        return d0max, lam_max
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[float, float, np.ndarray, np.ndarray], ...]:
+        """Per secular group: its value, its mass and the slices of ``d0`` and ``|v|^2``."""
+        return tuple((g.value, g.mass, self.d0[g.indices], np.abs(self.v[g.indices]) ** 2)
+                     for g in self.spectrum.groups)
+
+    @cached_property
+    def _inactive_mass(self) -> float | None:
+        """Support-masked mass ``M = sum d0`` over the ungrouped coordinates.
+
+        When ``d0`` equals ``d1`` an ungrouped coordinate contributes
+        ``d0^s (scale d0)^{1-s} = scale^{1-s} d0`` on both supports.  ``None``
+        for any other pair, which pays a pass over those coordinates per call.
+        """
+        if not np.array_equal(self.d0, self.d1):
+            return None
+        d0max, lam_max = self._support_refs
+        sup = (self.d0 > SUPPORT_TOL * d0max) & (self.scale * self.d0 > SUPPORT_TOL * lam_max)
+        sup[self.spectrum.active] = False
+        return float(np.sum(self.d0[sup]))
 
     def q(self, s: float) -> float:
         """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], support convention."""
-        return diag_rank_one_trace_power(self.terms, s)
+        return diag_rank_one_trace_power(self, s)
 
     def helstrom(self, pi0: float) -> float:
         """Minimum error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)``, ``pi1 = 1 - pi0``."""
         pi1 = 1.0 - pi0
         diff = pi1 * self.scale * self.d1 - pi0 * self.d0
         return 0.5 * (1.0 - rank_one_spectrum(diff, 1.0, pi1 * self.weight, self.v).trace_abs())
+
+
+def diag_rank_one_trace_power(pair: StructuredPair, s: float) -> float:
+    """``Tr( diag(d0)^s * rho1^{1-s} )`` for a :class:`StructuredPair`.
+
+    Both powers follow the support convention of :func:`support_powers`.  The
+    cost is O(active set): the secular groups plus ``scale^{1-s} M`` for the
+    ungrouped coordinates, exact at ``s = 0`` and ``s = 1`` too.  Only a pair
+    whose ``d0`` differs from ``d1`` pays one vectorized pass over its
+    ungrouped coordinates per call.
+    """
+    spectrum = pair.spectrum
+    d0max, lam_max = pair._support_refs
+    total = 0.0
+    if pair._groups:
+        d0_pow = [_powers(d0g, s, d0max) for _, _, d0g, _ in pair._groups]
+        # carrier-projected d0^s mass per group, t_g = w^dag diag(d0^s) w
+        t = np.array([float(np.sum(av2 * p0)) / mass
+                      for (_, mass, _, av2), p0 in zip(pair._groups, d0_pow)])
+        lam_pow = _powers(spectrum.roots, 1.0 - s, lam_max)
+        total += float(np.sum(lam_pow[:, None] * spectrum.root_weights * t[None, :]))
+        # deflated directions inside each group keep the group eigenvalue
+        for (value, _, _, _), p0, tg in zip(pair._groups, d0_pow, t):
+            total += _powers(np.array([value]), 1.0 - s, lam_max)[0] * (float(np.sum(p0)) - tg)
+    mass = pair._inactive_mass
+    if mass is None:
+        inactive = spectrum.inactive
+        total += float(np.sum(_powers(pair.d0[inactive], s, d0max)
+                              * _powers(pair.scale * pair.d1[inactive], 1.0 - s, lam_max)))
+    elif mass:
+        # nonzero M needs scale > 0, so the power stays real
+        total += pair.scale ** (1.0 - s) * mass
+    return total

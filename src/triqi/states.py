@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import (DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor,
-                   apply_mode_unitaries, as_diag_plus_low_rank, build_space)
+                   as_diag_plus_low_rank, build_space, to_rotated_basis)
 from .spectral import StructuredPair
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
@@ -30,7 +30,7 @@ SMALL_ETA_MAX = 0.1
 ETA_INVN2_FACTOR = 3.0
 
 DEFAULT_TAIL_BOUND = 1e-8
-DEFAULT_LEAK_TOL = 1e-9
+CHAIN_LEAK_TOL = 1e-9
 MAX_MODE_CUTOFF = 4096
 
 
@@ -222,15 +222,14 @@ class EvolvedState:
         return float(np.linalg.norm(self.chain_amplitudes - ref))
 
 
-def evolve_exact(theta: float, chain_cutoff: int,
-                 leak_tol: float = DEFAULT_LEAK_TOL) -> EvolvedState:
+def evolve_exact(theta: float, chain_cutoff: int) -> EvolvedState:
     """Evolve |000> under the triple-mode coupling, exactly on the chain.
 
     On the chain {|nnn>} the coupling is tridiagonal with matrix element
     ``(n+1)^(3/2)`` between |nnn> and the next triplet level; the propagator
     comes from the eigendecomposition of that small real symmetric matrix.
     The population stranded at the top chain level is reported as leakage and
-    must stay below ``leak_tol`` (raise the cutoff otherwise).
+    must stay below ``CHAIN_LEAK_TOL`` (raise the cutoff otherwise).
     """
     if chain_cutoff < 4:
         raise ValueError(f"chain cutoff must be >= 4, got {chain_cutoff}")
@@ -240,9 +239,9 @@ def evolve_exact(theta: float, chain_cutoff: int,
     evals, evecs = np.linalg.eigh(h)
     amps = evecs @ (np.exp(-1j * theta * evals) * evecs[0, :].conj())
     leakage = float(np.abs(amps[-1]) ** 2)
-    if leakage > leak_tol:
+    if leakage > CHAIN_LEAK_TOL:
         raise TruncationError(
-            f"chain leakage {leakage:.3e} above {leak_tol:.1e} at cutoff {chain_cutoff}; "
+            f"chain leakage {leakage:.3e} above {CHAIN_LEAK_TOL:.1e} at cutoff {chain_cutoff}; "
             "raise the chain cutoff")
     space = build_space(3, (chain_cutoff,) * 3)
     full = np.zeros(space.total_dim, dtype=complex)
@@ -290,8 +289,7 @@ def thermal_state(nbar: float, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOU
     return DensityOperator.diagonal(space, thermal_probs(nbar, cutoff))
 
 
-def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND,
-                cap: int = MAX_MODE_CUTOFF) -> int:
+def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Smallest cutoff whose thermal tail mass is below the bound."""
     if nbar <= 0:
         raise ValueError(f"nbar must be positive, got {nbar}")
@@ -301,9 +299,9 @@ def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND,
     k = max(int(math.floor(math.log(tail_bound) / math.log(q))) + 1, 2)
     while thermal_tail_mass(nbar, k) >= tail_bound:  # absorb log rounding
         k += 1
-    if k > cap:
+    if k > MAX_MODE_CUTOFF:
         raise TruncationError(
-            f"auto cutoff {k} for nbar={nbar} exceeds the per-mode cap {cap}")
+            f"auto cutoff {k} for nbar={nbar} exceeds the per-mode cap {MAX_MODE_CUTOFF}")
     return k
 
 
@@ -388,17 +386,28 @@ class HypothesisPair:
     rho1: DensityOperator
     structured: StructuredPair
 
+    def with_eta(self, eta: float) -> "HypothesisPair":
+        """The pair at another eta, sharing rho0, its eigenbasis and the rotated triplet."""
+        s1 = self.rho1.structure
+        return _mix(replace(self.params, eta=eta), self.rho0, s1.diag, s1.vectors[:, 0],
+                    s1.mode_rotations)
+
+
+def _mix(params: ProtocolParams, rho0: DensityOperator, diag: np.ndarray, v: np.ndarray,
+         mode_rotations) -> HypothesisPair:
+    """``rho1 = (1 - eta) rho0 + eta |Psi><Psi|`` in rho0's eigenbasis ``diag``,
+    ``mode_rotations``, with ``v`` the triplet in that basis."""
+    rho1 = DensityOperator.diag_plus_low_rank(
+        rho0.space, diag, 1.0 - params.eta, (params.eta,), v, mode_rotations=mode_rotations)
+    s1 = rho1.structure
+    structured = StructuredPair(diag, s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    return HypothesisPair(params, rho0, rho1, structured)
+
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
     """Build rho0 once and derive rho1 and the structured pair from its eigenbasis."""
     rho0 = hypothesis_h0(params)
     h0 = as_diag_plus_low_rank(rho0).structure
-    space = rho0.space
-    psi = three_photon_state(params.theta, space)
-    v = apply_mode_unitaries(psi.amplitudes, space, h0.mode_rotations, adjoint=True)
-    rho1 = DensityOperator.diag_plus_low_rank(
-        space, h0.diag, 1.0 - params.eta, (params.eta,), v, mode_rotations=h0.mode_rotations)
-    s1 = rho1.structure
-    structured = StructuredPair(h0.diag, s1.diag, s1.diag_scale, s1.weights[0],
-                                s1.vectors[:, 0])
-    return HypothesisPair(params, rho0, rho1, structured)
+    psi = three_photon_state(params.theta, rho0.space)
+    v = to_rotated_basis(psi.amplitudes, rho0.space, h0.mode_rotations)
+    return _mix(params, rho0, h0.diag, v, h0.mode_rotations)

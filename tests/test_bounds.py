@@ -305,8 +305,8 @@ def test_pair_context_matches_full_pass_oracle(params):
     direct = _PairContext(pair.rho0, pair.rho1)
     swapped = _PairContext(pair.rho1, pair.rho0)
     # hypothesis pairs share rho0's diagonal, so both take the once-per-pair mass
-    assert isinstance(direct._structured.terms.rest, float) and not direct._swapped
-    assert isinstance(swapped._structured.terms.rest, float) and swapped._swapped
+    assert isinstance(direct._structured._inactive_mass, float) and not direct._swapped
+    assert isinstance(swapped._structured._inactive_mass, float) and swapped._swapped
     for s in np.linspace(0.0, 1.0, 21):
         s = float(s)
         assert direct.q(s) == pytest.approx(trace_power_ref(d0, spectrum, s), rel=1e-13), s

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from triqi import overlap_audit, states
 from triqi.errors import RegimeWarning
 from triqi.overlap_audit import (SignChoice, audit_overlap,
                                  closed_form_overlap, gap_leading_order,
@@ -147,6 +149,28 @@ def test_gap_fit_leading_order():
     assert not fit.sign_change
     assert 0.4 <= fit.eta_order <= 0.6
     assert len(fit.etas) == len(fit.gaps) == 5
+
+
+def test_gap_fit_derives_its_ladder_from_one_pair(monkeypatch):
+    original = states.build_hypothesis_pair
+    builds = []
+
+    def counted(params):
+        builds.append(params)
+        return original(params)
+
+    for module in (states, overlap_audit):
+        monkeypatch.setattr(module, "build_hypothesis_pair", counted)
+    fit = audit_overlap(AUDIT_POINT, fit_gap=True).gap_fit
+    # the principal value and the ladder each build once, not once per rung
+    assert len(builds) <= 2
+    pair = original(AUDIT_POINT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for eta, gap in zip(fit.etas, fit.gaps):
+            fresh = original(AUDIT_POINT.with_updates(eta=eta))
+            assert pair.with_eta(eta).structured.q(0.5) == fresh.structured.q(0.5), eta
+            assert gap == fresh.structured.q(0.5) - signed_root_overlap(fresh.params).value, eta
 
 
 def test_audit_eta_zero_all_ones():

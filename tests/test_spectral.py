@@ -9,9 +9,8 @@ from triqi.errors import NumericalError
 from triqi.bounds import q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
-from triqi.spectral import (diag_rank_one_trace_power, eigh, matrix_power,
-                            rank_one_spectrum, support_powers, trace_power_terms,
-                            trace_product)
+from triqi.spectral import (StructuredPair, eigh, matrix_power, rank_one_spectrum,
+                            support_powers, trace_product)
 from triqi.states import build_hypothesis_pair, thermal_probs
 
 from oracles import qs_ref, thermal_probs_ref
@@ -274,11 +273,11 @@ def test_structured_vs_dense_q_half(params):
     assert pair.rho0.space.total_dim <= 1000
     s0 = as_diag_plus_low_rank(pair.rho0).structure
     s1 = pair.rho1.structure
-    spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
-    terms = trace_power_terms(s0.diag_scale * s0.diag, spectrum)
+    structured_pair = StructuredPair(s0.diag_scale * s0.diag, s1.diag, s1.diag_scale,
+                                     s1.weights[0], s1.vectors[:, 0])
     m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
-        structured = diag_rank_one_trace_power(terms, s)
+        structured = structured_pair.q(s)
         assert structured == pytest.approx(qs_ref(m0, m1, s), abs=1e-10), s
 
 
@@ -291,12 +290,12 @@ def test_structured_vs_dense_distinct_diagonals():
     diag1 = np.roll(s1.diag, 5)
     rho1 = DensityOperator.diag_plus_low_rank(pair.rho1.space, diag1, s1.diag_scale, s1.weights,
                                               s1.vectors, mode_rotations=s1.mode_rotations)
-    spectrum = rank_one_spectrum(diag1, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
-    terms = trace_power_terms(s0.diag_scale * s0.diag, spectrum)
-    assert isinstance(terms.rest, tuple)
+    structured = StructuredPair(s0.diag_scale * s0.diag, diag1, s1.diag_scale, s1.weights[0],
+                                s1.vectors[:, 0])
+    assert structured._inactive_mass is None
     m0, m1 = pair.rho0.to_dense(), rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
         dense = qs_ref(m0, m1, s)
-        assert diag_rank_one_trace_power(terms, s) == pytest.approx(dense, abs=1e-10), s
+        assert structured.q(s) == pytest.approx(dense, abs=1e-10), s
         assert q_s(pair.rho0, rho1, s) == pytest.approx(dense, abs=1e-10), s
         assert q_s(rho1, pair.rho0, s) == pytest.approx(qs_ref(m1, m0, s), abs=1e-10), s

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from triqi import bounds, fock, overlap_audit, spectral, states, sweep
 from triqi.bounds import evaluate_point
 from triqi.cli import main
 from triqi.overlap_audit import audit_overlap
+from triqi.presets import GOLDEN_POINT
 from triqi.states import ProtocolParams
 from triqi.sweep import (SweepSpec, SweepTable, emit, read_table, render, run_sweep)
 from triqi.textfmt import format_float, format_record, parse_record
@@ -232,6 +234,17 @@ def test_cli_chernoff_text_report(capsys, tmp_path):
     rec = parse_record(out.read_text())
     assert rec["q_half"] == pytest.approx(0.996920494113427, abs=1e-12)
     assert rec["s_star"] == pytest.approx(0.4447, abs=2e-4)
+
+
+def test_nan_tolerance_is_a_usage_error(capsys):
+    # NaN fails every comparison: it must not pass as a positive tolerance and
+    # end the search at its first bracket midpoint
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        evaluate_point(GOLDEN_POINT, tol=math.nan)
+    code = main(["chernoff", "--theta", "0.1", "--eta", "0.05", "--nbar2", "3",
+                 "--nbar3", "3", "--cutoff", "6", "--tail-bound", "1", "--tol", "nan"])
+    assert code == 1
+    assert "tolerance must be positive" in capsys.readouterr().err
 
 
 def test_cli_strict_regime_exit_code(capsys):
