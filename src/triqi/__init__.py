@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .bounds import (BoundReport, advantage_ratio, bhattacharyya_bound, chernoff,
                      error_bound_2gamma, error_bound_3gamma, evaluate_point,
                      helstrom_optimum, povm_error, q_s)
-from .errors import (DenseLimitError, NumericalError, RegimeWarning, TriqiError,
-                     TruncationError)
+from .errors import (DenseLimitError, NumericalError, RegimeWarning, ResourceError,
+                     TriqiError, TruncationError)
 from .fock import (DensityOperator, Ket, SpaceDescriptor, annihilation, build_space,
                    creation, number_operator, partial_trace, tensor_ket)
 from .overlap_audit import (SignChoice, TraceAudit, audit_overlap, closed_form_overlap,
@@ -27,7 +27,7 @@ from .sweep import SweepSpec, SweepTable, emit, run_sweep
 __all__ = [
     "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem",
     "HypothesisPair", "Ket", "NumericalError", "ProtocolParams", "RegimeWarning",
-    "SignChoice", "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit",
+    "ResourceError", "SignChoice", "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit",
     "TriqiError", "TruncationError", "advantage_ratio",
     "annihilation", "audit_overlap", "background_state", "bhattacharyya_bound",
     "build_hypothesis_pair", "build_space", "chernoff", "closed_form_overlap",

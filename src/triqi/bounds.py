@@ -55,7 +55,7 @@ def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[Structu
     d0 = s0.diag_scale * s0.diag
     weight = s1.weights[0] if s1.rank == 1 else 0.0
     vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(d0, dtype=complex)
-    return StructuredPair(d0, s1.diag, s1.diag_scale, weight, vec), swapped
+    return StructuredPair.from_arrays(d0, s1.diag, s1.diag_scale, weight, vec), swapped
 
 
 class _PairContext:

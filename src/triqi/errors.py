@@ -18,5 +18,9 @@ class NumericalError(TriqiError):
     secular solve non-convergence, POVM completeness violation."""
 
 
+class ResourceError(TriqiError):
+    """Raised in place of a MemoryError where one point of a sweep ran out of memory."""
+
+
 class RegimeWarning(UserWarning):
     """Emitted when closed-form bounds are evaluated outside their validity regime."""

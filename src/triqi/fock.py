@@ -219,18 +219,6 @@ def _rotation_matrix(space: SpaceDescriptor, mode_rotations) -> np.ndarray | Non
     return reduce(np.kron, mats)
 
 
-def to_rotated_basis(vec: np.ndarray, space: SpaceDescriptor, mode_rotations) -> np.ndarray:
-    """Take a Fock-basis vector into the rotated basis: apply the rotations' adjoints."""
-    if mode_rotations is None:
-        return np.asarray(vec, dtype=complex)
-    out = np.asarray(vec, dtype=complex).reshape(space.cutoffs)
-    for m, rot in enumerate(mode_rotations):
-        if rot is None:
-            continue
-        out = np.moveaxis(np.tensordot(rot.conj().T, out, axes=([1], [m])), 0, m)
-    return out.reshape(-1)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian PSD operator with a structural tag and (optionally) unit trace."""
@@ -366,43 +354,53 @@ class DensityOperator:
             raise NumericalError("negative diagonal entry below PSD tolerance")
 
 
-def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
-    """Re-express a compatible operator as DiagPlusLowRank in its own eigenbasis.
+def factor_eigensystems(rho: DensityOperator) -> tuple[tuple[np.ndarray, ...], tuple]:
+    """Eigenvalues of each tensor factor of ``rho`` and the per-mode rotations
+    into their eigenbases.
 
-    Diagonal operators convert directly; tensor products convert factor by
-    factor (dense factors through a per-factor eigendecomposition, which is
-    cheap because factors are small).  The result has no low-rank terms, only
-    the eigen-diagonal plus the per-mode rotations.
+    ``kron`` of the eigenvalues is ``rho``'s diagonal in the rotated product
+    basis.  Diagonal factors need no rotation (None on each of their modes);
+    single-mode dense factors go through an eigendecomposition, which is cheap
+    because factors are small.
     """
     s = rho.structure
-    if isinstance(s, DiagPlusLowRank):
-        return rho
-    if isinstance(s, Diagonal):
-        return DensityOperator.diag_plus_low_rank(
-            rho.space, s.probs, 1.0, (), np.zeros((rho.space.total_dim, 0)),
-            mode_rotations=None, trace_normalized=rho.trace_normalized)
-    if not isinstance(s, TensorProduct):
+    if isinstance(s, TensorProduct):
+        factors = s.factors
+    elif isinstance(s, Diagonal):
+        factors = (rho,)
+    else:
         raise NumericalError(f"cannot convert structure {type(s).__name__} to DiagPlusLowRank")
-
-    diag_parts = []
+    eigenvalues = []
     rotations: list[np.ndarray | None] = []
-    for f in s.factors:
+    for f in factors:
         fs = f.structure
         if isinstance(fs, Diagonal):
-            diag_parts.append(fs.probs)
+            eigenvalues.append(fs.probs)
             rotations.extend([None] * f.space.modes)
         elif isinstance(fs, Dense):
             if f.space.modes != 1:
                 raise NumericalError("dense tensor factors must be single-mode for structured conversion")
             evals, evecs = np.linalg.eigh(fs.matrix)
-            diag_parts.append(evals)
+            eigenvalues.append(evals)
             rotations.append(evecs)
         else:
             raise NumericalError(f"cannot convert nested structure {type(fs).__name__}")
-    diag = reduce(np.kron, diag_parts)
+    return tuple(eigenvalues), tuple(rotations)
+
+
+def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
+    """Re-express a compatible operator as DiagPlusLowRank in its own eigenbasis.
+
+    Diagonal operators and tensor products convert through
+    :func:`factor_eigensystems`.  The result has no low-rank terms, only the
+    eigen-diagonal plus the per-mode rotations.
+    """
+    if isinstance(rho.structure, DiagPlusLowRank):
+        return rho
+    eigenvalues, rotations = factor_eigensystems(rho)
     return DensityOperator.diag_plus_low_rank(
-        rho.space, diag, 1.0, (), np.zeros((rho.space.total_dim, 0)),
-        mode_rotations=tuple(rotations), trace_normalized=rho.trace_normalized)
+        rho.space, reduce(np.kron, eigenvalues), 1.0, (), np.zeros((rho.space.total_dim, 0)),
+        mode_rotations=rotations, trace_normalized=rho.trace_normalized)
 
 
 def same_rotations(a, b) -> bool:

@@ -152,16 +152,21 @@ class GapFit:
     sign_change: bool
 
 
-def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS) -> GapFit:
+def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
+                      pair: HypothesisPair | None = None) -> GapFit:
     """Fit the leading eta-order of the principal-vs-signed gap as eta -> 0.
 
     Evaluates both traces on a geometric eta ladder scaled off the working
-    point, from one pair build: only eta changes along the ladder.  A sign
-    change of the gap inside the window would make the log-log slope
+    point, from one pair: only eta changes along the ladder.  ``pair``, if
+    given, must have been built from ``params``; otherwise it is built here.
+    A sign change of the gap inside the window would make the log-log slope
     unreliable; the fit is still reported, flagged accordingly.
     """
     etas = tuple(params.eta * f for f in sorted(GAP_FIT_LADDER))
-    pair = build_hypothesis_pair(params)
+    if pair is None:
+        pair = build_hypothesis_pair(params)
+    elif pair.params != params:
+        raise ValueError("pair was built from other parameters than params")
     gaps = []
     with warnings.catch_warnings():
         # probing the eta -> 0 asymptotics leaves the regime on purpose
@@ -277,7 +282,7 @@ def audit_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
 
     gap = None
     if fit_gap and signed is not None and principal is not None:
-        gap = gap_leading_order(params, signs)
+        gap = gap_leading_order(params, signs, pair)
 
     return TraceAudit(params=params, signs=signs, analytic=analytic,
                       signed_root=signed, principal=principal,

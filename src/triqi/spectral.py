@@ -9,9 +9,10 @@ materializing them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.optimize import brentq
@@ -51,14 +52,6 @@ def eigh(matrix: np.ndarray, dense_limit: int | None = None) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-def _powers(x: np.ndarray, p: float, ref: float) -> np.ndarray:
-    """``x^p`` on the support ``x > SUPPORT_TOL * ref`` and 0 off it (0^0 = 0)."""
-    sup = x > SUPPORT_TOL * ref
-    out = np.zeros_like(x)
-    out[sup] = 1.0 if p == 0 else x[sup] ** p
-    return out
-
-
 def support_powers(eigenvalues: np.ndarray, s: float) -> np.ndarray:
     """Eigenvalue map lambda -> lambda^s with 0^0 = 0 on the truncated support.
 
@@ -69,7 +62,10 @@ def support_powers(eigenvalues: np.ndarray, s: float) -> np.ndarray:
     top = float(np.max(w, initial=0.0))
     if float(np.min(w, initial=0.0)) < -1e-10 * max(top, 1e-300):
         raise NumericalError(f"negative eigenvalue {w.min()} beyond PSD tolerance")
-    return _powers(w, s, max(top, 1e-300))
+    sup = w > SUPPORT_TOL * max(top, 1e-300)
+    out = np.zeros_like(w)
+    out[sup] = 1.0 if s == 0 else w[sup] ** s
+    return out
 
 
 def matrix_power(rho, s: float) -> np.ndarray:
@@ -113,9 +109,10 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 class RankOneGroup:
     """Active coordinates sharing one (scaled) diagonal value.
 
-    ``mass`` is the squared norm of the update vector restricted to the group;
-    the group contributes a single carrier direction to the secular problem,
-    the remaining ``len(indices) - 1`` directions stay at ``value``.
+    ``indices`` are positions in the spectrum's ``d``.  ``mass`` is the squared
+    norm of the update vector restricted to the group; the group contributes a
+    single carrier direction to the secular problem, the remaining
+    ``len(indices) - 1`` directions stay at ``value``.
     """
 
     value: float
@@ -134,13 +131,12 @@ class RankOneSpectrum:
     d: np.ndarray
     scale: float
     weight: float
-    v: np.ndarray
     groups: tuple[RankOneGroup, ...]
     roots: np.ndarray
 
     @cached_property
     def active(self) -> np.ndarray:
-        """Indices of the grouped coordinates, the only ones the update touches."""
+        """Positions of the grouped coordinates, the only ones the update moves."""
         return np.concatenate([np.zeros(0, dtype=int)] + [g.indices for g in self.groups])
 
     @cached_property
@@ -182,12 +178,20 @@ class RankOneSpectrum:
         return total
 
 
-def rank_one_spectrum(d, scale: float, weight: float, v) -> RankOneSpectrum:
+def rank_one_spectrum(d, scale: float, weight: float, v,
+                      ref: float | None = None) -> RankOneSpectrum:
     """Eigen data of ``scale * diag(d) + weight * v v^dag`` for weight >= 0.
 
-    Coordinates where ``v`` vanishes keep their diagonal values; active
-    coordinates are grouped by (nearly) equal scaled diagonal value (relative
-    gap below ``DEFLATION_REL_GAP``), each group carrying one secular direction.
+    ``d`` and ``v`` may hold only the coordinates where ``v`` is nonzero; then
+    ``ref`` gives the largest ``|scale * d|`` over all of them (by default the
+    largest over ``d``).  A coordinate whose update component is at the
+    rounding level of the whole operator keeps its diagonal value: the
+    deflation test ``weight ||v|| |v_i| <= 8 eps max(ref, weight ||v||^2)`` of
+    Bunch, Nielsen and Sorensen (Numer. Math. 31, 1978), as LAPACK ``dlaed2``
+    applies it.  Without it such a root sits within one ulp of its pole and
+    its eigenvector weights fall apart.  The remaining coordinates are grouped
+    by (nearly) equal scaled diagonal value (relative gap below
+    ``DEFLATION_REL_GAP``), each group carrying one secular direction.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=complex)
@@ -196,13 +200,18 @@ def rank_one_spectrum(d, scale: float, weight: float, v) -> RankOneSpectrum:
     if weight < 0:
         raise NumericalError("rank-one update weight must be nonnegative")
 
-    av2 = np.abs(v) ** 2
-    active = np.nonzero(av2 > 0.0)[0]
-    if weight == 0.0 or len(active) == 0:
-        return RankOneSpectrum(d, scale, weight, v, (), np.zeros(0))
-
     dd = scale * d
-    ref = max(float(np.max(np.abs(dd))), 1e-300)
+    if ref is None:
+        ref = float(np.max(np.abs(dd), initial=0.0))
+    ref = max(ref, 1e-300)
+    absv = np.abs(v)
+    av2 = absv ** 2
+    norm = math.sqrt(float(av2.sum()))
+    tol = 8.0 * np.finfo(float).eps * max(ref, weight * norm ** 2)
+    active = np.nonzero(weight * norm * absv > tol)[0]
+    if len(active) == 0:
+        return RankOneSpectrum(d, scale, weight, (), np.zeros(0))
+
     order = active[np.argsort(dd[active], kind="stable")]
     groups: list[RankOneGroup] = []
     cur_idx: list[int] = []
@@ -222,7 +231,7 @@ def rank_one_spectrum(d, scale: float, weight: float, v) -> RankOneSpectrum:
     deltas = np.array([g.value for g in groups])
     masses = np.array([g.mass for g in groups])
     roots = _secular_roots(deltas, masses, weight)
-    return RankOneSpectrum(d, scale, weight, v, tuple(groups), roots)
+    return RankOneSpectrum(d, scale, weight, tuple(groups), roots)
 
 
 def _secular_roots(deltas: np.ndarray, masses: np.ndarray, weight: float) -> np.ndarray:
@@ -278,102 +287,225 @@ def _secular_roots(deltas: np.ndarray, masses: np.ndarray, weight: float) -> np.
     return roots
 
 
+def _kron_mass(factors, t0: float, scale: float, t1: float) -> float:
+    """Sum of the entries ``x`` of ``kron(*factors)`` with ``x > t0`` and
+    ``scale * x > t1``, both as rounded, in O(c log c) for cutoff c.
+
+    An entry is a row value ``r``, the product of the leading factors, times
+    an entry ``z`` of the last factor, rounded as ``np.kron`` rounds it.
+    Rounding is monotone, so for ``r > 0`` both tests hold on a suffix of the
+    sorted last factor: ``searchsorted`` finds its start to within rounding
+    and the exact tests at its neighbours settle it.  Rows with ``r <= 0`` hold
+    no supported entry, since the last factor is nonnegative unless it is the
+    only one.
+    """
+    if scale <= 0:
+        return 0.0
+    rows = np.ones(1)
+    for f in factors[:-1]:
+        rows = np.multiply.outer(rows, f).ravel()
+    rows = rows[rows > 0]
+    z, counts = np.unique(factors[-1], return_counts=True)
+    # tails[k]: the last factor's entries summed from its k-th distinct value on
+    tails = np.append(np.cumsum((z * counts)[::-1])[::-1], 0.0)
+
+    def supported(k):
+        x = rows * z[np.clip(k, 0, len(z) - 1)]
+        return (k >= 0) & (k < len(z)) & (x > t0) & (scale * x > t1)
+
+    k = np.searchsorted(z, max(t0, t1 / scale) / rows)
+    while True:
+        down = supported(k - 1)
+        up = (k < len(z)) & ~supported(k)
+        if not (down.any() or up.any()):
+            return float(rows @ tails[k])
+        k = k - down + up
+
+
 @dataclass(frozen=True)
 class StructuredPair:
-    """Two operators in one shared basis: ``rho0 = diag(d0)`` and
-    ``rho1 = scale * diag(d1) + weight * v v^dag``.
+    """Two operators in one shared basis, ``rho0 = diag(d0)`` and
+    ``rho1 = scale * diag(d1) + weight * v v^dag``, held without any array of
+    the full dimension.
 
-    Every hypothesis pair has this shape, with ``d1`` the same array as
-    ``d0``.  The arrays are made read-only so that one pair can be shared by
-    every quantity of a point.  The secular spectrum of ``rho1`` and every
-    O(dim) reduction of :func:`diag_rank_one_trace_power` are computed on
-    first use and cached.
+    ``d0`` is the Kronecker product of the per-mode marginals ``factors``
+    (mode 0 slowest, rounded as ``np.kron`` rounds it).  ``v`` is sparse: its
+    nonzero entries ``v_value`` at the flat indices ``v_index``.  ``d1`` is
+    ``d0`` unless an explicit array is given, which only operators a user
+    supplies can need (:meth:`from_arrays`).  The arrays are made read-only so
+    that one pair can be shared by every quantity of a point.  The secular
+    spectrum of ``rho1`` on the support of ``v`` and the terms of ``Q_s`` are
+    computed on first use and cached; for a factored pair every reduction
+    costs O(cutoff log cutoff) or less.
     """
 
-    d0: np.ndarray
-    d1: np.ndarray
+    factors: tuple[np.ndarray, ...]
     scale: float
     weight: float
-    v: np.ndarray
+    v_index: np.ndarray
+    v_value: np.ndarray
+    d1: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.d0.shape != self.d1.shape:
+        if self.v_index.shape != self.v_value.shape:
+            raise ValueError("sparse vector indices and values differ in shape")
+        if self.d1 is not None and self.d1.shape != (self.dim,):
             raise ValueError("diagonal dimension mismatch")
-        for arr in (self.d0, self.d1, self.v):
-            arr.setflags(write=False)
+        for arr in (*self.factors, self.v_index, self.v_value, self.d1):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @classmethod
+    def from_arrays(cls, d0, d1, scale: float, weight: float, v) -> "StructuredPair":
+        """The pair of explicit diagonals ``d0``, ``d1`` and dense ``v``, read
+        in O(dim); ``d1`` is kept only when it differs from ``d0``."""
+        d0 = np.asarray(d0, dtype=float)
+        d1 = np.asarray(d1, dtype=float)
+        v = np.asarray(v, dtype=complex)
+        if d0.shape != d1.shape or d0.shape != v.shape:
+            raise ValueError("diagonal dimension mismatch")
+        index = np.flatnonzero(v)
+        return cls((d0,), float(scale), float(weight), index, v[index],
+                   None if np.array_equal(d0, d1) else d1)
+
+    @property
+    def dim(self) -> int:
+        return math.prod(len(f) for f in self.factors)
+
+    @cached_property
+    def _local(self) -> tuple[np.ndarray, np.ndarray]:
+        """``d0`` and ``d1`` on the support of ``v``, rounded as ``np.kron`` rounds them."""
+        d0 = np.ones(len(self.v_index))
+        coords = np.unravel_index(self.v_index, tuple(len(f) for f in self.factors))
+        for f, i in zip(self.factors, coords):
+            d0 = d0 * f[i]
+        return d0, (d0 if self.d1 is None else self.d1[self.v_index])
+
+    @cached_property
+    def _d0max(self) -> float:
+        """Largest entry of ``d0``: the product of the factor maxima, exactly,
+        because rounding is monotone for nonnegative factors."""
+        return math.prod(float(f.max(initial=0.0)) for f in self.factors)
+
+    @cached_property
+    def _d1_scaled_max(self) -> float:
+        """``max |scale * d1|``, the size of rho1's diagonal part."""
+        if self.d1 is None:
+            return abs(self.scale) * self._d0max
+        return float(np.max(np.abs(self.scale * self.d1), initial=0.0))
 
     @cached_property
     def spectrum(self) -> RankOneSpectrum:
-        return rank_one_spectrum(self.d1, self.scale, self.weight, self.v)
+        """Secular spectrum of ``rho1`` on the support of ``v``; off it ``rho1``
+        is ``scale * diag(d1)``."""
+        return rank_one_spectrum(self._local[1], self.scale, self.weight, self.v_value,
+                                 self._d1_scaled_max)
 
     @cached_property
-    def _support_refs(self) -> tuple[float, float]:
-        """Support references of ``rho0`` and ``rho1``: their largest eigenvalues."""
-        d0max = max(float(self.d0.max(initial=0.0)), 1e-300)
-        lam_max = max(float(np.max(self.spectrum.roots, initial=0.0)),
-                      float(np.max(self.scale * self.d1, initial=0.0)), 1e-300)
-        return d0max, lam_max
-
-    @cached_property
-    def _groups(self) -> tuple[tuple[float, float, np.ndarray, np.ndarray], ...]:
-        """Per secular group: its value, its mass and the slices of ``d0`` and ``|v|^2``."""
-        return tuple((g.value, g.mass, self.d0[g.indices], np.abs(self.v[g.indices]) ** 2)
-                     for g in self.spectrum.groups)
+    def _thresholds(self) -> tuple[float, float]:
+        """Support thresholds of ``rho0`` and ``rho1``: ``SUPPORT_TOL`` times
+        their largest eigenvalues."""
+        lam_max = max(float(np.max(self.spectrum.roots, initial=0.0)), self._d1_scaled_max)
+        return SUPPORT_TOL * max(self._d0max, 1e-300), SUPPORT_TOL * max(lam_max, 1e-300)
 
     @cached_property
     def _inactive_mass(self) -> float | None:
-        """Support-masked mass ``M = sum d0`` over the ungrouped coordinates.
+        """Support-masked mass ``M = sum d0`` off the support of ``v``.
 
-        When ``d0`` equals ``d1`` an ungrouped coordinate contributes
+        When ``d1`` is ``d0`` such a coordinate contributes
         ``d0^s (scale d0)^{1-s} = scale^{1-s} d0`` on both supports.  ``None``
-        for any other pair, which pays a pass over those coordinates per call.
+        for an explicit ``d1``, whose coordinates each keep their own term.
         """
-        if not np.array_equal(self.d0, self.d1):
+        if self.d1 is not None:
             return None
-        d0max, lam_max = self._support_refs
-        sup = (self.d0 > SUPPORT_TOL * d0max) & (self.scale * self.d0 > SUPPORT_TOL * lam_max)
-        sup[self.spectrum.active] = False
-        return float(np.sum(self.d0[sup]))
+        t0, t1 = self._thresholds
+        d0 = self._local[0]
+        local = d0[(d0 > t0) & (self.scale * d0 > t1)]
+        return _kron_mass(self.factors, t0, self.scale, t1) - float(np.sum(local))
+
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(c, a, b)`` with ``Q_s = sum_k c_k a_k^s b_k^{1-s}`` for s in [0, 1].
+
+        ``a`` is an eigenvalue of ``rho0``, ``b`` one of ``rho1`` and ``c`` the
+        squared overlap of their eigenvectors:
+
+        * secular root ``j`` with grouped coordinate ``i`` of group ``g``:
+          ``c = W[j, g] |v_i|^2 / mass_g``;
+        * the deflated directions of group ``g``, at the group value:
+          ``c = 1 - |v_i|^2 / mass_g``;
+        * a coordinate of the support of ``v`` outside the groups keeps
+          ``b = scale * d1``, and so does every other coordinate of an explicit
+          ``d1``;
+        * otherwise the other coordinates make one term, ``M`` at ``a = 1``,
+          ``b = scale``.
+
+        Under ``0^0 = 0`` a term off either support is zero for every ``s``,
+        so it is dropped; the rest need no support test per call.
+        """
+        spectrum = self.spectrum
+        d0, d1 = self._local
+        av2 = np.abs(self.v_value) ** 2
+        roots = spectrum.roots
+        rest = spectrum.inactive
+        c, a, b = [np.ones(rest.sum())], [d0[rest]], [self.scale * d1[rest]]
+        for g, weights in zip(spectrum.groups, spectrum.root_weights.T):
+            share = av2[g.indices] / g.mass
+            a_g = d0[g.indices]
+            c += [np.outer(weights, share).ravel(), 1.0 - share]
+            a += [np.tile(a_g, len(roots)), a_g]
+            b += [np.repeat(roots, len(a_g)), np.full(len(a_g), g.value)]
+        if self.d1 is not None:
+            off = np.ones(self.dim, dtype=bool)
+            off[self.v_index] = False
+            c.append(np.ones(int(off.sum())))
+            a.append(reduce(np.kron, self.factors)[off])
+            b.append(self.scale * self.d1[off])
+        c, a, b = (np.concatenate(x) for x in (c, a, b))
+        t0, t1 = self._thresholds
+        keep = (a > t0) & (b > t1) & (c != 0.0)
+        c, a, b = c[keep], a[keep], b[keep]
+        mass = self._inactive_mass
+        if mass:
+            # nonzero M needs scale > 0, so the power stays real
+            c, a, b = np.append(c, mass), np.append(a, 1.0), np.append(b, self.scale)
+        return c, a, b
 
     def q(self, s: float) -> float:
         """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], support convention."""
         return diag_rank_one_trace_power(self, s)
 
     def helstrom(self, pi0: float) -> float:
-        """Minimum error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)``, ``pi1 = 1 - pi0``."""
+        """Minimum error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)``, ``pi1 = 1 - pi0``.
+
+        On the support of ``v`` the trace norm comes from a secular problem.
+        Off it the operator is ``diag(pi1 scale d1 - pi0 d0)``, whose trace
+        norm is ``|pi1 scale - pi0|`` times the mass of ``d0`` there when ``d1``
+        is ``d0``.
+        """
         pi1 = 1.0 - pi0
-        diff = pi1 * self.scale * self.d1 - pi0 * self.d0
-        return 0.5 * (1.0 - rank_one_spectrum(diff, 1.0, pi1 * self.weight, self.v).trace_abs())
+        a = pi1 * self.scale
+        d0, d1 = self._local
+        if self.d1 is None:
+            ref = abs(a - pi0) * self._d0max
+            total = math.prod(float(f.sum()) for f in self.factors)
+            off = abs(a - pi0) * (total - float(np.sum(d0)))
+        else:
+            diff = np.abs(a * self.d1 - pi0 * reduce(np.kron, self.factors))
+            ref = float(diff.max(initial=0.0))
+            off = float(diff.sum() - diff[self.v_index].sum())
+        local = rank_one_spectrum(a * d1 - pi0 * d0, 1.0, pi1 * self.weight, self.v_value, ref)
+        return 0.5 * (1.0 - local.trace_abs() - off)
 
 
 def diag_rank_one_trace_power(pair: StructuredPair, s: float) -> float:
     """``Tr( diag(d0)^s * rho1^{1-s} )`` for a :class:`StructuredPair`.
 
-    Both powers follow the support convention of :func:`support_powers`.  The
-    cost is O(active set): the secular groups plus ``scale^{1-s} M`` for the
-    ungrouped coordinates, exact at ``s = 0`` and ``s = 1`` too.  Only a pair
-    whose ``d0`` differs from ``d1`` pays one vectorized pass over its
-    ungrouped coordinates per call.
+    Both powers follow the support convention of :func:`support_powers`.  One
+    vectorized expression over the pair's cached terms, exact at ``s = 0`` and
+    ``s = 1`` too: for a factored pair about one per secular root and active
+    coordinate, at most 21 for an idler cutoff of 2, whatever the dimension.
+    Only a pair with an explicit ``d1`` has a term per coordinate.
     """
-    spectrum = pair.spectrum
-    d0max, lam_max = pair._support_refs
-    total = 0.0
-    if pair._groups:
-        d0_pow = [_powers(d0g, s, d0max) for _, _, d0g, _ in pair._groups]
-        # carrier-projected d0^s mass per group, t_g = w^dag diag(d0^s) w
-        t = np.array([float(np.sum(av2 * p0)) / mass
-                      for (_, mass, _, av2), p0 in zip(pair._groups, d0_pow)])
-        lam_pow = _powers(spectrum.roots, 1.0 - s, lam_max)
-        total += float(np.sum(lam_pow[:, None] * spectrum.root_weights * t[None, :]))
-        # deflated directions inside each group keep the group eigenvalue
-        for (value, _, _, _), p0, tg in zip(pair._groups, d0_pow, t):
-            total += _powers(np.array([value]), 1.0 - s, lam_max)[0] * (float(np.sum(p0)) - tg)
-    mass = pair._inactive_mass
-    if mass is None:
-        inactive = spectrum.inactive
-        total += float(np.sum(_powers(pair.d0[inactive], s, d0max)
-                              * _powers(pair.scale * pair.d1[inactive], 1.0 - s, lam_max)))
-    elif mass:
-        # nonzero M needs scale > 0, so the power stays real
-        total += pair.scale ** (1.0 - s) * mass
-    return total
+    c, a, b = pair._terms
+    return float(np.sum(c * a ** s * b ** (1.0 - s)))

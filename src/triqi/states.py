@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TruncationError
-from .fock import (DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor,
-                   as_diag_plus_low_rank, build_space, to_rotated_basis)
+from .fock import (DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor, build_space,
+                   factor_eigensystems)
 from .spectral import StructuredPair
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
@@ -377,37 +378,60 @@ def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
 class HypothesisPair:
     """The two discrimination hypotheses plus the parameters that built them.
 
-    ``structured`` is the same pair in rho0's eigenbasis, sharing the arrays
-    of ``rho1``; every bound and the principal root overlap read it.
+    ``structured`` is the pair in rho0's eigenbasis, held without any array of
+    the full dimension; every bound and the principal root overlap read it.
+    ``rho0`` is a tensor product of per-mode factors.  ``rho1``, the
+    DiagPlusLowRank form that the dense lane and ``to_dense`` read, is built
+    on first access only.
     """
 
     params: ProtocolParams
     rho0: DensityOperator
-    rho1: DensityOperator
     structured: StructuredPair
+    mode_rotations: tuple
+
+    @cached_property
+    def rho1(self) -> DensityOperator:
+        sp = self.structured
+        v = np.zeros(sp.dim, dtype=complex)
+        v[sp.v_index] = sp.v_value
+        return DensityOperator.diag_plus_low_rank(
+            self.rho0.space, reduce(np.kron, sp.factors), sp.scale, (sp.weight,), v,
+            mode_rotations=self.mode_rotations)
 
     def with_eta(self, eta: float) -> "HypothesisPair":
         """The pair at another eta, sharing rho0, its eigenbasis and the rotated triplet."""
-        s1 = self.rho1.structure
-        return _mix(replace(self.params, eta=eta), self.rho0, s1.diag, s1.vectors[:, 0],
-                    s1.mode_rotations)
+        params = replace(self.params, eta=eta)
+        sp = self.structured
+        return HypothesisPair(params, self.rho0, _mix(params, sp.factors, sp.v_index, sp.v_value),
+                              self.mode_rotations)
 
 
-def _mix(params: ProtocolParams, rho0: DensityOperator, diag: np.ndarray, v: np.ndarray,
-         mode_rotations) -> HypothesisPair:
-    """``rho1 = (1 - eta) rho0 + eta |Psi><Psi|`` in rho0's eigenbasis ``diag``,
-    ``mode_rotations``, with ``v`` the triplet in that basis."""
-    rho1 = DensityOperator.diag_plus_low_rank(
-        rho0.space, diag, 1.0 - params.eta, (params.eta,), v, mode_rotations=mode_rotations)
-    s1 = rho1.structure
-    structured = StructuredPair(diag, s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
-    return HypothesisPair(params, rho0, rho1, structured)
+def _mix(params: ProtocolParams, factors, v_index: np.ndarray,
+         v_value: np.ndarray) -> StructuredPair:
+    """``rho1 = (1 - eta) rho0 + eta |Psi><Psi|`` in rho0's eigenbasis, whose
+    diagonal is ``kron(*factors)``, with the triplet's nonzero entries there."""
+    return StructuredPair(factors, 1.0 - params.eta, params.eta, v_index, v_value)
 
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
-    """Build rho0 once and derive rho1 and the structured pair from its eigenbasis."""
+    """Build rho0 once and derive the structured pair from its per-mode
+    eigensystems, in O(cutoff).
+
+    The background factors are diagonal, so only the idler is rotated: the
+    triplet ``cos(theta)|000> - i sin(theta)|111>`` has the entry
+    ``conj(R[n, k]) * amplitude(|nnn>)`` at ``(k, n, n)`` in the rotated basis,
+    for every idler eigenvector ``k`` and ``n`` in {0, 1}; in that order the
+    flat indices ascend.
+    """
     rho0 = hypothesis_h0(params)
-    h0 = as_diag_plus_low_rank(rho0).structure
-    psi = three_photon_state(params.theta, rho0.space)
-    v = to_rotated_basis(psi.amplitudes, rho0.space, h0.mode_rotations)
-    return _mix(params, rho0, h0.diag, v, h0.mode_rotations)
+    eigenvalues, rotations = factor_eigensystems(rho0)
+    cutoffs = rho0.space.cutoffs
+    idler_rotation = np.eye(cutoffs[0]) if rotations[0] is None else rotations[0]
+    amplitudes = np.array([np.cos(params.theta), -1j * np.sin(params.theta)])
+    k, n = np.meshgrid(np.arange(cutoffs[0]), (0, 1), indexing="ij")
+    index = np.ravel_multi_index((k, n, n), cutoffs).ravel()
+    value = (idler_rotation[:2].conj().T * amplitudes).ravel()
+    keep = np.flatnonzero(value)
+    return HypothesisPair(params, rho0, _mix(params, eigenvalues, index[keep], value[keep]),
+                          rotations)

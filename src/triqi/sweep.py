@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds, overlap_audit, textfmt
-from .errors import TriqiError
+from .errors import NumericalError, ResourceError, TriqiError
 from .states import (ProtocolParams, build_hypothesis_pair, params_from_mapping,
                      parse_key_values)
 
@@ -142,9 +144,16 @@ def _evaluate_row(spec: SweepSpec, point: tuple) -> tuple:
         flags = params.regime_flags().as_dict()
         row.extend(flags[c.split(".", 1)[1]] for c in FLAG_COLUMNS)
         row.append("")
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
+        error = NumericalError(f"linear algebra failure: {exc}")
     except (TriqiError, ValueError) as exc:
-        row.extend([None] * (len(spec.outputs) + len(FLAG_COLUMNS)))
-        row.append(f"{type(exc).__name__}: {exc}")
+        error = exc
+    except MemoryError as exc:
+        error = ResourceError(f"out of memory: {exc}")
+    else:
+        return tuple(row)
+    row.extend([None] * (len(spec.outputs) + len(FLAG_COLUMNS)))
+    row.append(f"{type(error).__name__}: {error}")
     return tuple(row)
 
 

@@ -57,6 +57,12 @@ def qs_ref(rho0, rho1, s):
     return float(np.real(np.trace(mpow_ref(rho0, s) @ mpow_ref(rho1, 1 - s))))
 
 
+def helstrom_ref(rho0, rho1, pi0):
+    """(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1) from the dense eigenvalues."""
+    diff = (1.0 - pi0) * rho1 - pi0 * rho0
+    return 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))))
+
+
 class QsGrid:
     """Cached dense Q_s evaluator for fine grid scans."""
 
@@ -100,8 +106,9 @@ def partial_trace_ref(mat, dims, keep):
     return tensor.reshape(d, d)
 
 
-def trace_power_ref(d0, spectrum, s, support_tol=1e-12):
-    """``Tr( diag(d0)^s * A^{1-s} )`` with one full pass per call.
+def trace_power_ref(d0, v, spectrum, s, support_tol=1e-12):
+    """``Tr( diag(d0)^s * A^{1-s} )`` with one full pass per call, for the
+    spectrum of ``A = scale * diag(d) + weight * v v^dag`` over every coordinate.
 
     The per-call formula of the structured lane before its inactive-coordinate
     sum moved to a once-per-pair reduction: secular groups plus an explicit
@@ -131,7 +138,7 @@ def trace_power_ref(d0, spectrum, s, support_tol=1e-12):
     total = 0.0
     groups = spectrum.groups
     if groups:
-        t = np.array([float(np.sum(np.abs(spectrum.v[g.indices]) ** 2 * pow0(d0[g.indices]))) / g.mass
+        t = np.array([float(np.sum(np.abs(v[g.indices]) ** 2 * pow0(d0[g.indices]))) / g.mass
                       for g in groups])
         lam_pow = pow1(spectrum.roots)
         total += float(np.sum(lam_pow[:, None] * spectrum.root_weights * t[None, :]))
@@ -143,3 +150,70 @@ def trace_power_ref(d0, spectrum, s, support_tol=1e-12):
         inactive[g.indices] = False
     total += float(np.sum(pow0(d0[inactive]) * pow1(spectrum.scale * spectrum.d[inactive])))
     return total
+
+
+def _idler_eigensystem_ref(theta, cutoff, idler):
+    """Eigenvalues and eigenvectors of the idler factor of rho0."""
+    c, s = np.cos(theta), np.sin(theta)
+    if idler == "paper_pure":
+        iv = np.zeros(cutoff, dtype=complex)
+        iv[0], iv[1] = c, -1j * s
+        return np.linalg.eigh(np.outer(iv, iv.conj()))
+    probs = np.zeros(cutoff)
+    probs[0], probs[1] = c ** 2, s ** 2
+    return probs, np.eye(cutoff)
+
+
+def pair_arrays_ref(params):
+    """``d0`` (equal to ``d1``) and the triplet ``v`` of a hypothesis pair in
+    rho0's eigenbasis, at the full dimension.
+
+    The construction the structured lane used before it held marginals: the
+    kron of the per-mode eigenvalues, and the triplet rotated into the idler
+    eigenbasis by a tensordot over the whole space.
+    """
+    cutoffs = params.resolved_cutoffs()
+    e, rot = _idler_eigensystem_ref(params.theta, cutoffs[0], params.idler)
+    probs = thermal_probs_ref if params.background == "thermal" else flat_probs_ref
+    d0 = np.kron(np.kron(e, probs(params.nbar2, cutoffs[1])), probs(params.nbar3, cutoffs[2]))
+    psi = np.zeros(cutoffs, dtype=complex)
+    psi[0, 0, 0] = np.cos(params.theta)
+    psi[1, 1, 1] = -1j * np.sin(params.theta)
+    v = np.tensordot(rot.conj().T, psi, axes=([1], [0])).reshape(-1)
+    return d0, v
+
+
+def _support_pow(x, p, ref, support_tol=1e-12):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    sup = x > support_tol * ref
+    out[sup] = 1.0 if p == 0 else x[sup] ** p
+    return out
+
+
+def q_flat_closed_form(theta, eta, k, idler, s):
+    """``Q_s`` of the flat-background pair with ``k`` levels per signal mode.
+
+    In rho0's eigenbasis the triplet lives in a 2-dimensional block: for the
+    pure idler ``|i> (x) a`` and ``|i_perp> (x) b`` with ``|a|^2 = cos^4 +
+    sin^4`` and ``|b|^2 = sin^2(2 theta) / 2``, where rho0 is
+    ``diag(1, 0) / k^2``; for the traced idler ``|0,00>`` and ``|1,11>``,
+    where rho0 is ``diag(cos^2, sin^2) / k^2``.  rho1 is
+    ``(1 - eta) rho0 + eta |Psi><Psi|`` on the block, whose 2x2 eigenproblem
+    is solved directly, and ``(1 - eta) rho0`` on the ``k^2 - 1`` other
+    coordinates of each idler level.
+    """
+    c, sn = math.cos(theta), math.sin(theta)
+    if idler == "paper_pure":
+        p = np.array([1.0, 0.0]) / k ** 2
+        u = np.array([math.sqrt(c ** 4 + sn ** 4), math.sqrt(2.0) * abs(c * sn)])
+    else:
+        p = np.array([c ** 2, sn ** 2]) / k ** 2
+        u = np.array([abs(c), abs(sn)])
+    lam, vecs = np.linalg.eigh((1.0 - eta) * np.diag(p) + eta * np.outer(u, u))
+    ref0 = p.max()
+    ref1 = max(lam.max(), (1.0 - eta) * p.max())
+    p0 = _support_pow(p, s, ref0)
+    block = float(_support_pow(lam, 1.0 - s, ref1) @ (np.abs(vecs) ** 2).T @ p0)
+    bulk = float(np.sum(p0 * _support_pow((1.0 - eta) * p, 1.0 - s, ref1)))
+    return block + (k ** 2 - 1) * bulk

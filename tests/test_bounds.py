@@ -1,18 +1,23 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from triqi.bounds import (_PairContext, advantage_ratio, bhattacharyya_bound,
                           chernoff, error_bound_2gamma, error_bound_3gamma,
                           evaluate_point, helstrom_optimum, povm_error, q_s)
 from triqi.errors import NumericalError, RegimeWarning
 from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
+from triqi.overlap_audit import audit_overlap
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            GOLDEN_POINT_TRACED, golden_sweep_spec)
 from triqi.spectral import rank_one_spectrum
-from triqi.states import build_hypothesis_pair, three_photon_state
+from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
+                          build_hypothesis_pair, flat_levels, three_photon_state)
 
-from oracles import QsGrid, qs_ref, trace_power_ref
+from oracles import QsGrid, helstrom_ref, qs_ref, trace_power_ref
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -307,8 +312,60 @@ def test_pair_context_matches_full_pass_oracle(params):
     # hypothesis pairs share rho0's diagonal, so both take the once-per-pair mass
     assert isinstance(direct._structured._inactive_mass, float) and not direct._swapped
     assert isinstance(swapped._structured._inactive_mass, float) and swapped._swapped
+    v = s1.vectors[:, 0]
     for s in np.linspace(0.0, 1.0, 21):
         s = float(s)
-        assert direct.q(s) == pytest.approx(trace_power_ref(d0, spectrum, s), rel=1e-13), s
-        assert swapped.q(s) == pytest.approx(trace_power_ref(d0, spectrum, 1.0 - s),
+        assert direct.q(s) == pytest.approx(trace_power_ref(d0, v, spectrum, s), rel=1e-13), s
+        assert swapped.q(s) == pytest.approx(trace_power_ref(d0, v, spectrum, 1.0 - s),
                                              rel=1e-13), s
+
+
+def _with_ends(lo, hi):
+    return st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi))
+
+
+@st.composite
+def protocol_points(draw):
+    """The accepted domain at dense-checkable cutoffs, up to (2, 8, 8)."""
+    background = draw(st.sampled_from(BACKGROUND_VARIANTS))
+    nbar2, nbar3 = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    # the flat background needs round(nbar) levels
+    low2, low3 = ((max(2, flat_levels(nbar2)), max(2, flat_levels(nbar3)))
+                  if background == "flat" else (2, 2))
+    cutoffs = (2, draw(st.integers(low2, 8)), draw(st.integers(low3, 8)))
+    return ProtocolParams(theta=draw(_with_ends(0.0, math.pi / 2)), eta=draw(_with_ends(0.0, 1.0)),
+                          nbar2=nbar2, nbar3=nbar3, cutoffs=cutoffs, background=background,
+                          idler=draw(st.sampled_from(IDLER_VARIANTS)), tail_bound=math.inf)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(protocol_points())
+# theta = pi/2 puts a secular root within one ulp of its pole
+@example(ProtocolParams(theta=math.pi / 2, eta=0.05, nbar2=0.4, nbar3=0.4, cutoffs=(2, 4, 4),
+                        background="flat", tail_bound=math.inf))
+def test_structured_matches_dense_over_the_domain(params):
+    pair = build_hypothesis_pair(params)
+    m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
+    for s in (0.0, 0.25, 0.5, 1.0):
+        assert pair.structured.q(s) == pytest.approx(qs_ref(m0, m1, s), abs=1e-10), s
+    for pi0 in (0.2, 0.5):
+        assert pair.structured.helstrom(pi0) == \
+            pytest.approx(helstrom_ref(m0, m1, pi0), abs=1e-10), pi0
+
+
+def test_thermal_point_allocates_no_array_of_the_full_dimension():
+    # dim 1.7M, where one float64 array of the full dimension is 13.9 MB
+    params = ProtocolParams(theta=0.01, eta=0.01, nbar2=50.0, nbar3=50.0)
+    assert params.space().total_dim > 1_700_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        tracemalloc.start()
+        try:
+            pair = build_hypothesis_pair(params)
+            evaluate_point(params, pair=pair)
+            audit_overlap(params, pair=pair, fit_gap=True)
+            evaluate_point(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -173,6 +173,24 @@ def test_gap_fit_derives_its_ladder_from_one_pair(monkeypatch):
             assert gap == fresh.structured.q(0.5) - signed_root_overlap(fresh.params).value, eta
 
 
+def test_audit_gap_fit_reads_the_passed_pair(monkeypatch):
+    pair = build_hypothesis_pair(AUDIT_POINT)
+    expected = audit_overlap(AUDIT_POINT, fit_gap=True).gap_fit
+    builds = []
+    original = states.build_hypothesis_pair
+
+    def counted(params):
+        builds.append(params)
+        return original(params)
+
+    for module in (states, overlap_audit):
+        monkeypatch.setattr(module, "build_hypothesis_pair", counted)
+    assert audit_overlap(AUDIT_POINT, fit_gap=True, pair=pair).gap_fit == expected
+    assert builds == []
+    with pytest.raises(ValueError, match="other parameters"):
+        gap_leading_order(AUDIT_POINT_SMALL, pair=pair)
+
+
 def test_audit_eta_zero_all_ones():
     a = audit_overlap(AUDIT_POINT.with_updates(eta=0.0))
     assert a.analytic == 1.0

@@ -9,11 +9,12 @@ from triqi.errors import NumericalError
 from triqi.bounds import q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
-from triqi.spectral import (StructuredPair, eigh, matrix_power, rank_one_spectrum,
+from triqi.spectral import (StructuredPair, _kron_mass, eigh, matrix_power, rank_one_spectrum,
                             support_powers, trace_product)
-from triqi.states import build_hypothesis_pair, thermal_probs
+from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
-from oracles import qs_ref, thermal_probs_ref
+from oracles import (pair_arrays_ref, q_flat_closed_form, qs_ref, thermal_probs_ref,
+                     trace_power_ref)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -273,12 +274,14 @@ def test_structured_vs_dense_q_half(params):
     assert pair.rho0.space.total_dim <= 1000
     s0 = as_diag_plus_low_rank(pair.rho0).structure
     s1 = pair.rho1.structure
-    structured_pair = StructuredPair(s0.diag_scale * s0.diag, s1.diag, s1.diag_scale,
-                                     s1.weights[0], s1.vectors[:, 0])
+    structured_pair = StructuredPair.from_arrays(s0.diag_scale * s0.diag, s1.diag,
+                                                 s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
     m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
-        structured = structured_pair.q(s)
-        assert structured == pytest.approx(qs_ref(m0, m1, s), abs=1e-10), s
+        dense = qs_ref(m0, m1, s)
+        # the pair from explicit arrays and the factored pair of the build
+        assert structured_pair.q(s) == pytest.approx(dense, abs=1e-10), s
+        assert pair.structured.q(s) == pytest.approx(dense, abs=1e-10), s
 
 
 def test_structured_vs_dense_distinct_diagonals():
@@ -290,8 +293,8 @@ def test_structured_vs_dense_distinct_diagonals():
     diag1 = np.roll(s1.diag, 5)
     rho1 = DensityOperator.diag_plus_low_rank(pair.rho1.space, diag1, s1.diag_scale, s1.weights,
                                               s1.vectors, mode_rotations=s1.mode_rotations)
-    structured = StructuredPair(s0.diag_scale * s0.diag, diag1, s1.diag_scale, s1.weights[0],
-                                s1.vectors[:, 0])
+    structured = StructuredPair.from_arrays(s0.diag_scale * s0.diag, diag1, s1.diag_scale,
+                                            s1.weights[0], s1.vectors[:, 0])
     assert structured._inactive_mass is None
     m0, m1 = pair.rho0.to_dense(), rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
@@ -299,3 +302,55 @@ def test_structured_vs_dense_distinct_diagonals():
         assert structured.q(s) == pytest.approx(dense, abs=1e-10), s
         assert q_s(pair.rho0, rho1, s) == pytest.approx(dense, abs=1e-10), s
         assert q_s(rho1, pair.rho0, s) == pytest.approx(qs_ref(m1, m0, s), abs=1e-10), s
+
+
+@pytest.mark.parametrize("idler", IDLER_VARIANTS)
+@pytest.mark.parametrize("nbar", (20.0, 50.0))
+def test_factored_pair_matches_kron_oracle(nbar, idler):
+    # dims 0.29M and 1.7M, beyond the dense lane
+    params = ProtocolParams(theta=0.01, eta=0.01, nbar2=nbar, nbar3=nbar, idler=idler)
+    sp = build_hypothesis_pair(params).structured
+    d0, v = pair_arrays_ref(params)
+    assert sp.dim == len(d0) > 250_000
+    assert sp._d0max == d0.max()
+    active = np.flatnonzero(v)
+    assert np.array_equal(sp.v_index, active)
+    assert_allclose(sp.v_value, v[active], rtol=1e-14, atol=0)
+    spectrum = rank_one_spectrum(d0, sp.scale, sp.weight, v)
+    lam_max = max(spectrum.roots.max(), (sp.scale * d0).max())
+    supported = (d0 > 1e-12 * d0.max()) & (sp.scale * d0 > 1e-12 * lam_max)
+    supported[active] = False
+    assert sp._inactive_mass == pytest.approx(d0[supported].sum(), rel=1e-14, abs=0)
+    for s in np.linspace(0.0, 1.0, 11):
+        s = float(s)
+        assert sp.q(s) == pytest.approx(trace_power_ref(d0, v, spectrum, s), rel=1e-14, abs=0), s
+
+
+@pytest.mark.parametrize("idler", IDLER_VARIANTS)
+@pytest.mark.parametrize("nbar", (200.0, 2000.0))
+def test_flat_pair_matches_closed_form(nbar, idler):
+    # dims 80k and 8M: only the closed form reaches them besides the structured lane
+    for theta, eta in ((0.01, 0.01), (0.3, 0.2)):
+        params = ProtocolParams(theta=theta, eta=eta, nbar2=nbar, nbar3=nbar,
+                                background="flat", idler=idler)
+        sp = build_hypothesis_pair(params).structured
+        for s in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+            expected = q_flat_closed_form(theta, eta, int(nbar), idler, s)
+            assert sp.q(s) == pytest.approx(expected, abs=1e-10), (theta, eta, s)
+
+
+def test_kron_mass_keeps_the_exact_support():
+    # comparable entries, so one entry wrongly in or out of the support moves
+    # the sum by about 1/105 of itself; thresholds sit on entries and one ulp
+    # to either side of them
+    factors = tuple(rng.uniform(0.5, 1.0, n) for n in (3, 5, 7))
+    full = np.kron(np.kron(factors[0], factors[1]), factors[2])
+    for t in np.sort(full)[::4]:
+        for t0 in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+            for scale in (1.0, 0.3):
+                # the second test binds when t1 is scale * t0 itself
+                for t1 in (0.0, scale * t0):
+                    expected = full[(full > t0) & (scale * full > t1)].sum()
+                    assert _kron_mass(factors, t0, scale, t1) == \
+                        pytest.approx(expected, rel=1e-14, abs=0), (t0, scale, t1)
+    assert _kron_mass(factors, 0.0, 0.0, 1e-300) == 0.0

@@ -262,12 +262,16 @@ def test_hypothesis_pair_arrays_are_read_only():
     pair = build_hypothesis_pair(GOLDEN_POINT)
     rotation = pair.rho1.structure.mode_rotations[0]
     sp = pair.structured
-    for arr in (rotation, sp.d0, sp.d1, sp.v):
+    for arr in (rotation, *sp.factors, sp.v_index, sp.v_value):
         with pytest.raises(ValueError):
-            arr[0] = 0.0
-    # the structured pair shares rho1's arrays instead of copying them
-    assert sp.d0 is sp.d1 is pair.rho1.structure.diag
-    assert np.shares_memory(sp.v, pair.rho1.structure.vectors)
+            arr[0] = 0
+    # the structured pair holds rho1's diagonal as per-mode factors and its
+    # triplet as the nonzero entries only; rho1 is built from them on demand
+    assert sp.d1 is None and len(sp.factors) == 3
+    s1 = pair.rho1.structure
+    assert np.array_equal(s1.diag, np.kron(np.kron(*sp.factors[:2]), sp.factors[2]))
+    assert np.array_equal(np.flatnonzero(s1.vectors[:, 0]), sp.v_index)
+    assert np.array_equal(s1.vectors[sp.v_index, 0], sp.v_value)
 
 
 def test_hypothesis_h1_affine_in_eta():

@@ -121,8 +121,28 @@ def test_sweep_row_builds_its_pair_once(monkeypatch):
                      outputs=("exponent", "q_half", "helstrom", "t_papersign", "t_principal"))
     table = run_sweep(spec)
     assert dict(zip(table.columns, table.rows[0]))["error"] == ""
-    # one pair, one structure conversion, the Q_s and the Helstrom spectrum
-    assert (len(builds), len(conversions), len(spectra)) == (1, 1, 2)
+    # one pair built from its marginals with no structure conversion, the
+    # Q_s and the Helstrom spectrum
+    assert (len(builds), len(conversions), len(spectra)) == (1, 0, 2)
+
+
+def test_sweep_row_types_linalg_and_memory_failures(monkeypatch):
+    original = sweep.build_hypothesis_pair
+
+    def failing(params):
+        if params.eta == 3e-3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if params.eta == 1e-2:
+            raise MemoryError("cannot allocate 16 GiB")
+        return original(params)
+
+    monkeypatch.setattr(sweep, "build_hypothesis_pair", failing)
+    table = run_sweep(small_spec(axes=(("eta", (1e-3, 3e-3, 1e-2)),)))
+    rows = [dict(zip(table.columns, r)) for r in table.rows]
+    assert rows[0]["error"] == "" and rows[0]["exponent"] is not None
+    assert rows[1]["error"] == "NumericalError: linear algebra failure: Eigenvalues did not converge"
+    assert rows[2]["error"] == "ResourceError: out of memory: cannot allocate 16 GiB"
+    assert rows[1]["exponent"] is None and rows[2]["q_half"] is None
 
 
 def test_sweep_error_column_keeps_going():
