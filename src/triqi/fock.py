@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DenseLimitError, NumericalError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_DENSE_LIMIT = 4096
 
@@ -131,7 +134,12 @@ def annihilation(space: SpaceDescriptor, mode: int) -> sparse.csr_matrix:
 
     Identity on all other modes; population at the top truncated level has
     nowhere to go under the adjoint (creation) operator and is dropped.
+    ``scipy.sparse`` is imported here, not with the module: nothing on the
+    evaluation path needs the ladder operators, and the import costs more
+    than a whole golden sweep.
     """
+    from scipy import sparse
+
     space._check_mode(mode)
     c = space.cutoffs[mode]
     a_single = sparse.diags(np.sqrt(np.arange(1, c)), offsets=1, format="csr")

@@ -119,6 +119,12 @@ def signed_root_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIG
         warnings.warn(
             f"signed-root construction evaluated outside its regime: {flags.as_dict()}",
             RegimeWarning, stacklevel=2)
+    return _signed_root_terms(params, signs)
+
+
+def _signed_root_terms(params: ProtocolParams, signs: SignChoice) -> SignedTrace:
+    """:func:`signed_root_overlap` without the regime check, for callers that
+    leave the regime on purpose."""
     b2, b3 = _background_levels(params)
     c, s = math.cos(params.theta), math.sin(params.theta)
     s0 = signs.sign_rho0
@@ -168,12 +174,12 @@ def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS
     elif pair.params != params:
         raise ValueError("pair was built from other parameters than params")
     gaps = []
-    with warnings.catch_warnings():
-        # probing the eta -> 0 asymptotics leaves the regime on purpose
-        warnings.simplefilter("ignore", RegimeWarning)
-        for e in etas:
-            rung = pair.with_eta(e)
-            gaps.append(rung.structured.q(0.5) - signed_root_overlap(rung.params, signs).value)
+    # probing the eta -> 0 asymptotics leaves the regime on purpose, so the
+    # rungs skip the regime warning (without touching the process-wide
+    # warning filters, which concurrent sweep rows share)
+    for e in etas:
+        rung = pair.with_eta(e)
+        gaps.append(rung.structured.q(0.5) - _signed_root_terms(rung.params, signs).value)
     gaps_arr = np.array(gaps)
     sign_change = bool(np.any(gaps_arr > 0) and np.any(gaps_arr < 0))
     nz = np.abs(gaps_arr) > 0

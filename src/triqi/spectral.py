@@ -10,12 +10,12 @@ materializing them.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 
@@ -23,6 +23,7 @@ SUPPORT_TOL = 1e-12
 DEFLATION_REL_GAP = 1e-13
 EIGH_HERMITIAN_TOL = 1e-10
 TRACE_IMAG_TOL = 1e-10
+_SECULAR_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,11 @@ class RankOneSpectrum:
 
     ``roots`` holds the secular eigenvalues (one per group, ascending with the
     group values); all other eigenvalues equal the scaled diagonal.
+    ``gaps[j, g]`` is ``groups[g].value - roots[j]`` as the solver found it,
+    from root ``j``'s offset to its nearer pole, so it keeps its relative
+    accuracy even below the ulp of the root.  ``iterations[j]`` counts the
+    solver's evaluations for root ``j`` (0 for a single group, which has a
+    closed form).
     """
 
     d: np.ndarray
@@ -133,6 +139,8 @@ class RankOneSpectrum:
     weight: float
     groups: tuple[RankOneGroup, ...]
     roots: np.ndarray
+    gaps: np.ndarray
+    iterations: tuple[int, ...]
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -148,17 +156,27 @@ class RankOneSpectrum:
 
     @cached_property
     def root_weights(self) -> np.ndarray:
-        """|q_j[g]|^2 for secular root j on group carrier g, shape (m, m)."""
+        """|q_j[g]|^2 for secular root j on group carrier g, shape (m, m).
+
+        These are the weights of the exact eigenvectors of the computed roots:
+        the carrier norms ``|z_g|^2`` are recomputed from the roots by
+        Loewner's formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 15,
+        1994), ``prod_j (root_j - value_g) / (weight prod_{k != g} (value_k -
+        value_g))``, taken as a product of ratios of order one.  With the
+        solver's ``gaps`` the eigenvectors stay orthogonal when a root lies
+        near a pole, so the matrix is doubly stochastic to rounding.  The
+        common factor ``1 / weight`` cancels in the normalization.
+        """
         m = len(self.groups)
         if m == 0:
             return np.zeros((0, 0))
-        deltas = np.array([g.value for g in self.groups])
-        masses = np.array([g.mass for g in self.groups])
-        out = np.empty((m, m))
-        for j, lam in enumerate(self.roots):
-            q2 = masses / (deltas - lam) ** 2
-            out[j] = q2 / q2.sum()
-        return out
+        values = np.array([g.value for g in self.groups])
+        # poles[g]: value_k - value_g for k != g, in order; root j < g pairs
+        # with pole j, root j >= g with pole j + 1
+        poles = (values[None, :] - values[:, None])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+        z2 = -self.gaps[-1] * np.prod(-self.gaps[:-1].T / poles, axis=1)
+        out = z2 / self.gaps ** 2
+        return out / out.sum(axis=1, keepdims=True)
 
     def eigenvalues(self) -> np.ndarray:
         """Full spectrum, ascending."""
@@ -210,7 +228,7 @@ def rank_one_spectrum(d, scale: float, weight: float, v,
     tol = 8.0 * np.finfo(float).eps * max(ref, weight * norm ** 2)
     active = np.nonzero(weight * norm * absv > tol)[0]
     if len(active) == 0:
-        return RankOneSpectrum(d, scale, weight, (), np.zeros(0))
+        return RankOneSpectrum(d, scale, weight, (), np.zeros(0), np.zeros((0, 0)), ())
 
     order = active[np.argsort(dd[active], kind="stable")]
     groups: list[RankOneGroup] = []
@@ -228,63 +246,125 @@ def rank_one_spectrum(d, scale: float, weight: float, v,
     idx = np.array(cur_idx)
     groups.append(RankOneGroup(cur_val, idx, float(av2[idx].sum())))
 
-    deltas = np.array([g.value for g in groups])
-    masses = np.array([g.mass for g in groups])
-    roots = _secular_roots(deltas, masses, weight)
-    return RankOneSpectrum(d, scale, weight, tuple(groups), roots)
+    roots, gaps, iterations = _secular_roots([g.value for g in groups],
+                                             [g.mass for g in groups], weight)
+    return RankOneSpectrum(d, scale, weight, tuple(groups), np.array(roots),
+                           np.array(gaps), tuple(iterations))
 
 
-def _secular_roots(deltas: np.ndarray, masses: np.ndarray, weight: float) -> np.ndarray:
-    """Roots of 1 + weight * sum_g masses[g] / (deltas[g] - lam) = 0.
+def _secular_roots(deltas: list[float], masses: list[float],
+                   weight: float) -> tuple[list[float], list[list[float]], list[int]]:
+    """Roots of ``1 + weight * sum_g masses[g] / (deltas[g] - lam) = 0``.
 
-    For positive weight the j-th root lies in (deltas[j], deltas[j+1]) and the
-    last in (deltas[-1], deltas[-1] + weight * total mass).
+    ``deltas`` ascend strictly and may have either sign; ``masses`` and
+    ``weight`` are positive.  Root ``j`` lies in ``(deltas[j], deltas[j+1])``,
+    the last in ``(deltas[-1], deltas[-1] + weight * sum(masses))``.  Returns
+    the roots, ``gaps[j][g] = deltas[g] - root_j`` and the evaluations spent
+    on each root.
+
+    The scheme of LAPACK ``dlaed4`` (R.-C. Li, LAPACK Working Note 89, 1994),
+    in plain floats, which for a few groups cost less than one numpy call.
+    Each root is sought as an offset ``tau`` from the nearer pole of its
+    interval, so its gaps keep full relative accuracy however close it lies
+    to a pole.  A step solves the two-pole model fitted to the value and slope
+    of the sums on either side (Li's middle way), with bisection when it
+    leaves the bracket; the solve stops when ``|f|`` is within ``dlaed4``'s
+    rounding-error bound or the bracket is a few ulps wide.  A root that
+    rounds onto a pole is placed one ulp inside its interval.
     """
     m = len(deltas)
-    total = weight * float(masses.sum())
+    total = weight * sum(masses)
     if m == 1:
-        return np.array([deltas[0] + total])
-
-    def f(lam: float) -> float:
-        with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 + weight * float(np.sum(masses / (deltas - lam)))
-
-    roots = np.empty(m)
+        return [_inside(deltas, 0, deltas[0] + total)], [[-total]], [0]
+    rhoinv = 1.0 / weight
+    roots, gaps, iterations = [], [], []
     for j in range(m):
-        lo = deltas[j]
         last = j + 1 == m
-        hi = deltas[j + 1] if not last else deltas[m - 1] + total
-        # open the bracket by one ulp so the pole terms carry the right signs
-        a = np.nextafter(lo, np.inf)
-        b = hi if last else np.nextafter(hi, -np.inf)
-        if b <= a:
-            roots[j] = a
-            continue
-        fa, fb = f(a), f(b)
-        if fa >= 0.0:  # root within one ulp of the left pole
-            roots[j] = a
-            continue
-        tries = 0
-        while fb <= 0.0:
-            if not last:  # root within one ulp of the right pole
-                roots[j] = b
-                break
-            # f(hi) >= 0 holds analytically at hi = max delta + total mass;
-            # expand to absorb rounding of that bound
-            b += max(total, abs(b) * 1e-12, 1e-300)
-            fb = f(b)
-            tries += 1
-            if tries > 100:
-                raise NumericalError(
-                    f"secular solve failed to bracket root {j}: f({a})={fa}, "
-                    f"f({b})={fb}, base interval ({lo}, {hi})")
+        split = min(j + 1, m - 1)  # the step model's poles: split - 1 and split
+        origin = j
+        shifted = [x - deltas[j] for x in deltas]
+        if last:
+            # f >= 0 holds analytically at deltas[-1] + weight * sum(masses);
+            # where rounding says otherwise, twice that offset has f >= 1/2
+            lo, hi = 0.0, total
+            if _secular_eval(shifted, masses, rhoinv, hi, split)[0] < 0.0:
+                hi = 2.0 * total
+            tau = hi
         else:
-            try:
-                roots[j] = brentq(f, a, b, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-            except (RuntimeError, ValueError) as exc:
-                raise NumericalError(
-                    f"secular solve did not converge for root {j} in ({a}, {b}): {exc}") from exc
-    return roots
+            half = 0.5 * shifted[j + 1]
+            if _secular_eval(shifted, masses, rhoinv, half, split)[0] > 0.0:
+                lo, hi, tau = 0.0, half, half
+            else:
+                origin = j + 1
+                shifted = [x - deltas[j + 1] for x in deltas]
+                lo, hi, tau = -half, 0.0, -half
+        for count in range(1, _SECULAR_MAX_ITER + 1):
+            f, dpsi, dphi, bound = _secular_eval(shifted, masses, rhoinv, tau, split)
+            if f < 0.0:
+                lo = tau
+            elif f > 0.0:
+                hi = tau
+            if (abs(f) <= sys.float_info.epsilon * bound
+                    or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))):
+                break
+            # the model c + sl / (pl - x) + sr / (pr - x) = 0 in the new offset
+            # x; one of its poles is the origin, so x keeps its relative
+            # accuracy however small it is
+            pl, pr = shifted[split - 1], shifted[split]
+            sl, sr = dpsi * (pl - tau) ** 2, dphi * (pr - tau) ** 2
+            c = f - (pl - tau) * dpsi - (pr - tau) * dphi
+            a = c * (pl + pr) + sl + sr
+            b = c * pl * pr + sl * pr + sr * pl
+            if last:  # both poles lie left of the root: the larger model root
+                # a vanishing c puts that root at infinity, so the step bisects
+                c = max(abs(c), sys.float_info.min)
+                disc = math.sqrt(abs(a * a - 4.0 * b * c))
+                x = (a + disc) / (2.0 * c) if a >= 0 else 2.0 * b / (a - disc)
+            else:  # the model root between the two poles; c = 0 gives a > 0
+                disc = math.sqrt(abs(a * a - 4.0 * b * c))
+                x = (a - disc) / (2.0 * c) if a <= 0 else 2.0 * b / (a + disc)
+            # tau is an end of the bracket, so a step the wrong way leaves it too
+            tau = x if lo < x < hi else 0.5 * (lo + hi)
+        else:
+            raise NumericalError(
+                f"secular solve did not converge for root {j} in ({deltas[origin] + lo}, "
+                f"{deltas[origin] + hi}) after {_SECULAR_MAX_ITER} evaluations")
+        roots.append(_inside(deltas, j, deltas[origin] + tau))
+        gaps.append([x - tau for x in shifted])
+        iterations.append(count)
+    return roots, gaps, iterations
+
+
+def _secular_eval(shifted, masses, rhoinv, tau, split):
+    """``f / weight = 1 / weight + psi + phi`` at offset ``tau`` from the origin
+    pole, the slopes of ``psi`` (poles ``k < split``) and ``phi`` (the rest),
+    and ``dlaed4``'s bound on the rounding error of ``f / weight`` over eps."""
+    psi = dpsi = partial = 0.0
+    for k in range(split):
+        t = masses[k] / (shifted[k] - tau)
+        psi += t
+        dpsi += t / (shifted[k] - tau)
+        partial += psi
+    bound = abs(partial)
+    phi = dphi = partial = 0.0
+    for k in range(len(shifted) - 1, split - 1, -1):
+        t = masses[k] / (shifted[k] - tau)
+        phi += t
+        dphi += t / (shifted[k] - tau)
+        partial += phi
+    bound += abs(partial) + 8.0 * (abs(phi) + abs(psi)) + 2.0 * rhoinv \
+        + 3.0 * abs(tau) * (dpsi + dphi)
+    return rhoinv + psi + phi, dpsi, dphi, bound
+
+
+def _inside(deltas, j, root):
+    """``root`` moved one ulp inside ``(deltas[j], deltas[j + 1])`` if it
+    rounded onto or past either pole."""
+    if root <= deltas[j]:
+        return math.nextafter(deltas[j], math.inf)
+    if j + 1 < len(deltas) and root >= deltas[j + 1]:
+        return math.nextafter(deltas[j + 1], -math.inf)
+    return root
 
 
 def _kron_mass(factors, t0: float, scale: float, t1: float) -> float:

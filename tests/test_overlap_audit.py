@@ -191,6 +191,31 @@ def test_audit_gap_fit_reads_the_passed_pair(monkeypatch):
         gap_leading_order(AUDIT_POINT_SMALL, pair=pair)
 
 
+def test_gap_fit_leaves_the_warning_filters_alone(monkeypatch):
+    # the rungs leave the regime on purpose; they must neither warn nor edit
+    # the process-wide filter list, which concurrent sweep rows share
+    pair = build_hypothesis_pair(AUDIT_POINT)
+    seen = []
+    original = type(pair).with_eta
+
+    def spy(self, eta):
+        seen.append(list(warnings.filters))
+        return original(self, eta)
+
+    monkeypatch.setattr(type(pair), "with_eta", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        before = list(warnings.filters)
+        fit = gap_leading_order(AUDIT_POINT, pair=pair)
+        assert warnings.filters == before
+    assert len(seen) == len(fit.etas) and all(f == before for f in seen)
+    assert not [w for w in caught if issubclass(w.category, RegimeWarning)]
+    rung = AUDIT_POINT.with_updates(eta=fit.etas[0])
+    assert not rung.regime_flags().all_hold()
+    with pytest.warns(RegimeWarning):
+        signed_root_overlap(rung)
+
+
 def test_audit_eta_zero_all_ones():
     a = audit_overlap(AUDIT_POINT.with_updates(eta=0.0))
     assert a.analytic == 1.0

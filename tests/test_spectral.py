@@ -1,7 +1,10 @@
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from pathlib import Path
 
@@ -9,8 +12,8 @@ from triqi.errors import NumericalError
 from triqi.bounds import q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
-from triqi.spectral import (StructuredPair, _kron_mass, eigh, matrix_power, rank_one_spectrum,
-                            support_powers, trace_product)
+from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secular_roots, eigh,
+                            matrix_power, rank_one_spectrum, support_powers, trace_product)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
 from oracles import (pair_arrays_ref, q_flat_closed_form, qs_ref, thermal_probs_ref,
@@ -260,6 +263,78 @@ def test_secular_rejects_negative_weight():
     with pytest.raises(NumericalError):
         rank_one_spectrum(np.array([0.5, 0.5]), 1.0, -0.1,
                           np.array([1.0, 0.0], dtype=complex))
+
+
+@st.composite
+def secular_problems(draw):
+    """``(d, v, weight)`` over the solver's domain: 1-6 distinct signed diagonal
+    values within [-1, 1], relative gaps down to just above the grouping
+    tolerance, update masses ``|v_i|^2`` from 1e-30 to 1 and weights from
+    1e-12 to 1e3."""
+    m = draw(st.integers(1, 6))
+    rel_gaps = [10.0 ** draw(st.floats(math.log10(1.01 * DEFLATION_REL_GAP), math.log10(2.0 / m)))
+                for _ in range(m - 1)]
+    start = draw(st.floats(-1.0, 1.0 - sum(rel_gaps)))
+    d = start + np.concatenate([[0.0], np.cumsum(rel_gaps)])
+    masses = 10.0 ** np.array(draw(st.lists(st.floats(-30.0, 0.0), min_size=m, max_size=m)))
+    phases = np.array(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=m, max_size=m)))
+    weight = 10.0 ** draw(st.floats(-12.0, 3.0))
+    return d, np.sqrt(masses) * np.exp(1j * phases), weight
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(secular_problems())
+# gaps of 1.01 times the grouping tolerance, with masses that keep every coordinate
+@example((np.array([-1.0, -1.0 + 1.01e-13, -1.0 + 2.02e-13, 0.5]),
+          np.sqrt([0.5, 1e-3, 0.25, 1e-6]).astype(complex), 1.0))
+def test_secular_solver_over_its_domain(problem):
+    d, v, weight = problem
+    spectrum = rank_one_spectrum(d, 1.0, weight, v)
+    # the operator's size, against which the deflation test also measures
+    ref = max(float(np.max(np.abs(d))), weight * float(np.sum(np.abs(v) ** 2)))
+    dense = np.diag(d).astype(complex) + weight * np.outer(v, v.conj())
+    assert np.abs(spectrum.eigenvalues() - np.linalg.eigvalsh(dense)).max() <= 1e-12 * ref
+
+    values = [g.value for g in spectrum.groups]
+    masses = np.array([g.mass for g in spectrum.groups])
+    roots = spectrum.roots
+    assert all(values[j] < roots[j] for j in range(len(roots)))
+    assert all(roots[j] < values[j + 1] for j in range(len(roots) - 1))
+    for gaps in spectrum.gaps:
+        # 1/weight + sum_g mass_g / (value_g - root) vanishes to within the
+        # rounding of its terms and of the root's offset from its nearer pole
+        terms = masses / gaps
+        scale = 1.0 / weight + np.abs(terms).sum() + np.abs(gaps).min() * np.sum(terms / gaps)
+        assert abs(1.0 / weight + terms.sum()) <= 16 * len(gaps) * sys.float_info.epsilon * scale
+
+    w = spectrum.root_weights
+    assert np.abs(w.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-13
+    assert np.abs(w.sum(axis=0) - 1.0).max(initial=0.0) <= 1e-13
+
+
+def test_secular_roots_pole_edges_bracket_expansion_and_bisection():
+    # a root 5e-41 right of its left pole rounds onto it: placed one ulp inside,
+    # with the offset kept in the gaps
+    roots, gaps, _ = _secular_roots([1.0, 2.0], [1e-40, 1.0], 1.0)
+    assert roots[0] == math.nextafter(1.0, 2.0)
+    assert math.isclose(gaps[0][0], -5e-41, rel_tol=1e-15)
+    # a root 1e-20 left of its right pole
+    roots, gaps, _ = _secular_roots([1.0, 2.0], [1.0, 1e-40], 1.0)
+    assert roots[0] == math.nextafter(2.0, 1.0)
+    assert math.isclose(gaps[0][1], 1e-20, rel_tol=1e-15)
+    # f at deltas[-1] + weight * sum(masses) rounds below zero: the last
+    # bracket is widened; the roots keep the trace and the determinant
+    # of diag(deltas) + z z^T, |z|^2 = masses
+    deltas, masses = [0.0, 1e-16], [0.1, 0.8]
+    roots, _, _ = _secular_roots(deltas, masses, 1.0)
+    assert math.isclose(roots[0] + roots[1], sum(deltas) + sum(masses), rel_tol=1e-15)
+    assert math.isclose(roots[0] * roots[1], deltas[1] * masses[0], rel_tol=1e-15)
+    # the model offset 2.5e-324 underflows onto the pole, so the step bisects
+    roots, gaps, _ = _secular_roots([1.0, 2.0], [5e-324, 1.0], 1.0)
+    assert roots[0] == math.nextafter(1.0, 2.0)
+    assert gaps[0][0] == -5e-324
+    with pytest.raises(NumericalError, match="did not converge"):
+        _secular_roots([0.0, 1.0], [math.nan, 1.0], 1.0)
 
 
 STRUCTURED_CHECK_S = (0.0, 0.25, 0.5, 1.0)

@@ -1,16 +1,20 @@
 import math
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triqi
 from triqi import bounds, fock, overlap_audit, spectral, states, sweep
 from triqi.bounds import evaluate_point
 from triqi.cli import main
+from triqi.errors import RegimeWarning
 from triqi.overlap_audit import audit_overlap
-from triqi.presets import GOLDEN_POINT
+from triqi.presets import GOLDEN_POINT, golden_sweep_spec
 from triqi.states import ProtocolParams
 from triqi.sweep import (SweepSpec, SweepTable, emit, read_table, render, run_sweep)
 from triqi.textfmt import format_float, format_record, parse_record
@@ -124,6 +128,43 @@ def test_sweep_row_builds_its_pair_once(monkeypatch):
     # one pair built from its marginals with no structure conversion, the
     # Q_s and the Helstrom spectrum
     assert (len(builds), len(conversions), len(spectra)) == (1, 0, 2)
+
+
+def test_golden_sweep_secular_iterations(monkeypatch):
+    spectra = []
+    original = spectral.rank_one_spectrum
+
+    def recorded(*args):
+        spectra.append(original(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(spectral, "rank_one_spectrum", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        run_sweep(golden_sweep_spec())
+    # a Q_s and a Helstrom spectrum per row; the golden sweep needs at most
+    # 4 evaluations per root
+    assert len(spectra) == 16
+    assert max(max(s.iterations) for s in spectra) < 2 * 4
+
+
+def test_import_and_golden_sweep_load_no_scipy(tmp_path):
+    # scipy is imported only by the ladder-operator helpers; importing it
+    # costs more than a whole golden sweep
+    argv = ["sweep", "--config", "golden", "--out", str(tmp_path / "g.csv")]
+    code = (
+        "import sys\n"
+        "import triqi, triqi.cli\n"
+        "print([k for k in sys.modules if k.startswith('scipy')])\n"
+        f"assert triqi.cli.main({argv!r}) == 0\n"
+        "print([k for k in sys.modules if k.startswith('scipy')])\n")
+    src = str(Path(triqi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "g.csv").read_text().startswith("eta,")
 
 
 def test_sweep_row_types_linalg_and_memory_failures(monkeypatch):
