@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
-from .spectral import StructuredPair, eigh, support_powers
+# eigh is unused here but stays bound for callers that reach it as bounds.eigh
+from .spectral import StructuredPair, eigh, support_powers  # noqa: F401
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -62,7 +63,7 @@ class _PairContext:
     """Cached evaluation context for repeated Q_s calls on one user-supplied pair.
 
     Reads a :class:`StructuredPair` whenever both operators share a structured
-    basis; falls back to dense eigendecompositions with a precomputed
+    basis; falls back to the operators' cached eigensystems with a precomputed
     eigenvector overlap table otherwise.
     """
 
@@ -74,8 +75,8 @@ class _PairContext:
             self._init_dense(rho0, rho1)
 
     def _init_dense(self, rho0: DensityOperator, rho1: DensityOperator) -> None:
-        es0 = eigh(rho0.to_dense())
-        es1 = eigh(rho1.to_dense())
+        es0 = rho0.eigensystem
+        es1 = rho1.eigensystem
         for name, w in (("rho0", es0.eigenvalues), ("rho1", es1.eigenvalues)):
             if w.min() < -1e-10 * max(w.max(), 1e-300):
                 raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")

@@ -10,11 +10,12 @@ for per-mode cutoffs ``(c_0, ..., c_{M-1})``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import spectral
 from .errors import DenseLimitError, NumericalError
 
 if TYPE_CHECKING:
@@ -218,15 +219,6 @@ class DiagPlusLowRank:
         return len(self.weights)
 
 
-def _rotation_matrix(space: SpaceDescriptor, mode_rotations) -> np.ndarray | None:
-    if mode_rotations is None or all(r is None for r in mode_rotations):
-        return None
-    mats = []
-    for m, rot in enumerate(mode_rotations):
-        mats.append(np.eye(space.cutoffs[m]) if rot is None else rot)
-    return reduce(np.kron, mats)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian PSD operator with a structural tag and (optionally) unit trace."""
@@ -325,11 +317,29 @@ class DensityOperator:
             mat = np.diag(s.diag_scale * s.diag.astype(complex))
             for w, col in zip(s.weights, s.vectors.T):
                 mat += w * np.outer(col, col.conj())
-            rot = _rotation_matrix(self.space, s.mode_rotations)
-            if rot is not None:
-                mat = rot @ mat @ rot.conj().T
-            return mat
+            # R M R^dag one mode at a time: row axis m by R, column axis n + m
+            # by conj(R), O(dim^2 c_m) each instead of O(dim^3) with kron(R)
+            cut, n = self.space.cutoffs, self.space.modes
+            t = mat.reshape(cut + cut)
+            for m, rot in enumerate(s.mode_rotations or ()):
+                if rot is not None:
+                    t = np.moveaxis(np.tensordot(rot, t, axes=(1, m)), 0, m)
+                    t = np.moveaxis(np.tensordot(t, rot.conj(), axes=(n + m, 1)), -1, n + m)
+            return t.reshape(mat.shape)
         raise TypeError(f"unknown structure {type(s)}")
+
+    @cached_property
+    def eigensystem(self) -> spectral.EigenSystem:
+        """``spectral.eigh`` of the dense matrix, computed once per operator.
+
+        Safe to cache: the operator is frozen and its arrays, like the cached
+        ones, are read-only; a failed check raises on every access, since
+        exceptions are not cached.
+        """
+        es = spectral.eigh(self.to_dense())
+        for arr in (es.eigenvalues, es.eigenvectors):
+            arr.setflags(write=False)
+        return es
 
     def validate(self) -> None:
         """Check the Hermitian / PSD / trace invariants at the standard tolerances."""

@@ -181,8 +181,9 @@ def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS
         rung = pair.with_eta(e)
         gaps.append(rung.structured.q(0.5) - _signed_root_terms(rung.params, signs).value)
     gaps_arr = np.array(gaps)
-    sign_change = bool(np.any(gaps_arr > 0) and np.any(gaps_arr < 0))
-    nz = np.abs(gaps_arr) > 0
+    # eta = 0 rungs have log(eta) = -inf and only rounding noise for a gap
+    nz = (np.array(etas) > 0) & (gaps_arr != 0)
+    sign_change = bool(np.any(gaps_arr[nz] > 0) and np.any(gaps_arr[nz] < 0))
     if nz.sum() >= 2:
         slope = float(np.polyfit(np.log(np.array(etas)[nz]), np.log(np.abs(gaps_arr[nz])), 1)[0])
     else:

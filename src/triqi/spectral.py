@@ -72,13 +72,13 @@ def support_powers(eigenvalues: np.ndarray, s: float) -> np.ndarray:
 def matrix_power(rho, s: float) -> np.ndarray:
     """Fractional power of a PSD operator via functional calculus.
 
-    Accepts a dense matrix or anything with ``to_dense()``.  ``s`` must lie in
-    [0, 1]; ``s = 0`` returns the support projector.
+    Accepts a dense matrix or a density operator, whose cached
+    ``eigensystem`` it reads.  ``s`` must lie in [0, 1]; ``s = 0`` returns
+    the support projector.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"power s={s} outside [0, 1]")
-    mat = rho.to_dense() if hasattr(rho, "to_dense") else np.asarray(rho)
-    es = eigh(mat)
+    es = rho.eigensystem if hasattr(rho, "eigensystem") else eigh(np.asarray(rho))
     f = support_powers(es.eigenvalues, s)
     return (es.eigenvectors * f) @ es.eigenvectors.conj().T
 

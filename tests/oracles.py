@@ -106,6 +106,19 @@ def partial_trace_ref(mat, dims, keep):
     return tensor.reshape(d, d)
 
 
+def rotated_dense_ref(structure, cutoffs):
+    """Dense ``R M R^dag`` of a DiagPlusLowRank structure with ``R`` the full
+    Kronecker product of its mode rotations (identity where None)."""
+    mat = np.diag(structure.diag_scale * structure.diag).astype(complex)
+    for w, col in zip(structure.weights, structure.vectors.T):
+        mat += w * np.outer(col, col.conj())
+    rotations = structure.mode_rotations or (None,) * len(cutoffs)
+    rot = np.eye(1)
+    for c, r in zip(cutoffs, rotations):
+        rot = np.kron(rot, np.eye(c) if r is None else r)
+    return rot @ mat @ rot.conj().T
+
+
 def trace_power_ref(d0, v, spectrum, s, support_tol=1e-12):
     """``Tr( diag(d0)^s * A^{1-s} )`` with one full pass per call, for the
     spectrum of ``A = scale * diag(d) + weight * v v^dag`` over every coordinate.

@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from triqi import spectral
 from triqi.bounds import (_PairContext, advantage_ratio, bhattacharyya_bound,
                           chernoff, error_bound_2gamma, error_bound_3gamma,
                           evaluate_point, helstrom_optimum, povm_error, q_s)
@@ -289,6 +291,42 @@ def test_structured_matches_dense_q_half_and_helstrom(params):
             pytest.approx(helstrom_optimum(d0, d1, pi0), abs=1e-10), pi0
         assert helstrom_optimum(pair.rho1, pair.rho0, pi0) == \
             pytest.approx(helstrom_optimum(d1, d0, pi0), abs=1e-10), pi0
+
+
+def test_dense_lane_decomposes_each_operator_once(monkeypatch):
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[1])
+
+    def run(fresh):
+        result = chernoff(*fresh())
+        return (result.s_star, result.q_star, result.grid, q_s(*fresh(), 0.5),
+                bhattacharyya_bound(*fresh(), 3))
+
+    uncached = run(lambda: (dense_copy(pair.rho0), dense_copy(pair.rho1)))
+    calls = []
+    original = spectral.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "triqi" and getattr(m, "eigh", None) is original]
+    assert spectral in bound
+    for module in bound:
+        monkeypatch.setattr(module, "eigh", counting)
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    assert run(lambda: (d0, d1)) == uncached
+    assert len(calls) == 2
+
+    space = build_space(1, [2])
+    skew = DensityOperator.dense(space, np.array([[0.5, 0.1], [0.3, 0.5]]))
+    good = DensityOperator.diagonal(space, [0.5, 0.5])
+    for _ in range(2):
+        with pytest.raises(NumericalError):
+            skew.eigensystem
+        with pytest.raises(NumericalError):
+            q_s(skew, good, 0.5)
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,10 @@ from triqi.errors import DenseLimitError, NumericalError
 from triqi.fock import (DensityOperator, Ket, annihilation, as_diag_plus_low_rank,
                         build_space, creation, number_operator, partial_trace,
                         tensor_ket)
-from triqi.presets import GOLDEN_POINT
-from triqi.states import build_hypothesis_pair, three_photon_state
+from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
+from triqi.states import IDLER_VARIANTS, build_hypothesis_pair, three_photon_state
 
-from oracles import partial_trace_ref
+from oracles import partial_trace_ref, rotated_dense_ref
 
 
 @pytest.mark.parametrize("modes,cutoffs,dim", [
@@ -180,6 +180,33 @@ def test_partial_trace_structure_paths_agree():
     red_diag = partial_trace(diag, [0]).to_dense()
     assert_allclose(red_diag, partial_trace_ref(np.diag(probs).astype(complex), (3, 4), (0,)),
                     atol=1e-15)
+
+
+@pytest.mark.parametrize("idler", IDLER_VARIANTS)
+@pytest.mark.parametrize("point", range(len(DENSE_CHECK_POINTS)))
+def test_rotated_to_dense_matches_kron_oracle(point, idler):
+    rho1 = build_hypothesis_pair(DENSE_CHECK_POINTS[point].with_updates(idler=idler)).rho1
+    # the traced idler is diagonal already; the pure one rotates mode 0
+    assert (rho1.structure.mode_rotations[0] is None) == (idler == "traced")
+    expected = rotated_dense_ref(rho1.structure, rho1.space.cutoffs)
+    assert_allclose(rho1.to_dense(), expected, rtol=0, atol=1e-14)
+
+
+def test_rotated_to_dense_two_rotated_modes_rank_two():
+    rng = np.random.default_rng(7)
+    cutoffs = (3, 2, 4)
+    space = build_space(3, cutoffs)
+
+    def unitary(n):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    vectors = rng.normal(size=(24, 2)) + 1j * rng.normal(size=(24, 2))
+    rho = DensityOperator.diag_plus_low_rank(
+        space, rng.uniform(size=24), 0.7, (0.2, 0.05), vectors,
+        mode_rotations=(unitary(3), None, unitary(4)), trace_normalized=False)
+    expected = rotated_dense_ref(rho.structure, cutoffs)
+    assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
 
 
 def test_partial_trace_rejects_empty_keep():

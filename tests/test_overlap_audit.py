@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from triqi import overlap_audit, states
+from triqi.cli import main
 from triqi.errors import RegimeWarning
 from triqi.overlap_audit import (SignChoice, audit_overlap,
                                  closed_form_overlap, gap_leading_order,
@@ -222,6 +223,23 @@ def test_audit_eta_zero_all_ones():
     assert a.signed_root == pytest.approx(1.0, abs=1e-15)
     assert a.principal == pytest.approx(1.0, abs=1e-12)
     assert a.verdict == "matches_paper_order"
+
+
+def test_audit_gap_fit_at_eta_zero_is_nan(capfd, tmp_path):
+    # every rung of the ladder sits at eta = 0, where log(eta) has no fit
+    params = ProtocolParams(theta=0.0, eta=0.0, nbar2=0.5, nbar3=0.5, cutoffs=(2, 6, 6),
+                            tail_bound=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        fit = audit_overlap(params, fit_gap=True).gap_fit
+    assert math.isnan(fit.eta_order)
+    assert not fit.sign_change
+    assert capfd.readouterr().err == ""
+    out = tmp_path / "audit.txt"
+    assert main(["appendix-audit", "--eta", "0", "--fit-gap", "--format", "text",
+                 "--out", str(out)]) == 0
+    assert "gap.eta_order = nan" in out.read_text().splitlines()
+    assert "DLASCL" not in capfd.readouterr().err
 
 
 def test_audit_at_working_point():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from pathlib import Path
 
+from triqi import spectral
 from triqi.errors import NumericalError
 from triqi.bounds import q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
@@ -155,10 +156,16 @@ def test_half_power_trace_recovers_trace():
 # rank-one secular spectra
 # ---------------------------------------------------------------------------
 
-def test_matrix_power_accepts_density_operator():
+def test_matrix_power_accepts_density_operator(monkeypatch):
     pair = build_hypothesis_pair(GOLDEN_POINT)
     direct = matrix_power(pair.rho1, 0.5)
     assert_allclose(direct, matrix_power(pair.rho1.to_dense(), 0.5), atol=1e-14)
+    # further powers of the operator read its cached eigensystem
+    calls = []
+    monkeypatch.setattr(spectral, "eigh", lambda *args: calls.append(args))
+    assert_allclose(matrix_power(pair.rho1, 0.5), direct, rtol=0, atol=0)
+    matrix_power(pair.rho1, 0.0)
+    assert calls == []
 
 
 def test_trace_product_warns_on_imaginary_residue():

@@ -367,10 +367,13 @@ format = csv
 def test_cli_subprocess_entry_point(tmp_path):
     out = tmp_path / "rep.csv"
     repo_root = Path(__file__).resolve().parents[1]
+    # pytest's pythonpath setting reaches this process, not its children
+    src = str(Path(triqi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "triqi.cli", "reproduce", "evolution-order",
          "--out", str(out)],
-        capture_output=True, text=True, cwd=repo_root)
+        capture_output=True, text=True, cwd=repo_root, env=env)
     assert proc.returncode == 0, proc.stderr
     body = out.read_text().splitlines()
     assert body[0].startswith("theta,")
