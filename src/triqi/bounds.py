@@ -41,7 +41,9 @@ def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[Structu
 
     Returns the pair as a :class:`StructuredPair` and whether it had to swap
     the arguments, which happens when the rank-one term sits on ``rho0``;
-    ``(None, False)`` when the pair has no such basis.
+    ``(None, False)`` when the pair has no such basis, or when the diagonal
+    part of the operator with the rank-one term is not a scaled copy of the
+    other operator's diagonal, element for element.
     """
     try:
         s0 = as_diag_plus_low_rank(rho0).structure
@@ -54,9 +56,11 @@ def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[Structu
     if s0.rank > 0 or s1.rank > 1 or not same_rotations(s0, s1):
         return None, False
     d0 = s0.diag_scale * s0.diag
+    if not np.array_equal(d0, s1.diag):
+        return None, False
     weight = s1.weights[0] if s1.rank == 1 else 0.0
     vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(d0, dtype=complex)
-    return StructuredPair.from_arrays(d0, s1.diag, s1.diag_scale, weight, vec), swapped
+    return StructuredPair.from_arrays(d0, s1.diag_scale, weight, vec), swapped
 
 
 class _PairContext:

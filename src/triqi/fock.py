@@ -126,9 +126,6 @@ class Ket:
         amps[space.index_of(occupations)] = 1.0
         return cls(space, amps)
 
-    def overlap(self, other: "Ket") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def annihilation(space: SpaceDescriptor, mode: int) -> sparse.csr_matrix:
     """Sparse annihilation operator on ``mode``: a|n> = sqrt(n)|n-1>.
@@ -203,8 +200,8 @@ class DiagPlusLowRank:
     """Operator ``diag_scale * diag(diag) + sum_r weights[r] v_r v_r^dag``.
 
     ``diag`` and the columns of ``vectors`` live in the structure's own basis.
-    ``mode_rotations`` maps that basis back to the Fock basis as a per-mode
-    unitary (None meaning identity on that mode); the represented operator is
+    ``mode_rotations`` maps that basis back to the Fock basis, one unitary
+    per mode (None meaning identity on that mode); the represented operator is
     ``R S R^dag`` with ``R`` the kron of the rotations.
     """
 
@@ -212,7 +209,7 @@ class DiagPlusLowRank:
     diag_scale: float
     weights: tuple[float, ...]
     vectors: np.ndarray  # shape (dim, r)
-    mode_rotations: tuple | None = None
+    mode_rotations: tuple
 
     @property
     def rank(self) -> int:
@@ -277,13 +274,16 @@ class DensityOperator:
             vecs = vecs[:, None]
         if d.shape != (space.total_dim,) or vecs.shape[0] != space.total_dim:
             raise ValueError("diagonal/vector dimensions do not match the space")
+        rotations = (None,) * space.modes if mode_rotations is None else tuple(mode_rotations)
+        if len(rotations) != space.modes:
+            raise ValueError(f"expected {space.modes} mode rotations, got {len(rotations)}")
         d.setflags(write=False)
         vecs.setflags(write=False)
-        for rot in mode_rotations or ():
+        for rot in rotations:
             if rot is not None:
                 rot.setflags(write=False)
         structure = DiagPlusLowRank(d, float(diag_scale), tuple(float(w) for w in weights),
-                                    vecs, mode_rotations)
+                                    vecs, rotations)
         return cls(space, structure, trace_normalized)
 
     # -- basic queries -------------------------------------------------------
@@ -321,7 +321,7 @@ class DensityOperator:
             # by conj(R), O(dim^2 c_m) each instead of O(dim^3) with kron(R)
             cut, n = self.space.cutoffs, self.space.modes
             t = mat.reshape(cut + cut)
-            for m, rot in enumerate(s.mode_rotations or ()):
+            for m, rot in enumerate(s.mode_rotations):
                 if rot is not None:
                     t = np.moveaxis(np.tensordot(rot, t, axes=(1, m)), 0, m)
                     t = np.moveaxis(np.tensordot(t, rot.conj(), axes=(n + m, 1)), -1, n + m)
@@ -423,20 +423,13 @@ def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
 
 def same_rotations(a, b) -> bool:
     """True when two DiagPlusLowRank structures share the same basis rotations."""
-    ra = a.mode_rotations
-    rb = b.mode_rotations
-    if ra is None and rb is None:
-        return True
-    if ra is None or rb is None:
-        return all(r is None for r in (ra or rb))
-    if len(ra) != len(rb):
+    if len(a.mode_rotations) != len(b.mode_rotations):
         return False
-    for x, y in zip(ra, rb):
-        if x is None and y is None:
-            continue
+    for x, y in zip(a.mode_rotations, b.mode_rotations):
         if x is None or y is None:
-            return False
-        if x.shape != y.shape or np.max(np.abs(x - y)) > ROTATION_TOL:
+            if x is not y:
+                return False
+        elif x.shape != y.shape or np.max(np.abs(x - y)) > ROTATION_TOL:
             return False
     return True
 

@@ -32,13 +32,6 @@ DENSE_CHECK_POINTS = (
                    background="thermal", tail_bound=math.inf),
 )
 
-PRESETS = {
-    "golden": GOLDEN_POINT,
-    "golden-traced": GOLDEN_POINT_TRACED,
-    "appendix": AUDIT_POINT,
-    "appendix-small": AUDIT_POINT_SMALL,
-}
-
 
 def golden_sweep_spec(workers: int = 1) -> SweepSpec:
     """The frozen determinism sweep: small theta over both backgrounds."""

@@ -13,7 +13,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +38,11 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eigh(matrix: np.ndarray, dense_limit: int | None = None) -> EigenSystem:
+def eigh(matrix: np.ndarray) -> EigenSystem:
     """Hermitian eigendecomposition with an input symmetry check."""
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if dense_limit is not None and mat.shape[0] > dense_limit:
-        raise NumericalError(f"dimension {mat.shape[0]} exceeds dense limit {dense_limit}")
     dev = np.max(np.abs(mat - mat.conj().T))
     scale = max(float(np.max(np.abs(mat))), 1e-300)
     if dev > EIGH_HERMITIAN_TOL * scale:
@@ -405,17 +403,15 @@ def _kron_mass(factors, t0: float, scale: float, t1: float) -> float:
 @dataclass(frozen=True)
 class StructuredPair:
     """Two operators in one shared basis, ``rho0 = diag(d0)`` and
-    ``rho1 = scale * diag(d1) + weight * v v^dag``, held without any array of
+    ``rho1 = scale * diag(d0) + weight * v v^dag``, held without any array of
     the full dimension.
 
     ``d0`` is the Kronecker product of the per-mode marginals ``factors``
     (mode 0 slowest, rounded as ``np.kron`` rounds it).  ``v`` is sparse: its
-    nonzero entries ``v_value`` at the flat indices ``v_index``.  ``d1`` is
-    ``d0`` unless an explicit array is given, which only operators a user
-    supplies can need (:meth:`from_arrays`).  The arrays are made read-only so
-    that one pair can be shared by every quantity of a point.  The secular
-    spectrum of ``rho1`` on the support of ``v`` and the terms of ``Q_s`` are
-    computed on first use and cached; for a factored pair every reduction
+    nonzero entries ``v_value`` at the flat indices ``v_index``.  The arrays
+    are made read-only so that one pair can be shared by every quantity of a
+    point.  The secular spectrum of ``rho1`` on the support of ``v`` and the
+    terms of ``Q_s`` are computed on first use and cached; every reduction
     costs O(cutoff log cutoff) or less.
     """
 
@@ -424,42 +420,35 @@ class StructuredPair:
     weight: float
     v_index: np.ndarray
     v_value: np.ndarray
-    d1: np.ndarray | None = None
 
     def __post_init__(self):
         if self.v_index.shape != self.v_value.shape:
             raise ValueError("sparse vector indices and values differ in shape")
-        if self.d1 is not None and self.d1.shape != (self.dim,):
-            raise ValueError("diagonal dimension mismatch")
-        for arr in (*self.factors, self.v_index, self.v_value, self.d1):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (*self.factors, self.v_index, self.v_value):
+            arr.setflags(write=False)
 
     @classmethod
-    def from_arrays(cls, d0, d1, scale: float, weight: float, v) -> "StructuredPair":
-        """The pair of explicit diagonals ``d0``, ``d1`` and dense ``v``, read
-        in O(dim); ``d1`` is kept only when it differs from ``d0``."""
+    def from_arrays(cls, d0, scale: float, weight: float, v) -> "StructuredPair":
+        """The pair of an explicit diagonal ``d0`` and dense ``v``, read in O(dim)."""
         d0 = np.asarray(d0, dtype=float)
-        d1 = np.asarray(d1, dtype=float)
         v = np.asarray(v, dtype=complex)
-        if d0.shape != d1.shape or d0.shape != v.shape:
+        if d0.shape != v.shape:
             raise ValueError("diagonal dimension mismatch")
         index = np.flatnonzero(v)
-        return cls((d0,), float(scale), float(weight), index, v[index],
-                   None if np.array_equal(d0, d1) else d1)
+        return cls((d0,), float(scale), float(weight), index, v[index])
 
     @property
     def dim(self) -> int:
         return math.prod(len(f) for f in self.factors)
 
     @cached_property
-    def _local(self) -> tuple[np.ndarray, np.ndarray]:
-        """``d0`` and ``d1`` on the support of ``v``, rounded as ``np.kron`` rounds them."""
+    def _local(self) -> np.ndarray:
+        """``d0`` on the support of ``v``, rounded as ``np.kron`` rounds it."""
         d0 = np.ones(len(self.v_index))
         coords = np.unravel_index(self.v_index, tuple(len(f) for f in self.factors))
         for f, i in zip(self.factors, coords):
             d0 = d0 * f[i]
-        return d0, (d0 if self.d1 is None else self.d1[self.v_index])
+        return d0
 
     @cached_property
     def _d0max(self) -> float:
@@ -468,38 +457,29 @@ class StructuredPair:
         return math.prod(float(f.max(initial=0.0)) for f in self.factors)
 
     @cached_property
-    def _d1_scaled_max(self) -> float:
-        """``max |scale * d1|``, the size of rho1's diagonal part."""
-        if self.d1 is None:
-            return abs(self.scale) * self._d0max
-        return float(np.max(np.abs(self.scale * self.d1), initial=0.0))
-
-    @cached_property
     def spectrum(self) -> RankOneSpectrum:
         """Secular spectrum of ``rho1`` on the support of ``v``; off it ``rho1``
-        is ``scale * diag(d1)``."""
-        return rank_one_spectrum(self._local[1], self.scale, self.weight, self.v_value,
-                                 self._d1_scaled_max)
+        is ``scale * diag(d0)``."""
+        return rank_one_spectrum(self._local, self.scale, self.weight, self.v_value,
+                                 abs(self.scale) * self._d0max)
 
     @cached_property
     def _thresholds(self) -> tuple[float, float]:
         """Support thresholds of ``rho0`` and ``rho1``: ``SUPPORT_TOL`` times
         their largest eigenvalues."""
-        lam_max = max(float(np.max(self.spectrum.roots, initial=0.0)), self._d1_scaled_max)
+        lam_max = max(float(np.max(self.spectrum.roots, initial=0.0)),
+                      abs(self.scale) * self._d0max)
         return SUPPORT_TOL * max(self._d0max, 1e-300), SUPPORT_TOL * max(lam_max, 1e-300)
 
     @cached_property
-    def _inactive_mass(self) -> float | None:
+    def _inactive_mass(self) -> float:
         """Support-masked mass ``M = sum d0`` off the support of ``v``.
 
-        When ``d1`` is ``d0`` such a coordinate contributes
-        ``d0^s (scale d0)^{1-s} = scale^{1-s} d0`` on both supports.  ``None``
-        for an explicit ``d1``, whose coordinates each keep their own term.
+        Such a coordinate contributes ``d0^s (scale d0)^{1-s} = scale^{1-s} d0``
+        on both supports.
         """
-        if self.d1 is not None:
-            return None
         t0, t1 = self._thresholds
-        d0 = self._local[0]
+        d0 = self._local
         local = d0[(d0 > t0) & (self.scale * d0 > t1)]
         return _kron_mass(self.factors, t0, self.scale, t1) - float(np.sum(local))
 
@@ -515,32 +495,25 @@ class StructuredPair:
         * the deflated directions of group ``g``, at the group value:
           ``c = 1 - |v_i|^2 / mass_g``;
         * a coordinate of the support of ``v`` outside the groups keeps
-          ``b = scale * d1``, and so does every other coordinate of an explicit
-          ``d1``;
-        * otherwise the other coordinates make one term, ``M`` at ``a = 1``,
+          ``b = scale * d0``;
+        * the other coordinates make one term, ``M`` at ``a = 1``,
           ``b = scale``.
 
         Under ``0^0 = 0`` a term off either support is zero for every ``s``,
         so it is dropped; the rest need no support test per call.
         """
         spectrum = self.spectrum
-        d0, d1 = self._local
+        d0 = self._local
         av2 = np.abs(self.v_value) ** 2
         roots = spectrum.roots
         rest = spectrum.inactive
-        c, a, b = [np.ones(rest.sum())], [d0[rest]], [self.scale * d1[rest]]
+        c, a, b = [np.ones(rest.sum())], [d0[rest]], [self.scale * d0[rest]]
         for g, weights in zip(spectrum.groups, spectrum.root_weights.T):
             share = av2[g.indices] / g.mass
             a_g = d0[g.indices]
             c += [np.outer(weights, share).ravel(), 1.0 - share]
             a += [np.tile(a_g, len(roots)), a_g]
             b += [np.repeat(roots, len(a_g)), np.full(len(a_g), g.value)]
-        if self.d1 is not None:
-            off = np.ones(self.dim, dtype=bool)
-            off[self.v_index] = False
-            c.append(np.ones(int(off.sum())))
-            a.append(reduce(np.kron, self.factors)[off])
-            b.append(self.scale * self.d1[off])
         c, a, b = (np.concatenate(x) for x in (c, a, b))
         t0, t1 = self._thresholds
         keep = (a > t0) & (b > t1) & (c != 0.0)
@@ -559,22 +532,16 @@ class StructuredPair:
         """Minimum error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)``, ``pi1 = 1 - pi0``.
 
         On the support of ``v`` the trace norm comes from a secular problem.
-        Off it the operator is ``diag(pi1 scale d1 - pi0 d0)``, whose trace
-        norm is ``|pi1 scale - pi0|`` times the mass of ``d0`` there when ``d1``
-        is ``d0``.
+        Off it the operator is ``diag(pi1 scale d0 - pi0 d0)``, whose trace
+        norm is ``|pi1 scale - pi0|`` times the mass of ``d0`` there.
         """
         pi1 = 1.0 - pi0
         a = pi1 * self.scale
-        d0, d1 = self._local
-        if self.d1 is None:
-            ref = abs(a - pi0) * self._d0max
-            total = math.prod(float(f.sum()) for f in self.factors)
-            off = abs(a - pi0) * (total - float(np.sum(d0)))
-        else:
-            diff = np.abs(a * self.d1 - pi0 * reduce(np.kron, self.factors))
-            ref = float(diff.max(initial=0.0))
-            off = float(diff.sum() - diff[self.v_index].sum())
-        local = rank_one_spectrum(a * d1 - pi0 * d0, 1.0, pi1 * self.weight, self.v_value, ref)
+        d0 = self._local
+        ref = abs(a - pi0) * self._d0max
+        total = math.prod(float(f.sum()) for f in self.factors)
+        off = abs(a - pi0) * (total - float(np.sum(d0)))
+        local = rank_one_spectrum(a * d0 - pi0 * d0, 1.0, pi1 * self.weight, self.v_value, ref)
         return 0.5 * (1.0 - local.trace_abs() - off)
 
 
@@ -585,7 +552,6 @@ def diag_rank_one_trace_power(pair: StructuredPair, s: float) -> float:
     vectorized expression over the pair's cached terms, exact at ``s = 0`` and
     ``s = 1`` too: for a factored pair about one per secular root and active
     coordinate, at most 21 for an idler cutoff of 2, whatever the dimension.
-    Only a pair with an explicit ``d1`` has a term per coordinate.
     """
     c, a, b = pair._terms
     return float(np.sum(c * a ** s * b ** (1.0 - s)))

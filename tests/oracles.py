@@ -112,9 +112,8 @@ def rotated_dense_ref(structure, cutoffs):
     mat = np.diag(structure.diag_scale * structure.diag).astype(complex)
     for w, col in zip(structure.weights, structure.vectors.T):
         mat += w * np.outer(col, col.conj())
-    rotations = structure.mode_rotations or (None,) * len(cutoffs)
     rot = np.eye(1)
-    for c, r in zip(cutoffs, rotations):
+    for c, r in zip(cutoffs, structure.mode_rotations):
         rot = np.kron(rot, np.eye(c) if r is None else r)
     return rot @ mat @ rot.conj().T
 

@@ -209,6 +209,19 @@ def test_rotated_to_dense_two_rotated_modes_rank_two():
     assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
 
 
+def test_diag_plus_low_rank_one_rotation_per_mode():
+    space = build_space(3, (2, 2, 2))
+    diag, vectors = np.full(8, 0.125), np.zeros((8, 0))
+    # no rotations means the identity on every mode
+    rho = DensityOperator.diag_plus_low_rank(space, diag, 1.0, (), vectors)
+    assert rho.structure.mode_rotations == (None, None, None)
+    assert_allclose(rho.to_dense(), np.eye(8) / 8, rtol=0, atol=0)
+    for rotations in ((None, None), (np.eye(2),) * 4):
+        with pytest.raises(ValueError, match="expected 3 mode rotations"):
+            DensityOperator.diag_plus_low_rank(space, diag, 1.0, (), vectors,
+                                               mode_rotations=rotations)
+
+
 def test_partial_trace_rejects_empty_keep():
     pair = build_hypothesis_pair(GOLDEN_POINT)
     with pytest.raises(ValueError):

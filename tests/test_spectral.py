@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from numpy.testing import assert_allclose
 from pathlib import Path
 
 from triqi import spectral
-from triqi.errors import NumericalError
-from triqi.bounds import q_s
+from triqi.errors import DenseLimitError, NumericalError
+from triqi.bounds import _shared_basis, helstrom_optimum, q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secular_roots, eigh,
                             matrix_power, rank_one_spectrum, support_powers, trace_product)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
-from oracles import (pair_arrays_ref, q_flat_closed_form, qs_ref, thermal_probs_ref,
-                     trace_power_ref)
+from oracles import (helstrom_ref, pair_arrays_ref, q_flat_closed_form, qs_ref,
+                     thermal_probs_ref, trace_power_ref)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -51,11 +52,6 @@ def test_eigh_invariants():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NumericalError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigh_dense_limit():
-    with pytest.raises(NumericalError):
-        eigh(np.eye(8), dense_limit=4)
 
 
 def test_h0_spectrum_matches_golden_file():
@@ -356,8 +352,9 @@ def test_structured_vs_dense_q_half(params):
     assert pair.rho0.space.total_dim <= 1000
     s0 = as_diag_plus_low_rank(pair.rho0).structure
     s1 = pair.rho1.structure
-    structured_pair = StructuredPair.from_arrays(s0.diag_scale * s0.diag, s1.diag,
-                                                 s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    d0 = s0.diag_scale * s0.diag
+    assert np.array_equal(d0, s1.diag)
+    structured_pair = StructuredPair.from_arrays(d0, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
     m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
         dense = qs_ref(m0, m1, s)
@@ -367,23 +364,38 @@ def test_structured_vs_dense_q_half(params):
 
 
 def test_structured_vs_dense_distinct_diagonals():
-    # rho1's diagonal is not rho0's, so the inactive coordinates take the
-    # per-call pass instead of the once-per-pair mass
+    # rho1's diagonal is not rho0's: no structured pair has that shape, so the
+    # pair is not detected and the dense lane answers, up to the dense limit
     pair = build_hypothesis_pair(GOLDEN_POINT)
-    s0 = as_diag_plus_low_rank(pair.rho0).structure
     s1 = pair.rho1.structure
-    diag1 = np.roll(s1.diag, 5)
-    rho1 = DensityOperator.diag_plus_low_rank(pair.rho1.space, diag1, s1.diag_scale, s1.weights,
-                                              s1.vectors, mode_rotations=s1.mode_rotations)
-    structured = StructuredPair.from_arrays(s0.diag_scale * s0.diag, diag1, s1.diag_scale,
-                                            s1.weights[0], s1.vectors[:, 0])
-    assert structured._inactive_mass is None
-    m0, m1 = pair.rho0.to_dense(), rho1.to_dense()
+
+    def rolled(dense_limit):
+        space = replace(pair.rho1.space, dense_limit=dense_limit)
+        rho0 = DensityOperator(space, pair.rho0.structure)
+        rho1 = DensityOperator.diag_plus_low_rank(space, np.roll(s1.diag, 5), s1.diag_scale,
+                                                  s1.weights, s1.vectors,
+                                                  mode_rotations=s1.mode_rotations)
+        return rho0, rho1
+
+    rho0, rho1 = rolled(pair.rho1.space.dense_limit)
+    assert _shared_basis(rho0, rho1) == (None, False)
+    assert _shared_basis(rho1, rho0) == (None, False)
+    m0, m1 = rho0.to_dense(), rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
-        dense = qs_ref(m0, m1, s)
-        assert structured.q(s) == pytest.approx(dense, abs=1e-10), s
-        assert q_s(pair.rho0, rho1, s) == pytest.approx(dense, abs=1e-10), s
-        assert q_s(rho1, pair.rho0, s) == pytest.approx(qs_ref(m1, m0, s), abs=1e-10), s
+        assert q_s(rho0, rho1, s) == pytest.approx(qs_ref(m0, m1, s), abs=1e-10), s
+        assert q_s(rho1, rho0, s) == pytest.approx(qs_ref(m1, m0, s), abs=1e-10), s
+    for pi0 in (0.5, 0.2):
+        assert helstrom_optimum(rho0, rho1, pi0) == pytest.approx(
+            helstrom_ref(m0, m1, pi0), abs=1e-10), pi0
+        assert helstrom_optimum(rho1, rho0, pi0) == pytest.approx(
+            helstrom_ref(m1, m0, pi0), abs=1e-10), pi0
+    assert pair.rho1.space.total_dim == 72
+    rho0, rho1 = rolled(71)
+    for a, b in ((rho0, rho1), (rho1, rho0)):
+        with pytest.raises(DenseLimitError):
+            q_s(a, b, 0.5)
+        with pytest.raises(DenseLimitError):
+            helstrom_optimum(a, b)
 
 
 @pytest.mark.parametrize("idler", IDLER_VARIANTS)

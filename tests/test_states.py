@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -267,7 +268,8 @@ def test_hypothesis_pair_arrays_are_read_only():
             arr[0] = 0
     # the structured pair holds rho1's diagonal as per-mode factors and its
     # triplet as the nonzero entries only; rho1 is built from them on demand
-    assert sp.d1 is None and len(sp.factors) == 3
+    assert [f.name for f in fields(sp)] == ["factors", "scale", "weight", "v_index", "v_value"]
+    assert len(sp.factors) == 3
     s1 = pair.rho1.structure
     assert np.array_equal(s1.diag, np.kron(np.kron(*sp.factors[:2]), sp.factors[2]))
     assert np.array_equal(np.flatnonzero(s1.vectors[:, 0]), sp.v_index)

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -253,6 +254,29 @@ def test_sweep_deterministic_bytes():
     first = render(run_sweep(spec), "csv")
     second = render(run_sweep(spec), "csv")
     assert first.encode() == second.encode()
+
+
+def _cell_agrees(cell: str, reference: str) -> bool:
+    """Numbers within 1e-10, relative above magnitude 1; other cells exactly."""
+    try:
+        value, ref = float(cell), float(reference)
+    except ValueError:
+        return cell == reference
+    if math.isnan(ref) or math.isinf(ref):
+        return cell == reference
+    return abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_golden_sweep_matches_reference_csv():
+    reference = Path(__file__).resolve().parents[1] / "bench" / "golden_reference.csv"
+    expected = list(csv.reader(reference.read_text().splitlines()))
+    got = list(csv.reader(render(run_sweep(golden_sweep_spec()), "csv").splitlines()))
+    assert got[0] == expected[0]
+    assert len(got) == len(expected) == 9
+    for row, ref_row in zip(got[1:], expected[1:]):
+        assert len(row) == len(ref_row)
+        for column, cell, ref in zip(expected[0], row, ref_row):
+            assert _cell_agrees(cell, ref), (column, cell, ref)
 
 
 def test_text_format_mirrors_fields():
