@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
 # eigh is unused here but stays bound for callers that reach it as bounds.eigh
-from .spectral import StructuredPair, eigh, support_powers  # noqa: F401
+from .spectral import StructuredPair, eigh, eigvalsh, overlap_terms, support_powers  # noqa: F401
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -63,17 +63,21 @@ def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[Structu
     return StructuredPair.from_arrays(d0, s1.diag_scale, weight, vec), swapped
 
 
+def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
+    if rho0.space.cutoffs != rho1.space.cutoffs:
+        raise ValueError(f"space mismatch: {rho0.space.cutoffs} vs {rho1.space.cutoffs}")
+
+
 class _PairContext:
     """Cached evaluation context for repeated Q_s calls on one user-supplied pair.
 
     Reads a :class:`StructuredPair` whenever both operators share a structured
-    basis; falls back to the operators' cached eigensystems with a precomputed
-    eigenvector overlap table otherwise.
+    basis; falls back to the operators' cached eigensystems with the nonzero
+    entries of their eigenvector overlap table otherwise.
     """
 
     def __init__(self, rho0: DensityOperator, rho1: DensityOperator):
-        if rho0.space.cutoffs != rho1.space.cutoffs:
-            raise ValueError(f"space mismatch: {rho0.space.cutoffs} vs {rho1.space.cutoffs}")
+        _check_space(rho0, rho1)
         self._structured, self._swapped = _shared_basis(rho0, rho1)
         if self._structured is None:
             self._init_dense(rho0, rho1)
@@ -86,7 +90,7 @@ class _PairContext:
                 raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
         self._w0 = np.clip(es0.eigenvalues, 0.0, None)
         self._w1 = np.clip(es1.eigenvalues, 0.0, None)
-        self._overlap = np.abs(es0.eigenvectors.conj().T @ es1.eigenvectors) ** 2
+        self._i, self._j, self._table = overlap_terms(es0, es1)
 
     def q(self, s: float) -> float:
         if not 0.0 <= s <= 1.0:
@@ -96,7 +100,7 @@ class _PairContext:
             return self._structured.q(1.0 - s if self._swapped else s)
         a = support_powers(self._w0, s)
         b = support_powers(self._w1, 1.0 - s)
-        return float(a @ self._overlap @ b)
+        return float(np.sum(a[self._i] * self._table * b[self._j]))
 
 
 def q_s(rho0: DensityOperator, rho1: DensityOperator, s: float) -> float:
@@ -176,13 +180,13 @@ def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 
     """Minimum single-shot error (1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)."""
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"prior pi0={pi0} outside [0, 1]")
+    _check_space(rho0, rho1)
     structured, swapped = _shared_basis(rho0, rho1)
     if structured is not None:
         # the trace norm is even under negation, so swapped roles swap the priors
         return structured.helstrom(1.0 - pi0 if swapped else pi0)
     diff = (1.0 - pi0) * rho1.to_dense() - pi0 * rho0.to_dense()
-    eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
-    return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
+    return 0.5 * (1.0 - float(np.sum(np.abs(eigvalsh(diff)))))
 
 
 def povm_error(rho0: DensityOperator, rho1: DensityOperator,
@@ -203,7 +207,7 @@ def povm_error(rho0: DensityOperator, rho1: DensityOperator,
     if dev > 1e-10:
         raise NumericalError(f"POVM completeness violated: max |E0 + E1 - I| = {dev}")
     for name, e in (("E0", e0), ("E1", e1)):
-        eigs = np.linalg.eigvalsh((e + e.conj().T) / 2.0)
+        eigs = eigvalsh(e)
         if eigs.min() < -1e-10 * max(eigs.max(), 1e-300):
             raise NumericalError(f"POVM element {name} has negative eigenvalue {eigs.min()}")
     m0 = rho0.to_dense()

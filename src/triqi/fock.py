@@ -337,7 +337,7 @@ class DensityOperator:
         exceptions are not cached.
         """
         es = spectral.eigh(self.to_dense())
-        for arr in (es.eigenvalues, es.eigenvectors):
+        for arr in (es.eigenvalues, es.eigenvectors, *(a for b in es.blocks for a in b)):
             arr.setflags(write=False)
         return es
 
@@ -358,7 +358,7 @@ class DensityOperator:
             herm = np.max(np.abs(mat - mat.conj().T))
             if herm > HERMITIAN_TOL:
                 raise NumericalError(f"Hermiticity violation {herm} > {HERMITIAN_TOL}")
-            eigs = np.linalg.eigvalsh(mat)
+            eigs = spectral.eigvalsh(mat)
             top = max(eigs.max(), 0.0)
             if eigs.min() < -PSD_TOL * max(top, 1e-300):
                 raise NumericalError(f"negative eigenvalue {eigs.min()} below PSD tolerance")

@@ -1,7 +1,8 @@
 """Hermitian matrix-function engine.
 
-Dense path: eigendecomposition plus eigenvalue maps with a support convention
-(``0^0 = 0``, powers restricted to the support).  Structured path: spectra of
+Dense path: eigendecomposition, batched over the exact connected components
+of the matrix, plus eigenvalue maps with a support convention (``0^0 = 0``,
+powers restricted to the support).  Structured path: spectra of
 ``scale * diag(d) + weight * v v^dag`` through the rank-one secular equation
 with deflation, which covers the mixed hypothesis states without ever
 materializing them.
@@ -28,27 +29,139 @@ _SECULAR_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and the matching unitary column eigenvectors."""
+    """Ascending eigenvalues and the matching unitary column eigenvectors.
+
+    ``blocks`` records the split the decomposition used: for each component
+    size ``k``, the basis indices ``(m, k)`` of its ``m`` connected components
+    and the eigenvector columns ``(m, k)`` that live on them.  An eigenvector
+    is exactly zero off its component.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Connected component of each vertex of the graph whose symmetric boolean
+    adjacency matrix is ``pattern``, named by its smallest vertex.
+
+    Min-label propagation with pointer jumping, on boolean arrays only: a
+    round gives each vertex the least label among itself and its neighbours,
+    found as its first neighbour in label order, in O(n^2).
+    """
+    n = len(pattern)
+    adjacent = pattern | np.eye(n, dtype=bool)
+    label = np.arange(n)
+    while True:
+        order = np.argsort(label, kind="stable")
+        # rows in label order: by symmetry, column i's first True is vertex
+        # i's first neighbour in that order
+        new = label[order[np.argmax(adjacent[order], axis=0)]]
+        # labels only decrease and each names a vertex of the same component
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _groups(label: np.ndarray) -> list[np.ndarray]:
+    """Indices grouped by ``label``: for each group size ``k``, ascending, an
+    ``(m, k)`` array whose rows are its ``m`` groups in label order."""
+    sizes = np.bincount(label, minlength=len(label))[label]
+    order = np.lexsort((label, sizes))
+    ks, counts = np.unique(sizes[order], return_counts=True)
+    return [part.reshape(-1, k) for part, k in zip(np.split(order, np.cumsum(counts)[:-1]), ks)]
+
+
+def _split(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, stack)`` for each component size of the graph of the nonzero
+    entries of ``mat`` and ``mat^dag``: the ``(m, k)`` basis indices of its
+    components and their ``(m, k, k)`` diagonal blocks.  Every other entry of
+    both is exactly zero, so the split is a permutation similarity of
+    ``(mat + mat^dag) / 2``."""
+    nonzero = mat != 0
+    return [(rows, mat[rows[:, :, None], rows[:, None, :]])
+            for rows in _groups(_components(nonzero | nonzero.T))]
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
 def eigh(matrix: np.ndarray) -> EigenSystem:
-    """Hermitian eigendecomposition with an input symmetry check."""
+    """Hermitian eigendecomposition with an input symmetry check.
+
+    Decomposes each connected component of the exact nonzero pattern on its
+    own, one batched ``np.linalg.eigh`` per component size; a fully dense
+    matrix is one component.
+    """
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = np.max(np.abs(mat - mat.conj().T))
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
+    split = _split(mat)
+    # the blocks hold every nonzero entry of mat and mat^dag, so these are
+    # the maxima over the whole matrix
+    dev = np.max([np.max(np.abs(stack - _adjoint(stack))) for _, stack in split])
+    scale = max(float(np.max([np.max(np.abs(stack)) for _, stack in split])), 1e-300)
     if dev > EIGH_HERMITIAN_TOL * scale:
         raise NumericalError(f"matrix deviates from Hermitian by {dev} (tol {EIGH_HERMITIAN_TOL * scale})")
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return EigenSystem(w, v)
+    parts = [(rows, *np.linalg.eigh((stack + _adjoint(stack)) / 2.0)) for rows, stack in split]
+    w = np.concatenate([pw.ravel() for _, pw, _ in parts])
+    order = np.argsort(w, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    v = np.zeros(mat.shape, dtype=parts[0][2].dtype)
+    blocks, offset = [], 0
+    for rows, _, pv in parts:
+        cols = rank[offset:offset + rows.size].reshape(rows.shape)
+        v[rows[:, :, None], cols[:, None, :]] = pv
+        blocks.append((rows, cols))
+        offset += rows.size
+    return EigenSystem(w[order], v, tuple(blocks))
+
+
+def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part ``(M + M^dag) / 2``, split
+    into connected components as :func:`eigh` splits them."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh((stack + _adjoint(stack)) / 2.0).ravel()
+                                   for _, stack in _split(np.asarray(matrix))]))
+
+
+def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the overlap table ``|V0^dag V1|^2`` as
+    ``(i, j, table)``: ``table[t]`` is the squared overlap of eigenvector
+    ``i[t]`` of ``es0`` with eigenvector ``j[t]`` of ``es1``.
+
+    Two eigenvectors overlap only inside one connected component of the union
+    of the two splits, so the table is one batched product per component size,
+    O(sum k^3) in all instead of O(dim^3).
+    """
+    n = len(es0.eigenvalues)
+    links = np.zeros((n, n), dtype=bool)
+    for es in (es0, es1):
+        for rows, _ in es.blocks:
+            links[rows, rows[:, :1]] = True
+    union = _components(links | links.T)
+    cols = []
+    for es in (es0, es1):
+        of_col = np.empty(n, dtype=int)
+        for rows, c in es.blocks:
+            of_col[c] = union[rows[:, :1]]
+        cols.append(_groups(of_col))
+    i, j, table = [], [], []
+    for rows, c0, c1 in zip(_groups(union), *cols):
+        v0 = es0.eigenvectors[rows[:, :, None], c0[:, None, :]]
+        v1 = es1.eigenvectors[rows[:, :, None], c1[:, None, :]]
+        table.append((np.abs(_adjoint(v0) @ v1) ** 2).ravel())
+        i.append(np.repeat(c0, c0.shape[1], axis=1).ravel())
+        j.append(np.tile(c1, c1.shape[1]).ravel())
+    return np.concatenate(i), np.concatenate(j), np.concatenate(table)
 
 
 def support_powers(eigenvalues: np.ndarray, s: float) -> np.ndarray:

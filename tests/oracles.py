@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def thermal_probs_ref(nbar, cutoff):
@@ -63,6 +65,17 @@ def helstrom_ref(rho0, rho1, pi0):
     return 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))))
 
 
+def components_ref(mat):
+    """Connected component label of each index of the graph of the nonzero
+    entries of ``mat``, from scipy's graph search."""
+    return connected_components(csr_matrix(np.asarray(mat) != 0), directed=False)[1]
+
+
+def dense_overlap_ref(v0, v1):
+    """Squared eigenvector overlap table ``|V0^dag V1|^2`` as one dense product."""
+    return np.abs(v0.conj().T @ v1) ** 2
+
+
 class QsGrid:
     """Cached dense Q_s evaluator for fine grid scans."""
 
@@ -71,7 +84,7 @@ class QsGrid:
         w1, v1 = np.linalg.eigh(rho1)
         self.w0 = np.clip(w0, 0.0, None)
         self.w1 = np.clip(w1, 0.0, None)
-        self.overlap = np.abs(v0.conj().T @ v1) ** 2
+        self.overlap = dense_overlap_ref(v0, v1)
         self.tol = support_tol
 
     def _pow(self, w, p):

@@ -15,11 +15,11 @@ from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
 from triqi.overlap_audit import audit_overlap
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            GOLDEN_POINT_TRACED, golden_sweep_spec)
-from triqi.spectral import rank_one_spectrum
+from triqi.spectral import rank_one_spectrum, support_powers
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
                           build_hypothesis_pair, flat_levels, three_photon_state)
 
-from oracles import QsGrid, helstrom_ref, qs_ref, trace_power_ref
+from oracles import QsGrid, dense_overlap_ref, helstrom_ref, qs_ref, trace_power_ref
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -93,6 +93,20 @@ def test_qs_space_mismatch():
     small = build_hypothesis_pair(GOLDEN_POINT.with_updates(cutoffs=(2, 4, 4)))
     with pytest.raises(ValueError):
         q_s(GOLDEN_PAIR.rho0, small.rho1, 0.5)
+
+
+def test_helstrom_space_mismatch():
+    # equal dimensions and uniform diagonals, but different mode cutoffs
+    rho_a = DensityOperator.diagonal(build_space(2, [2, 3]), np.full(6, 1.0 / 6.0))
+    rho_b = DensityOperator.diagonal(build_space(2, [3, 2]), np.full(6, 1.0 / 6.0))
+    for a, b in ((rho_a, rho_b), (rho_b, rho_a)):
+        with pytest.raises(ValueError, match="space mismatch"):
+            q_s(a, b, 0.5)
+        with pytest.raises(ValueError, match="space mismatch"):
+            helstrom_optimum(a, b)
+        with pytest.raises(ValueError, match="space mismatch"):
+            helstrom_optimum(dense_copy(a), dense_copy(b))
+    assert helstrom_optimum(rho_a, rho_a) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_chernoff_identical_states():
@@ -327,6 +341,24 @@ def test_dense_lane_decomposes_each_operator_once(monkeypatch):
         with pytest.raises(NumericalError):
             q_s(skew, good, 0.5)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("params", DENSE_CHECK_POINTS,
+                         ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))])
+def test_dense_overlap_blocks_match_dense_product(params):
+    pair = build_hypothesis_pair(params)
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    context = _PairContext(d0, d1)
+    es0, es1 = d0.eigensystem, d1.eigensystem
+    table = dense_overlap_ref(es0.eigenvectors, es1.eigenvectors)
+    # the per-block entries are the whole table: every other entry is zero
+    blocks = np.zeros_like(table)
+    blocks[context._i, context._j] = context._table
+    assert np.abs(blocks - table).max() <= 1e-14
+    w0, w1 = np.clip(es0.eigenvalues, 0.0, None), np.clip(es1.eigenvalues, 0.0, None)
+    for s in (0.0, 0.25, 0.5, 1.0):
+        ref = float(support_powers(w0, s) @ table @ support_powers(w1, 1.0 - s))
+        assert context.q(s) == pytest.approx(ref, abs=1e-14), s
 
 
 @pytest.mark.parametrize(

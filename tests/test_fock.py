@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from triqi import spectral
 from triqi.errors import DenseLimitError, NumericalError
 from triqi.fock import (DensityOperator, Ket, annihilation, as_diag_plus_low_rank,
                         build_space, creation, number_operator, partial_trace,
@@ -264,3 +265,22 @@ def test_density_operator_validate_catches_violations():
     not_psd = DensityOperator.dense(space, np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(NumericalError):
         not_psd.validate()
+
+
+def test_validate_dense_branch_reads_split_eigenvalues(monkeypatch):
+    calls = []
+    original = spectral.eigvalsh
+
+    def counting(mat):
+        calls.append(len(mat))
+        return original(mat)
+
+    monkeypatch.setattr(spectral, "eigvalsh", counting)
+    pair = build_hypothesis_pair(GOLDEN_POINT)
+    DensityOperator.dense(pair.rho1.space, pair.rho1.to_dense()).validate()
+    # an indefinite 2x2 block on indices 0 and 2, between diagonal entries
+    mat = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
+    mat[0, 2] = mat[2, 0] = 0.3
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
+        DensityOperator.dense(build_space(1, [4]), mat).validate()
+    assert calls == [72, 4]

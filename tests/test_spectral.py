@@ -18,7 +18,7 @@ from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secu
                             matrix_power, rank_one_spectrum, support_powers, trace_product)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
-from oracles import (helstrom_ref, pair_arrays_ref, q_flat_closed_form, qs_ref,
+from oracles import (components_ref, helstrom_ref, pair_arrays_ref, q_flat_closed_form, qs_ref,
                      thermal_probs_ref, trace_power_ref)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -52,6 +52,77 @@ def test_eigh_invariants():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NumericalError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@st.composite
+def permuted_block_matrices(draw):
+    """Hermitian matrices that are block diagonal under a random permutation:
+    1-6 dense blocks of sizes 1-5, real or complex, the first block possibly
+    repeated so that eigenvalues are degenerate across blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    complex_entries = draw(st.booleans())
+    blocks = []
+    for k in sizes:
+        a = rng.normal(size=(k, k))
+        if complex_entries:
+            a = a + 1j * rng.normal(size=(k, k))
+        blocks.append(a + a.conj().T)
+    if draw(st.booleans()):
+        blocks.append(blocks[0])
+    n = sum(len(b) for b in blocks)
+    mat = np.zeros((n, n), dtype=blocks[0].dtype)
+    start = 0
+    for b in blocks:
+        mat[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    perm = rng.permutation(n)
+    return mat[np.ix_(perm, perm)]
+
+
+def _joined_blocks():
+    """Two 2x2 blocks joined only by a 1e-300 entry and its mirror."""
+    mat = np.zeros((4, 4))
+    mat[np.ix_([0, 3], [0, 3])] = [[1.0, 2.0], [2.0, -1.0]]
+    mat[np.ix_([1, 2], [1, 2])] = [[0.5, 1.0], [1.0, 0.5]]
+    mat[0, 2] = mat[2, 0] = 1e-300
+    return mat
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(permuted_block_matrices())
+@example(random_psd(12))  # fully dense: one component
+@example(np.diag([3.0, -1.0, 2.0, 2.0, 0.0]))  # diagonal: one component per index
+# the same 2x2 block twice, interleaved: degenerate eigenvalues across blocks
+@example(np.kron(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)))
+@example(_joined_blocks())
+def test_split_eigh_matches_full_decomposition(mat):
+    n = len(mat)
+    reference = np.linalg.eigvalsh(mat)
+    scale = max(float(np.abs(reference).max()), 1e-300)
+    es = eigh(mat)
+    assert np.abs(es.eigenvalues - reference).max() <= 1e-12 * scale
+    assert np.all(np.diff(es.eigenvalues) >= 0)
+    assert np.abs(spectral.eigvalsh(mat) - reference).max() <= 1e-12 * scale
+    v = es.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
+    assert np.abs(es.reconstruct() - mat).max() <= 1e-12 * scale
+    # the recorded split is the exact component structure, and each
+    # eigenvector lives on one component and is zero elsewhere
+    labels = components_ref(mat)
+    for part in ([rows for rows, _ in es.blocks], [cols for _, cols in es.blocks]):
+        assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in part])), np.arange(n))
+    for rows, cols in es.blocks:
+        for r, c in zip(rows, cols):
+            assert set(labels[r]) == {labels[r[0]]} and np.sum(labels == labels[r[0]]) == len(r)
+            assert np.all(v[np.setdiff1d(np.arange(n), r)][:, c] == 0)
+    for j in range(n):
+        assert len(set(labels[np.flatnonzero(v[:, j])])) == 1
+    for i, j in ((0, n - 1), (n - 1, 0)) if n > 1 else ():
+        skew = mat.astype(complex)
+        skew[i, j] += 1e-6 * max(float(np.abs(mat).max()), 1e-300)
+        with pytest.raises(NumericalError):
+            eigh(skew)
 
 
 def test_h0_spectrum_matches_golden_file():

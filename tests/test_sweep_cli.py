@@ -151,20 +151,28 @@ def test_golden_sweep_secular_iterations(monkeypatch):
 
 def test_import_and_golden_sweep_load_no_scipy(tmp_path):
     # scipy is imported only by the ladder-operator helpers; importing it
-    # costs more than a whole golden sweep
+    # costs more than a whole golden sweep.  The dense lane splits matrices
+    # into components without scipy's graph search.
     argv = ["sweep", "--config", "golden", "--out", str(tmp_path / "g.csv")]
     code = (
         "import sys\n"
         "import triqi, triqi.cli\n"
+        "from triqi import bounds, presets, states\n"
+        "from triqi.fock import DensityOperator\n"
         "print([k for k in sys.modules if k.startswith('scipy')])\n"
         f"assert triqi.cli.main({argv!r}) == 0\n"
+        "print([k for k in sys.modules if k.startswith('scipy')])\n"
+        "pair = states.build_hypothesis_pair(presets.DENSE_CHECK_POINTS[4])\n"
+        "d0, d1 = (DensityOperator.dense(r.space, r.to_dense()) for r in (pair.rho0, pair.rho1))\n"
+        "assert 0 < bounds.chernoff(d0, d1).q_star < 1\n"
+        "assert 0 < bounds.helstrom_optimum(d0, d1) < 0.5\n"
         "print([k for k in sys.modules if k.startswith('scipy')])\n")
     src = str(Path(triqi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
     assert (tmp_path / "g.csv").read_text().startswith("eta,")
 
 
