@@ -13,11 +13,10 @@ from .bounds import (BoundReport, advantage_ratio, bhattacharyya_bound, chernoff
                      helstrom_optimum, povm_error, q_s)
 from .errors import (DenseLimitError, NumericalError, RegimeWarning, ResourceError,
                      TriqiError, TruncationError)
-from .fock import (DensityOperator, Ket, SpaceDescriptor, annihilation, build_space,
-                   creation, number_operator, partial_trace, tensor_ket)
+from .fock import DensityOperator, Ket, SpaceDescriptor, build_space, partial_trace, tensor_ket
 from .overlap_audit import (SignChoice, TraceAudit, audit_overlap, closed_form_overlap,
                             principal_overlap, signed_root_overlap)
-from .spectral import EigenSystem, eigh, matrix_power, trace_product
+from .spectral import EigenSystem, eigh
 from .states import (HypothesisPair, ProtocolParams, background_state,
                      build_hypothesis_pair, evolve_exact, hypothesis_h0,
                      hypothesis_h1, load_params, mean_photon_number, thermal_state,
@@ -25,16 +24,14 @@ from .states import (HypothesisPair, ProtocolParams, background_state,
 from .sweep import SweepSpec, SweepTable, emit, run_sweep
 
 __all__ = [
-    "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem",
-    "HypothesisPair", "Ket", "NumericalError", "ProtocolParams", "RegimeWarning",
-    "ResourceError", "SignChoice", "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit",
-    "TriqiError", "TruncationError", "advantage_ratio",
-    "annihilation", "audit_overlap", "background_state", "bhattacharyya_bound",
-    "build_hypothesis_pair", "build_space", "chernoff", "closed_form_overlap",
-    "creation", "eigh", "emit", "error_bound_2gamma", "error_bound_3gamma",
-    "evaluate_point", "evolve_exact", "helstrom_optimum", "hypothesis_h0",
-    "hypothesis_h1", "load_params", "matrix_power", "mean_photon_number",
-    "number_operator", "partial_trace", "povm_error", "principal_overlap",
+    "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem", "HypothesisPair",
+    "Ket", "NumericalError", "ProtocolParams", "RegimeWarning", "ResourceError", "SignChoice",
+    "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit", "TriqiError",
+    "TruncationError", "advantage_ratio", "audit_overlap", "background_state",
+    "bhattacharyya_bound", "build_hypothesis_pair", "build_space", "chernoff",
+    "closed_form_overlap", "eigh", "emit", "error_bound_2gamma", "error_bound_3gamma",
+    "evaluate_point", "evolve_exact", "helstrom_optimum", "hypothesis_h0", "hypothesis_h1",
+    "load_params", "mean_photon_number", "partial_trace", "povm_error", "principal_overlap",
     "q_s", "run_sweep", "signed_root_overlap", "tensor_ket", "thermal_state",
-    "three_photon_state", "trace_product",
+    "three_photon_state",
 ]

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
 # eigh is unused here but stays bound for callers that reach it as bounds.eigh
-from .spectral import StructuredPair, eigh, eigvalsh, overlap_terms, support_powers  # noqa: F401
+from .spectral import (SUPPORT_TOL, StructuredPair, diag_rank_one_trace_power, eigh,  # noqa: F401
+                       eigvalsh, overlap_terms)
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -69,38 +70,40 @@ def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
 
 
 class _PairContext:
-    """Cached evaluation context for repeated Q_s calls on one user-supplied pair.
+    """The terms ``(c, a, b)`` of ``Q_s`` for one user-supplied pair, built
+    once for repeated calls.
 
-    Reads a :class:`StructuredPair` whenever both operators share a structured
-    basis; falls back to the operators' cached eigensystems with the nonzero
-    entries of their eigenvector overlap table otherwise.
+    Reads a :class:`StructuredPair`'s terms whenever both operators share a
+    structured basis, with the eigenvalue roles swapped when the rank-one term
+    sits on ``rho0``; otherwise the nonzero entries of the overlap table of the
+    operators' cached eigensystems, masked to both supports here.
     """
 
     def __init__(self, rho0: DensityOperator, rho1: DensityOperator):
         _check_space(rho0, rho1)
-        self._structured, self._swapped = _shared_basis(rho0, rho1)
-        if self._structured is None:
-            self._init_dense(rho0, rho1)
-
-    def _init_dense(self, rho0: DensityOperator, rho1: DensityOperator) -> None:
-        es0 = rho0.eigensystem
-        es1 = rho1.eigensystem
-        for name, w in (("rho0", es0.eigenvalues), ("rho1", es1.eigenvalues)):
-            if w.min() < -1e-10 * max(w.max(), 1e-300):
-                raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
-        self._w0 = np.clip(es0.eigenvalues, 0.0, None)
-        self._w1 = np.clip(es1.eigenvalues, 0.0, None)
-        self._i, self._j, self._table = overlap_terms(es0, es1)
+        structured, swapped = _shared_basis(rho0, rho1)
+        if structured is None:
+            self.terms = _dense_terms(rho0, rho1)
+        else:
+            c, a, b = structured._terms
+            # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s)
+            self.terms = (c, b, a) if swapped else (c, a, b)
 
     def q(self, s: float) -> float:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s={s} outside [0, 1]")
-        if self._structured is not None:
-            # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s)
-            return self._structured.q(1.0 - s if self._swapped else s)
-        a = support_powers(self._w0, s)
-        b = support_powers(self._w1, 1.0 - s)
-        return float(np.sum(a[self._i] * self._table * b[self._j]))
+        return diag_rank_one_trace_power(self.terms, s)
+
+
+def _dense_terms(rho0: DensityOperator, rho1: DensityOperator) -> tuple[np.ndarray, ...]:
+    es0, es1 = rho0.eigensystem, rho1.eigensystem
+    i, j, c = overlap_terms(es0, es1)
+    a, b = es0.eigenvalues[i], es1.eigenvalues[j]
+    keep = np.ones(len(c), dtype=bool)
+    for name, w, x in (("rho0", es0.eigenvalues, a), ("rho1", es1.eigenvalues, b)):
+        top = max(float(w.max()), 1e-300)
+        if w.min() < -1e-10 * top:
+            raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
+        keep &= x > SUPPORT_TOL * top
+    return c[keep], a[keep], b[keep]
 
 
 def q_s(rho0: DensityOperator, rho1: DensityOperator, s: float) -> float:

@@ -1,5 +1,5 @@
-"""Truncated multimode Fock space: basis indexing, ladder operators, kets,
-structured density operators, tensor products and partial traces.
+"""Truncated multimode Fock space: basis indexing, kets, structured density
+operators, tensor products and partial traces.
 
 Basis convention (frozen): row-major ordering with mode 0 slowest, i.e. the
 basis index of occupations (n_0, ..., n_{M-1}) is
@@ -11,15 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import spectral
 from .errors import DenseLimitError, NumericalError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 DEFAULT_DENSE_LIMIT = 4096
 
@@ -125,35 +121,6 @@ class Ket:
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[space.index_of(occupations)] = 1.0
         return cls(space, amps)
-
-
-def annihilation(space: SpaceDescriptor, mode: int) -> sparse.csr_matrix:
-    """Sparse annihilation operator on ``mode``: a|n> = sqrt(n)|n-1>.
-
-    Identity on all other modes; population at the top truncated level has
-    nowhere to go under the adjoint (creation) operator and is dropped.
-    ``scipy.sparse`` is imported here, not with the module: nothing on the
-    evaluation path needs the ladder operators, and the import costs more
-    than a whole golden sweep.
-    """
-    from scipy import sparse
-
-    space._check_mode(mode)
-    c = space.cutoffs[mode]
-    a_single = sparse.diags(np.sqrt(np.arange(1, c)), offsets=1, format="csr")
-    left = sparse.identity(int(np.prod(space.cutoffs[:mode])), format="csr")
-    right = sparse.identity(int(np.prod(space.cutoffs[mode + 1:])), format="csr")
-    return sparse.kron(sparse.kron(left, a_single), right).tocsr()
-
-
-def creation(space: SpaceDescriptor, mode: int) -> sparse.csr_matrix:
-    """Sparse creation operator, the adjoint of :func:`annihilation`."""
-    return annihilation(space, mode).conj().T.tocsr()
-
-
-def number_operator(space: SpaceDescriptor, mode: int) -> sparse.csr_matrix:
-    a = annihilation(space, mode)
-    return (a.conj().T @ a).tocsr()
 
 
 def tensor_ket(factors, space: SpaceDescriptor | None = None) -> Ket:
@@ -304,11 +271,15 @@ class DensityOperator:
         raise TypeError(f"unknown structure {type(s)}")
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full matrix in the Fock basis (dense-limit guarded)."""
+        """Materialize the full matrix in the Fock basis (dense-limit guarded).
+
+        A ``Dense`` operator returns its stored matrix itself, read-only, not a
+        copy; every other structure returns a new array.
+        """
         self.space.require_dense("materialization")
         s = self.structure
         if isinstance(s, Dense):
-            return np.array(s.matrix)
+            return s.matrix
         if isinstance(s, Diagonal):
             return np.diag(s.probs.astype(complex))
         if isinstance(s, TensorProduct):

@@ -1,18 +1,18 @@
 """Hermitian matrix-function engine.
 
 Dense path: eigendecomposition, batched over the exact connected components
-of the matrix, plus eigenvalue maps with a support convention (``0^0 = 0``,
-powers restricted to the support).  Structured path: spectra of
-``scale * diag(d) + weight * v v^dag`` through the rank-one secular equation
-with deflation, which covers the mixed hypothesis states without ever
-materializing them.
+of the matrix, and the eigenvector overlap table of two such decompositions.
+Structured path: spectra of ``scale * diag(d) + weight * v v^dag`` through the
+rank-one secular equation with deflation, which covers the mixed hypothesis
+states without ever materializing them.  Both paths reduce ``Q_s`` to the one
+sum of :func:`diag_rank_one_trace_power`, with powers restricted to the
+support (``0^0 = 0``).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +23,6 @@ from .errors import NumericalError
 SUPPORT_TOL = 1e-12
 DEFLATION_REL_GAP = 1e-13
 EIGH_HERMITIAN_TOL = 1e-10
-TRACE_IMAG_TOL = 1e-10
 _SECULAR_MAX_ITER = 100
 
 
@@ -162,55 +161,6 @@ def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.nd
         i.append(np.repeat(c0, c0.shape[1], axis=1).ravel())
         j.append(np.tile(c1, c1.shape[1]).ravel())
     return np.concatenate(i), np.concatenate(j), np.concatenate(table)
-
-
-def support_powers(eigenvalues: np.ndarray, s: float) -> np.ndarray:
-    """Eigenvalue map lambda -> lambda^s with 0^0 = 0 on the truncated support.
-
-    Values below ``SUPPORT_TOL * max`` count as zero; ``s = 0`` therefore
-    yields the support indicator.
-    """
-    w = np.asarray(eigenvalues, dtype=float)
-    top = float(np.max(w, initial=0.0))
-    if float(np.min(w, initial=0.0)) < -1e-10 * max(top, 1e-300):
-        raise NumericalError(f"negative eigenvalue {w.min()} beyond PSD tolerance")
-    sup = w > SUPPORT_TOL * max(top, 1e-300)
-    out = np.zeros_like(w)
-    out[sup] = 1.0 if s == 0 else w[sup] ** s
-    return out
-
-
-def matrix_power(rho, s: float) -> np.ndarray:
-    """Fractional power of a PSD operator via functional calculus.
-
-    Accepts a dense matrix or a density operator, whose cached
-    ``eigensystem`` it reads.  ``s`` must lie in [0, 1]; ``s = 0`` returns
-    the support projector.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"power s={s} outside [0, 1]")
-    es = rho.eigensystem if hasattr(rho, "eigensystem") else eigh(np.asarray(rho))
-    f = support_powers(es.eigenvalues, s)
-    return (es.eigenvectors * f) @ es.eigenvectors.conj().T
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of Tr(AB) for Hermitian A, B; warns on imaginary residue.
-
-    ``TRACE_IMAG_TOL`` is relative to ``sum |a_ij b_ji|``, the scale of the
-    rounding error of the summed trace, not to ``|Tr(AB)|``: a trace-orthogonal
-    Hermitian pair has ``|Tr(AB)|`` at the rounding level itself.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    terms = a * b.T
-    t = complex(np.sum(terms))
-    scale = float(np.sum(np.abs(terms)))
-    if abs(t.imag) > TRACE_IMAG_TOL * scale:
-        warnings.warn(f"trace product has imaginary residue {t.imag}", stacklevel=2)
-    return float(t.real)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +589,7 @@ class StructuredPair:
 
     def q(self, s: float) -> float:
         """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], support convention."""
-        return diag_rank_one_trace_power(self, s)
+        return diag_rank_one_trace_power(self._terms, s)
 
     def helstrom(self, pi0: float) -> float:
         """Minimum error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)``, ``pi1 = 1 - pi0``.
@@ -658,13 +608,17 @@ class StructuredPair:
         return 0.5 * (1.0 - local.trace_abs() - off)
 
 
-def diag_rank_one_trace_power(pair: StructuredPair, s: float) -> float:
-    """``Tr( diag(d0)^s * rho1^{1-s} )`` for a :class:`StructuredPair`.
+def diag_rank_one_trace_power(terms, s: float) -> float:
+    """``Q_s = sum_k c_k a_k^s b_k^{1-s}`` over the terms ``(c, a, b)`` of a pair.
 
-    Both powers follow the support convention of :func:`support_powers`.  One
-    vectorized expression over the pair's cached terms, exact at ``s = 0`` and
-    ``s = 1`` too: for a factored pair about one per secular root and active
-    coordinate, at most 21 for an idler cutoff of 2, whatever the dimension.
+    ``a`` and ``b`` hold eigenvalues of ``rho0`` and ``rho1`` on their
+    supports and ``c`` the squared overlaps of the eigenvectors; a term off
+    either support is zero for every ``s`` under ``0^0 = 0`` and is left out
+    beforehand, so the sum is exact at ``s = 0`` and ``s = 1`` too.  Both lanes
+    evaluate here: the structured pair's :attr:`StructuredPair._terms` and the
+    dense overlap table.
     """
-    c, a, b = pair._terms
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s={s} outside [0, 1]")
+    c, a, b = terms
     return float(np.sum(c * a ** s * b ** (1.0 - s)))

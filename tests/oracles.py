@@ -216,6 +216,13 @@ def _support_pow(x, p, ref, support_tol=1e-12):
     return out
 
 
+def support_powers_ref(w, p, support_tol=1e-12):
+    """``w^p`` for the eigenvalues ``w`` above ``support_tol`` times their
+    largest, zero for the rest, so ``0^0 = 0`` off the support."""
+    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
+    return _support_pow(w, p, max(w.max(), 1e-300), support_tol)
+
+
 def q_flat_closed_form(theta, eta, k, idler, s):
     """``Q_s`` of the flat-background pair with ``k`` levels per signal mode.
 

@@ -15,11 +15,12 @@ from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
 from triqi.overlap_audit import audit_overlap
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            GOLDEN_POINT_TRACED, golden_sweep_spec)
-from triqi.spectral import rank_one_spectrum, support_powers
+from triqi.spectral import rank_one_spectrum
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
                           build_hypothesis_pair, flat_levels, three_photon_state)
 
-from oracles import QsGrid, dense_overlap_ref, helstrom_ref, qs_ref, trace_power_ref
+from oracles import (QsGrid, dense_overlap_ref, helstrom_ref, qs_ref, support_powers_ref,
+                     trace_power_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -65,6 +66,16 @@ def test_qs_golden_endpoints():
     # informative because rho0 is rank deficient
     assert q_s(GOLDEN_PAIR.rho0, GOLDEN_PAIR.rho1, 0.0) == pytest.approx(0.9990132624250361, abs=1e-12)
     assert q_s(GOLDEN_PAIR.rho0, GOLDEN_PAIR.rho1, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [math.nan, -0.5, 1.5])
+def test_qs_rejects_s_outside_unit_interval_in_both_lanes(s):
+    with pytest.raises(ValueError, match="outside"):
+        GOLDEN_PAIR.structured.q(s)
+    with pytest.raises(ValueError, match="outside"):
+        q_s(GOLDEN_PAIR.rho0, GOLDEN_PAIR.rho1, s)
+    with pytest.raises(ValueError, match="outside"):
+        q_s(dense_copy(GOLDEN_PAIR.rho0), dense_copy(GOLDEN_PAIR.rho1), s)
 
 
 def test_qs_symmetry():
@@ -348,17 +359,19 @@ def test_dense_lane_decomposes_each_operator_once(monkeypatch):
 def test_dense_overlap_blocks_match_dense_product(params):
     pair = build_hypothesis_pair(params)
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
-    context = _PairContext(d0, d1)
     es0, es1 = d0.eigensystem, d1.eigensystem
     table = dense_overlap_ref(es0.eigenvectors, es1.eigenvectors)
     # the per-block entries are the whole table: every other entry is zero
+    i, j, entries = spectral.overlap_terms(es0, es1)
     blocks = np.zeros_like(table)
-    blocks[context._i, context._j] = context._table
+    blocks[i, j] = entries
     assert np.abs(blocks - table).max() <= 1e-14
-    w0, w1 = np.clip(es0.eigenvalues, 0.0, None), np.clip(es1.eigenvalues, 0.0, None)
+    # the dense lane's support mask, applied once, gives the per-call powers
+    q = _PairContext(d0, d1).q
     for s in (0.0, 0.25, 0.5, 1.0):
-        ref = float(support_powers(w0, s) @ table @ support_powers(w1, 1.0 - s))
-        assert context.q(s) == pytest.approx(ref, abs=1e-14), s
+        ref = float(support_powers_ref(es0.eigenvalues, s) @ table
+                    @ support_powers_ref(es1.eigenvalues, 1.0 - s))
+        assert q(s) == pytest.approx(ref, abs=1e-14), s
 
 
 @pytest.mark.parametrize(
@@ -379,9 +392,6 @@ def test_pair_context_matches_full_pass_oracle(params):
     spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
     direct = _PairContext(pair.rho0, pair.rho1)
     swapped = _PairContext(pair.rho1, pair.rho0)
-    # hypothesis pairs share rho0's diagonal, so both take the once-per-pair mass
-    assert isinstance(direct._structured._inactive_mass, float) and not direct._swapped
-    assert isinstance(swapped._structured._inactive_mass, float) and swapped._swapped
     v = s1.vectors[:, 0]
     for s in np.linspace(0.0, 1.0, 21):
         s = float(s)

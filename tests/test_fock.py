@@ -5,8 +5,7 @@ from numpy.testing import assert_allclose
 
 from triqi import spectral
 from triqi.errors import DenseLimitError, NumericalError
-from triqi.fock import (DensityOperator, Ket, annihilation, as_diag_plus_low_rank,
-                        build_space, creation, number_operator, partial_trace,
+from triqi.fock import (DensityOperator, Ket, as_diag_plus_low_rank, build_space, partial_trace,
                         tensor_ket)
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.states import IDLER_VARIANTS, build_hypothesis_pair, three_photon_state
@@ -45,6 +44,15 @@ def test_dense_limit_guard():
         rho.to_dense()
 
 
+def test_dense_to_dense_returns_the_stored_read_only_matrix():
+    space = build_space(1, [3])
+    rho = DensityOperator.dense(space, np.diag([0.5, 0.3, 0.2]))
+    mat = rho.to_dense()
+    assert mat is rho.structure.matrix
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 1.0
+
+
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
        st.data())
 def test_index_bijection(cutoffs, data):
@@ -61,39 +69,6 @@ def test_index_convention_mode0_slowest():
     assert space.index_of((0, 0, 1)) == 1
     assert space.index_of((0, 1, 0)) == 6
     assert space.index_of((1, 0, 0)) == 36
-
-
-def test_annihilation_matrix_elements():
-    space = build_space(1, [6])
-    a = annihilation(space, 0).toarray()
-    e = lambda n: Ket.basis_state(space, (n,)).amplitudes
-    assert_allclose(a @ e(1), e(0), atol=1e-15)
-    assert_allclose(a @ e(4), 2.0 * e(3), atol=1e-15)
-    assert_allclose(a @ e(0), np.zeros(6), atol=1e-15)
-
-
-def test_number_operator_counts():
-    space = build_space(2, [4, 3])
-    for mode in range(2):
-        nop = number_operator(space, mode).toarray()
-        for idx in range(space.total_dim):
-            occ = space.occupations_of(idx)
-            vec = np.zeros(space.total_dim)
-            vec[idx] = 1.0
-            assert_allclose(nop @ vec, occ[mode] * vec, atol=1e-14)
-
-
-def test_creation_tops_out_at_cutoff():
-    space = build_space(1, [3])
-    adag = creation(space, 0).toarray()
-    top = Ket.basis_state(space, (2,)).amplitudes
-    assert_allclose(adag @ top, np.zeros(3), atol=1e-15)
-
-
-def test_annihilation_rejects_bad_mode():
-    space = build_space(2, [3, 3])
-    with pytest.raises(ValueError):
-        annihilation(space, 2)
 
 
 def test_tensor_ket_basis_states():

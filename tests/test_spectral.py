@@ -1,6 +1,5 @@
 import math
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from triqi.bounds import _shared_basis, helstrom_optimum, q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secular_roots, eigh,
-                            matrix_power, rank_one_spectrum, support_powers, trace_product)
+                            rank_one_spectrum)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
 from oracles import (components_ref, helstrom_ref, pair_arrays_ref, q_flat_closed_form, qs_ref,
@@ -146,113 +145,9 @@ def test_h1_spectrum_matches_golden_file():
     assert_allclose(spectrum.eigenvalues(), np.clip(golden, 0.0, None), atol=1e-12)
 
 
-def test_matrix_power_identity_case():
-    m = random_psd(6)
-    assert_allclose(matrix_power(m, 1.0), m, atol=1e-12)
-
-
-def test_matrix_power_pure_projector():
-    v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    v /= np.linalg.norm(v)
-    p = np.outer(v, v.conj())
-    for s in (0.25, 0.5, 1.0):
-        assert_allclose(matrix_power(p, s), p, atol=1e-12)
-
-
-def test_matrix_power_support_projector():
-    m = np.diag([0.5, 0.5, 0.0])
-    assert_allclose(matrix_power(m, 0.0), np.diag([1.0, 1.0, 0.0]), atol=1e-14)
-
-
-def test_matrix_power_complement_reconstructs():
-    m = random_psd(8)
-    for s in (0.3, 0.5, 0.9):
-        prod = matrix_power(m, s) @ matrix_power(m, 1 - s)
-        assert np.abs(prod - m).max() <= 1e-10
-
-
-def test_matrix_power_rejects_negative_spectrum():
-    with pytest.raises(NumericalError):
-        matrix_power(np.diag([1.0, -0.1]), 0.5)
-    with pytest.raises(ValueError):
-        matrix_power(np.eye(2), 1.5)
-
-
-def test_support_powers_convention():
-    w = np.array([0.0, 1e-20, 0.5, 1.0])
-    assert_allclose(support_powers(w, 0.0), [0, 0, 1, 1])
-    assert_allclose(support_powers(w, 0.5), [0, 0, np.sqrt(0.5), 1.0])
-
-
-def test_trace_product_unit_trace():
-    m = random_psd(6)
-    support = matrix_power(m, 0.0)
-    assert trace_product(m, support) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_trace_product_pure_overlap():
-    space_dim = 4
-    a = rng.normal(size=space_dim) + 1j * rng.normal(size=space_dim)
-    b = rng.normal(size=space_dim) + 1j * rng.normal(size=space_dim)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    pa, pb = np.outer(a, a.conj()), np.outer(b, b.conj())
-    assert trace_product(pa, pb) == pytest.approx(abs(np.vdot(a, b)) ** 2, abs=1e-12)
-
-
-def test_trace_product_shape_mismatch():
-    with pytest.raises(ValueError):
-        trace_product(np.eye(2), np.eye(3))
-
-
-def test_trace_product_golden_half_powers():
-    pair = build_hypothesis_pair(GOLDEN_POINT)
-    r0, r1 = pair.rho0.to_dense(), pair.rho1.to_dense()
-    val = trace_product(matrix_power(r0, 0.5), matrix_power(r1, 0.5))
-    assert val == pytest.approx(0.996920494113427, abs=1e-12)
-    assert val == pytest.approx(qs_ref(r0, r1, 0.5), abs=1e-12)
-
-
-def test_half_power_trace_recovers_trace():
-    for rho in (random_psd(7), np.diag([0.25, 0.75, 0.0])):
-        half = matrix_power(rho, 0.5)
-        assert trace_product(half, half) == pytest.approx(np.trace(rho).real, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # rank-one secular spectra
 # ---------------------------------------------------------------------------
-
-def test_matrix_power_accepts_density_operator(monkeypatch):
-    pair = build_hypothesis_pair(GOLDEN_POINT)
-    direct = matrix_power(pair.rho1, 0.5)
-    assert_allclose(direct, matrix_power(pair.rho1.to_dense(), 0.5), atol=1e-14)
-    # further powers of the operator read its cached eigensystem
-    calls = []
-    monkeypatch.setattr(spectral, "eigh", lambda *args: calls.append(args))
-    assert_allclose(matrix_power(pair.rho1, 0.5), direct, rtol=0, atol=0)
-    matrix_power(pair.rho1, 0.0)
-    assert calls == []
-
-
-def test_trace_product_warns_on_imaginary_residue():
-    with pytest.warns(UserWarning, match="imaginary residue"):
-        trace_product(np.array([[0, 1j], [0, 0]]), np.array([[0, 0], [1, 0]]))
-
-
-def test_trace_product_silent_on_hermitian_pairs():
-    gen = np.random.default_rng(7)
-    a = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
-    b = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
-    a, b = a + a.conj().T, b + b.conj().T
-    # trace-orthogonal, so |Tr(AB)| itself sits at the rounding level
-    b -= (np.trace(a @ b).real / np.trace(a @ a).real) * a
-    pairs = [(np.array([[0, 1j], [-1j, 0]]), np.array([[0, 1], [1, 0]])), (a, b)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x, y in pairs:
-            trace_product(x, y)
-
 
 def test_sqrt_rank_one_commuting_closed_form():
     n = 8

@@ -132,6 +132,8 @@ def test_mean_photon_number():
     k = three_photon_state(theta, space)
     for mode in range(3):
         assert mean_photon_number(k, mode) == pytest.approx(np.sin(theta) ** 2, abs=1e-15)
+    with pytest.raises(ValueError, match="out of range"):
+        mean_photon_number(k, 3)
     ev = evolve_exact(0.1, 12)
     n_exact = mean_photon_number(ev.ket, 0)
     assert abs(n_exact - 0.01) <= 0.1 ** 3

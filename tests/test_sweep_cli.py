@@ -1,6 +1,8 @@
+import ast
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -150,9 +152,9 @@ def test_golden_sweep_secular_iterations(monkeypatch):
 
 
 def test_import_and_golden_sweep_load_no_scipy(tmp_path):
-    # scipy is imported only by the ladder-operator helpers; importing it
-    # costs more than a whole golden sweep.  The dense lane splits matrices
-    # into components without scipy's graph search.
+    # numpy is the only runtime dependency: importing scipy costs more than
+    # a whole golden sweep, and only the test oracles use it.  The dense lane
+    # splits matrices into components without scipy's graph search.
     argv = ["sweep", "--config", "golden", "--out", str(tmp_path / "g.csv")]
     code = (
         "import sys\n"
@@ -174,6 +176,22 @@ def test_import_and_golden_sweep_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
     assert (tmp_path / "g.csv").read_text().startswith("eta,")
+
+
+def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
+    for path in sorted(Path(triqi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            assert all(m.split(".")[0] != "scipy" for m in modules), f"{path.name}:{node.lineno}"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    runtime, test = ([re.match(r"[\w.-]+", dep).group() for dep in deps]
+                     for deps in (project["dependencies"], project["optional-dependencies"]["test"]))
+    assert runtime == ["numpy"]
+    assert "scipy" in test
 
 
 def test_sweep_row_types_linalg_and_memory_failures(monkeypatch):
