@@ -40,28 +40,26 @@ GAUSSIAN_REGIME_NOTE = (
 def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[StructuredPair | None, bool]:
     """Detect whether a user-supplied pair shares one structured basis.
 
-    Returns the pair as a :class:`StructuredPair` and whether it had to swap
-    the arguments, which happens when the rank-one term sits on ``rho0``;
-    ``(None, False)`` when the pair has no such basis, or when the diagonal
-    part of the operator with the rank-one term is not a scaled copy of the
-    other operator's diagonal, element for element.
+    Returns the :class:`StructuredPair` held by the operator with the rank-one
+    term and whether it had to swap the arguments, which happens when that
+    term sits on ``rho0``.  The other operator must have no rank-one term,
+    scale 1, the same per-mode rotations and factors equal to the pair's,
+    array for array; otherwise ``(None, False)``.
     """
     try:
         s0 = as_diag_plus_low_rank(rho0).structure
         s1 = as_diag_plus_low_rank(rho1).structure
     except NumericalError:
         return None, False
-    swapped = s0.rank == 1 and s1.rank == 0
+    swapped = s0.pair.v_index.size > 0 and s1.pair.v_index.size == 0
     if swapped:
         s0, s1 = s1, s0
-    if s0.rank > 0 or s1.rank > 1 or not same_rotations(s0, s1):
+    p0, p1 = s0.pair, s1.pair
+    if (p0.v_index.size > 0 or p0.scale != 1.0 or len(p0.factors) != len(p1.factors)
+            or not all(np.array_equal(a, b) for a, b in zip(p0.factors, p1.factors))
+            or not same_rotations(s0, s1)):
         return None, False
-    d0 = s0.diag_scale * s0.diag
-    if not np.array_equal(d0, s1.diag):
-        return None, False
-    weight = s1.weights[0] if s1.rank == 1 else 0.0
-    vec = s1.vectors[:, 0] if s1.rank == 1 else np.zeros_like(d0, dtype=complex)
-    return StructuredPair.from_arrays(d0, s1.diag_scale, weight, vec), swapped
+    return p1, swapped
 
 
 def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
@@ -201,6 +199,7 @@ def povm_error(rho0: DensityOperator, rho1: DensityOperator,
     """
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"prior pi0={pi0} outside [0, 1]")
+    _check_space(rho0, rho1)
     e0 = np.asarray(e0, dtype=complex)
     e1 = np.asarray(e1, dtype=complex)
     dim = rho0.space.total_dim

@@ -164,23 +164,18 @@ class TensorProduct:
 
 @dataclass(frozen=True)
 class DiagPlusLowRank:
-    """Operator ``diag_scale * diag(diag) + sum_r weights[r] v_r v_r^dag``.
+    """Operator ``R (scale diag(d0) + weight v v^dag) R^dag`` of a structured
+    pair ``pair``: its diagonal ``d0 = kron(*pair.factors)``, ``scale``,
+    ``weight`` and sparse ``v`` (see :class:`spectral.StructuredPair`), held
+    without any array of the full dimension.
 
-    ``diag`` and the columns of ``vectors`` live in the structure's own basis.
-    ``mode_rotations`` maps that basis back to the Fock basis, one unitary
-    per mode (None meaning identity on that mode); the represented operator is
-    ``R S R^dag`` with ``R`` the kron of the rotations.
+    ``mode_rotations`` maps the structure's own basis back to the Fock basis,
+    one unitary per mode (None meaning identity on that mode); ``R`` is their
+    kron.
     """
 
-    diag: np.ndarray
-    diag_scale: float
-    weights: tuple[float, ...]
-    vectors: np.ndarray  # shape (dim, r)
+    pair: spectral.StructuredPair
     mode_rotations: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -232,26 +227,18 @@ class DensityOperator:
         return cls(space, TensorProduct(tuple(flat)), trace_normalized)
 
     @classmethod
-    def diag_plus_low_rank(cls, space: SpaceDescriptor, diag, diag_scale: float,
-                           weights, vectors, mode_rotations=None,
-                           trace_normalized: bool = True) -> "DensityOperator":
-        d = np.asarray(diag, dtype=float)
-        vecs = np.asarray(vectors, dtype=complex)
-        if vecs.ndim == 1:
-            vecs = vecs[:, None]
-        if d.shape != (space.total_dim,) or vecs.shape[0] != space.total_dim:
-            raise ValueError("diagonal/vector dimensions do not match the space")
+    def diag_plus_low_rank(cls, space: SpaceDescriptor, pair: spectral.StructuredPair,
+                           mode_rotations=None, trace_normalized: bool = True) -> "DensityOperator":
+        if pair.dim != space.total_dim:
+            raise ValueError(f"pair dimension {pair.dim} does not match the space "
+                             f"({space.total_dim})")
         rotations = (None,) * space.modes if mode_rotations is None else tuple(mode_rotations)
         if len(rotations) != space.modes:
             raise ValueError(f"expected {space.modes} mode rotations, got {len(rotations)}")
-        d.setflags(write=False)
-        vecs.setflags(write=False)
         for rot in rotations:
             if rot is not None:
                 rot.setflags(write=False)
-        structure = DiagPlusLowRank(d, float(diag_scale), tuple(float(w) for w in weights),
-                                    vecs, rotations)
-        return cls(space, structure, trace_normalized)
+        return cls(space, DiagPlusLowRank(pair, rotations), trace_normalized)
 
     # -- basic queries -------------------------------------------------------
 
@@ -264,10 +251,10 @@ class DensityOperator:
         if isinstance(s, TensorProduct):
             return float(np.prod([f.trace() for f in s.factors]))
         if isinstance(s, DiagPlusLowRank):
-            t = s.diag_scale * float(np.sum(s.diag))
-            for w, col in zip(s.weights, s.vectors.T):
-                t += w * float(np.real(np.vdot(col, col)))
-            return t
+            # summed over the kron, O(dim), so that it rounds as the dense trace
+            p = s.pair
+            return p.scale * float(np.sum(reduce(np.kron, p.factors))) \
+                + p.weight * float(np.sum(np.abs(p.v_value) ** 2))
         raise TypeError(f"unknown structure {type(s)}")
 
     def to_dense(self) -> np.ndarray:
@@ -285,9 +272,9 @@ class DensityOperator:
         if isinstance(s, TensorProduct):
             return reduce(np.kron, [f.to_dense() for f in s.factors])
         if isinstance(s, DiagPlusLowRank):
-            mat = np.diag(s.diag_scale * s.diag.astype(complex))
-            for w, col in zip(s.weights, s.vectors.T):
-                mat += w * np.outer(col, col.conj())
+            p = s.pair
+            mat = np.diag(p.scale * reduce(np.kron, p.factors).astype(complex))
+            mat[np.ix_(p.v_index, p.v_index)] += p.weight * np.outer(p.v_value, p.v_value.conj())
             # R M R^dag one mode at a time: row axis m by R, column axis n + m
             # by conj(R), O(dim^2 c_m) each instead of O(dim^3) with kron(R)
             cut, n = self.space.cutoffs, self.space.modes
@@ -321,8 +308,10 @@ class DensityOperator:
             for f in s.factors:
                 DensityOperator(f.space, f.structure, trace_normalized=False).validate()
         elif isinstance(s, DiagPlusLowRank):
-            self._check_diag_psd(s.diag_scale * s.diag)
-            if any(w < 0 for w in s.weights):
+            # the kron's least entry over its largest is its worst factor's
+            for f in s.pair.factors:
+                self._check_diag_psd(s.pair.scale * f)
+            if s.pair.weight < 0:
                 raise NumericalError("negative low-rank weight breaks positive semidefiniteness")
         else:
             mat = self.to_dense()
@@ -381,15 +370,16 @@ def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
     """Re-express a compatible operator as DiagPlusLowRank in its own eigenbasis.
 
     Diagonal operators and tensor products convert through
-    :func:`factor_eigensystems`.  The result has no low-rank terms, only the
-    eigen-diagonal plus the per-mode rotations.
+    :func:`factor_eigensystems`, in O(cutoff).  The result has no rank-one
+    term: its pair holds the factor eigenvalues at scale 1, and the per-mode
+    rotations.
     """
     if isinstance(rho.structure, DiagPlusLowRank):
         return rho
     eigenvalues, rotations = factor_eigensystems(rho)
-    return DensityOperator.diag_plus_low_rank(
-        rho.space, reduce(np.kron, eigenvalues), 1.0, (), np.zeros((rho.space.total_dim, 0)),
-        mode_rotations=rotations, trace_normalized=rho.trace_normalized)
+    pair = spectral.StructuredPair(eigenvalues, 1.0, 0.0, np.zeros(0, dtype=int),
+                                   np.zeros(0, dtype=complex))
+    return DensityOperator.diag_plus_low_rank(rho.space, pair, rotations, rho.trace_normalized)
 
 
 def same_rotations(a, b) -> bool:

@@ -490,16 +490,6 @@ class StructuredPair:
         for arr in (*self.factors, self.v_index, self.v_value):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_arrays(cls, d0, scale: float, weight: float, v) -> "StructuredPair":
-        """The pair of an explicit diagonal ``d0`` and dense ``v``, read in O(dim)."""
-        d0 = np.asarray(d0, dtype=float)
-        v = np.asarray(v, dtype=complex)
-        if d0.shape != v.shape:
-            raise ValueError("diagonal dimension mismatch")
-        index = np.flatnonzero(v)
-        return cls((d0,), float(scale), float(weight), index, v[index])
-
     @property
     def dim(self) -> int:
         return math.prod(len(f) for f in self.factors)

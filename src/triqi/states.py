@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +90,9 @@ class ProtocolParams:
                 or self.nbar2 <= 0 or self.nbar3 <= 0:
             raise ValueError("background mean photon numbers must be finite and positive, "
                              f"got {self.nbar2}, {self.nbar3}")
-        if math.isnan(self.tail_bound):
-            raise ValueError("tail_bound must not be NaN")
+        if not self.tail_bound > 0:
+            raise ValueError(f"tail_bound must be positive (inf disables the check), "
+                             f"got {self.tail_bound}")
         if self.background not in BACKGROUND_VARIANTS:
             raise ValueError(f"background must be one of {BACKGROUND_VARIANTS}")
         if self.idler not in IDLER_VARIANTS:
@@ -367,9 +367,11 @@ def hypothesis_h0(params: ProtocolParams) -> DensityOperator:
 def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
     """Target-present state ``(1 - eta) rho0 + eta |Psi><Psi|``.
 
-    Represented as DiagPlusLowRank over the eigenbasis of the target-absent
-    state: the base diagonal is shared with rho0's and only scaled by
-    ``1 - eta``, and the triplet projector enters as the single rank-one term.
+    The ``rho1`` of :func:`build_hypothesis_pair`: a DiagPlusLowRank operator
+    holding the pair's :class:`StructuredPair` in the eigenbasis of the
+    target-absent state (its diagonal shared with rho0's and scaled by
+    ``1 - eta``, the triplet projector as the single rank-one term) and rho0's
+    per-mode rotations.
     """
     return build_hypothesis_pair(params).rho1
 
@@ -378,40 +380,36 @@ def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
 class HypothesisPair:
     """The two discrimination hypotheses plus the parameters that built them.
 
-    ``structured`` is the pair in rho0's eigenbasis, held without any array of
-    the full dimension; every bound and the principal root overlap read it.
-    ``rho0`` is a tensor product of per-mode factors.  ``rho1``, the
-    DiagPlusLowRank form that the dense lane and ``to_dense`` read, is built
-    on first access only.
+    ``rho0`` is a tensor product of per-mode factors.  ``rho1`` is a
+    DiagPlusLowRank operator over rho0's eigenbasis, and ``structured``, the
+    :class:`StructuredPair` it holds, is the pair in that basis without any
+    array of the full dimension; every bound and the principal root overlap
+    read it.
     """
 
     params: ProtocolParams
     rho0: DensityOperator
-    structured: StructuredPair
-    mode_rotations: tuple
+    rho1: DensityOperator
 
-    @cached_property
-    def rho1(self) -> DensityOperator:
-        sp = self.structured
-        v = np.zeros(sp.dim, dtype=complex)
-        v[sp.v_index] = sp.v_value
-        return DensityOperator.diag_plus_low_rank(
-            self.rho0.space, reduce(np.kron, sp.factors), sp.scale, (sp.weight,), v,
-            mode_rotations=self.mode_rotations)
+    @property
+    def structured(self) -> StructuredPair:
+        return self.rho1.structure.pair
 
     def with_eta(self, eta: float) -> "HypothesisPair":
         """The pair at another eta, sharing rho0, its eigenbasis and the rotated triplet."""
-        params = replace(self.params, eta=eta)
         sp = self.structured
-        return HypothesisPair(params, self.rho0, _mix(params, sp.factors, sp.v_index, sp.v_value),
-                              self.mode_rotations)
+        return _mix(replace(self.params, eta=eta), self.rho0, sp.factors,
+                    self.rho1.structure.mode_rotations, sp.v_index, sp.v_value)
 
 
-def _mix(params: ProtocolParams, factors, v_index: np.ndarray,
-         v_value: np.ndarray) -> StructuredPair:
+def _mix(params: ProtocolParams, rho0: DensityOperator, factors, rotations,
+         v_index: np.ndarray, v_value: np.ndarray) -> HypothesisPair:
     """``rho1 = (1 - eta) rho0 + eta |Psi><Psi|`` in rho0's eigenbasis, whose
-    diagonal is ``kron(*factors)``, with the triplet's nonzero entries there."""
-    return StructuredPair(factors, 1.0 - params.eta, params.eta, v_index, v_value)
+    diagonal is ``kron(*factors)`` and whose per-mode ``rotations`` map it
+    back to the Fock basis, with the triplet's nonzero entries there."""
+    sp = StructuredPair(factors, 1.0 - params.eta, params.eta, v_index, v_value)
+    return HypothesisPair(params, rho0,
+                          DensityOperator.diag_plus_low_rank(rho0.space, sp, rotations))
 
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
@@ -433,5 +431,4 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
     index = np.ravel_multi_index((k, n, n), cutoffs).ravel()
     value = (idler_rotation[:2].conj().T * amplitudes).ravel()
     keep = np.flatnonzero(value)
-    return HypothesisPair(params, rho0, _mix(params, eigenvalues, index[keep], value[keep]),
-                          rotations)
+    return _mix(params, rho0, eigenvalues, rotations, index[keep], value[keep])

@@ -5,6 +5,7 @@ formulas, separately from the package's own evaluation paths.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -119,12 +120,22 @@ def partial_trace_ref(mat, dims, keep):
     return tensor.reshape(d, d)
 
 
+def pair_full_arrays_ref(pair):
+    """``d0`` and ``v`` of a StructuredPair at the full dimension: the kron of
+    its factors and its sparse entries scattered into a zero vector."""
+    d0 = reduce(np.kron, pair.factors)
+    v = np.zeros(len(d0), dtype=complex)
+    v[pair.v_index] = pair.v_value
+    return d0, v
+
+
 def rotated_dense_ref(structure, cutoffs):
-    """Dense ``R M R^dag`` of a DiagPlusLowRank structure with ``R`` the full
-    Kronecker product of its mode rotations (identity where None)."""
-    mat = np.diag(structure.diag_scale * structure.diag).astype(complex)
-    for w, col in zip(structure.weights, structure.vectors.T):
-        mat += w * np.outer(col, col.conj())
+    """Dense ``R (scale diag(d0) + weight v v^dag) R^dag`` of a DiagPlusLowRank
+    structure, with its pair's full arrays and ``R`` the full Kronecker
+    product of its mode rotations (identity where None)."""
+    pair = structure.pair
+    d0, v = pair_full_arrays_ref(pair)
+    mat = np.diag(pair.scale * d0).astype(complex) + pair.weight * np.outer(v, v.conj())
     rot = np.eye(1)
     for c, r in zip(cutoffs, structure.mode_rotations):
         rot = np.kron(rot, np.eye(c) if r is None else r)

@@ -11,16 +11,16 @@ from triqi.bounds import (_PairContext, advantage_ratio, bhattacharyya_bound,
                           chernoff, error_bound_2gamma, error_bound_3gamma,
                           evaluate_point, helstrom_optimum, povm_error, q_s)
 from triqi.errors import NumericalError, RegimeWarning
-from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
+from triqi.fock import DensityOperator, build_space
 from triqi.overlap_audit import audit_overlap
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            GOLDEN_POINT_TRACED, golden_sweep_spec)
 from triqi.spectral import rank_one_spectrum
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
-                          build_hypothesis_pair, flat_levels, three_photon_state)
+                          build_hypothesis_pair, flat_levels, hypothesis_h1, three_photon_state)
 
-from oracles import (QsGrid, dense_overlap_ref, helstrom_ref, qs_ref, support_powers_ref,
-                     trace_power_ref)
+from oracles import (QsGrid, dense_overlap_ref, helstrom_ref, pair_full_arrays_ref, qs_ref,
+                     support_powers_ref, trace_power_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -117,7 +117,10 @@ def test_helstrom_space_mismatch():
             helstrom_optimum(a, b)
         with pytest.raises(ValueError, match="space mismatch"):
             helstrom_optimum(dense_copy(a), dense_copy(b))
+        with pytest.raises(ValueError, match="space mismatch"):
+            povm_error(a, b, np.eye(6), np.zeros((6, 6)))
     assert helstrom_optimum(rho_a, rho_a) == pytest.approx(0.5, abs=1e-15)
+    assert povm_error(rho_a, rho_a, np.eye(6), np.zeros((6, 6))) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_chernoff_identical_states():
@@ -386,13 +389,11 @@ def test_dense_overlap_blocks_match_dense_product(params):
     + ["golden_eta0", "golden_eta1", "sweep_thermal_nbar20"])
 def test_pair_context_matches_full_pass_oracle(params):
     pair = build_hypothesis_pair(params)
-    s0 = as_diag_plus_low_rank(pair.rho0).structure
-    s1 = pair.rho1.structure
-    d0 = s0.diag_scale * s0.diag
-    spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    sp = pair.structured
+    d0, v = pair_full_arrays_ref(sp)
+    spectrum = rank_one_spectrum(d0, sp.scale, sp.weight, v)
     direct = _PairContext(pair.rho0, pair.rho1)
     swapped = _PairContext(pair.rho1, pair.rho0)
-    v = s1.vectors[:, 0]
     for s in np.linspace(0.0, 1.0, 21):
         s = float(s)
         assert direct.q(s) == pytest.approx(trace_power_ref(d0, v, spectrum, s), rel=1e-13), s
@@ -445,7 +446,19 @@ def test_thermal_point_allocates_no_array_of_the_full_dimension():
             evaluate_point(params, pair=pair)
             audit_overlap(params, pair=pair, fit_gap=True)
             evaluate_point(params)
+            # the operator-level entry points on the pair's own operators
+            rho0, rho1 = pair.rho0, pair.rho1
+            hypothesis_h1(params)
+            grid = [float(s) for s in np.linspace(0.0, 1.0, 21)]
+            forward = [q_s(rho0, rho1, s) for s in grid]
+            reverse = [q_s(rho1, rho0, s) for s in grid]
+            chernoff(rho0, rho1)
+            chernoff(rho1, rho0)
+            helstrom_optimum(rho0, rho1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+    # the detector hands back the pair itself, so q_s reads the same sum
+    assert forward == [pair.structured.q(s) for s in grid]
+    assert reverse == pytest.approx([pair.structured.q(1.0 - s) for s in grid], rel=1e-12)

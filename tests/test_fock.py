@@ -168,7 +168,7 @@ def test_rotated_to_dense_matches_kron_oracle(point, idler):
     assert_allclose(rho1.to_dense(), expected, rtol=0, atol=1e-14)
 
 
-def test_rotated_to_dense_two_rotated_modes_rank_two():
+def test_rotated_to_dense_two_rotated_modes_rank_one():
     rng = np.random.default_rng(7)
     cutoffs = (3, 2, 4)
     space = build_space(3, cutoffs)
@@ -177,25 +177,31 @@ def test_rotated_to_dense_two_rotated_modes_rank_two():
         q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    vectors = rng.normal(size=(24, 2)) + 1j * rng.normal(size=(24, 2))
+    factors = tuple(rng.uniform(size=c) for c in cutoffs)
+    index = np.array([0, 5, 11, 23])
+    pair = spectral.StructuredPair(factors, 0.7, 0.2, index,
+                                   rng.normal(size=4) + 1j * rng.normal(size=4))
     rho = DensityOperator.diag_plus_low_rank(
-        space, rng.uniform(size=24), 0.7, (0.2, 0.05), vectors,
-        mode_rotations=(unitary(3), None, unitary(4)), trace_normalized=False)
+        space, pair, mode_rotations=(unitary(3), None, unitary(4)), trace_normalized=False)
+    assert rho.structure.pair is pair
     expected = rotated_dense_ref(rho.structure, cutoffs)
     assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
+    assert rho.trace() == pytest.approx(np.trace(expected).real, rel=1e-14)
 
 
 def test_diag_plus_low_rank_one_rotation_per_mode():
     space = build_space(3, (2, 2, 2))
-    diag, vectors = np.full(8, 0.125), np.zeros((8, 0))
+    pair = spectral.StructuredPair((np.full(2, 0.5),) * 3, 1.0, 0.0, np.zeros(0, dtype=int),
+                                   np.zeros(0, dtype=complex))
     # no rotations means the identity on every mode
-    rho = DensityOperator.diag_plus_low_rank(space, diag, 1.0, (), vectors)
+    rho = DensityOperator.diag_plus_low_rank(space, pair)
     assert rho.structure.mode_rotations == (None, None, None)
     assert_allclose(rho.to_dense(), np.eye(8) / 8, rtol=0, atol=0)
     for rotations in ((None, None), (np.eye(2),) * 4):
         with pytest.raises(ValueError, match="expected 3 mode rotations"):
-            DensityOperator.diag_plus_low_rank(space, diag, 1.0, (), vectors,
-                                               mode_rotations=rotations)
+            DensityOperator.diag_plus_low_rank(space, pair, mode_rotations=rotations)
+    with pytest.raises(ValueError, match="pair dimension 8"):
+        DensityOperator.diag_plus_low_rank(build_space(2, (2, 2)), pair)
 
 
 def test_partial_trace_rejects_empty_keep():

@@ -17,8 +17,8 @@ from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secu
                             rank_one_spectrum)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
-from oracles import (components_ref, helstrom_ref, pair_arrays_ref, q_flat_closed_form, qs_ref,
-                     thermal_probs_ref, trace_power_ref)
+from oracles import (components_ref, helstrom_ref, pair_arrays_ref, pair_full_arrays_ref,
+                     q_flat_closed_form, qs_ref, thermal_probs_ref, trace_power_ref)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -130,8 +130,8 @@ def test_h0_spectrum_matches_golden_file():
     es = eigh(pair.rho0.to_dense())
     assert_allclose(es.eigenvalues, golden, atol=1e-13)
     # the structured representation carries the same spectrum as its diagonal
-    structured = as_diag_plus_low_rank(pair.rho0)
-    assert_allclose(np.sort(structured.structure.diag), golden, atol=1e-13)
+    d0, _ = pair_full_arrays_ref(as_diag_plus_low_rank(pair.rho0).structure.pair)
+    assert_allclose(np.sort(d0), golden, atol=1e-13)
 
 
 def test_h1_spectrum_matches_golden_file():
@@ -140,8 +140,9 @@ def test_h1_spectrum_matches_golden_file():
     es = eigh(pair.rho1.to_dense())
     assert_allclose(es.eigenvalues, golden, atol=1e-13)
     # the secular path reproduces the same full spectrum without materializing
-    s1 = pair.rho1.structure
-    spectrum = rank_one_spectrum(s1.diag, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    sp = pair.structured
+    d0, v = pair_full_arrays_ref(sp)
+    spectrum = rank_one_spectrum(d0, sp.scale, sp.weight, v)
     assert_allclose(spectrum.eigenvalues(), np.clip(golden, 0.0, None), atol=1e-12)
 
 
@@ -316,32 +317,41 @@ STRUCTURED_CHECK_S = (0.0, 0.25, 0.5, 1.0)
 def test_structured_vs_dense_q_half(params):
     pair = build_hypothesis_pair(params)
     assert pair.rho0.space.total_dim <= 1000
-    s0 = as_diag_plus_low_rank(pair.rho0).structure
-    s1 = pair.rho1.structure
-    d0 = s0.diag_scale * s0.diag
-    assert np.array_equal(d0, s1.diag)
-    structured_pair = StructuredPair.from_arrays(d0, s1.diag_scale, s1.weights[0], s1.vectors[:, 0])
+    sp = pair.structured
+    d0, v = pair_full_arrays_ref(sp)
+    converted = as_diag_plus_low_rank(pair.rho0).structure.pair
+    assert np.array_equal(pair_full_arrays_ref(converted)[0], d0)
+    index = np.flatnonzero(v)
+    explicit = StructuredPair((d0,), sp.scale, sp.weight, index, v[index])
     m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
     for s in STRUCTURED_CHECK_S:
         dense = qs_ref(m0, m1, s)
         # the pair from explicit arrays and the factored pair of the build
-        assert structured_pair.q(s) == pytest.approx(dense, abs=1e-10), s
-        assert pair.structured.q(s) == pytest.approx(dense, abs=1e-10), s
+        assert explicit.q(s) == pytest.approx(dense, abs=1e-10), s
+        assert sp.q(s) == pytest.approx(dense, abs=1e-10), s
+        # the detector hands back the build's own pair
+        assert q_s(pair.rho0, pair.rho1, s) == sp.q(s), s
 
 
 def test_structured_vs_dense_distinct_diagonals():
     # rho1's diagonal is not rho0's: no structured pair has that shape, so the
     # pair is not detected and the dense lane answers, up to the dense limit
     pair = build_hypothesis_pair(GOLDEN_POINT)
-    s1 = pair.rho1.structure
+    sp, s1 = pair.structured, pair.rho1.structure
+    d0, _ = pair_full_arrays_ref(sp)
 
-    def rolled(dense_limit):
+    def rolled(dense_limit, shift=5):
         space = replace(pair.rho1.space, dense_limit=dense_limit)
         rho0 = DensityOperator(space, pair.rho0.structure)
-        rho1 = DensityOperator.diag_plus_low_rank(space, np.roll(s1.diag, 5), s1.diag_scale,
-                                                  s1.weights, s1.vectors,
-                                                  mode_rotations=s1.mode_rotations)
-        return rho0, rho1
+        flat = StructuredPair((np.roll(d0, shift),), sp.scale, sp.weight, sp.v_index, sp.v_value)
+        return rho0, DensityOperator.diag_plus_low_rank(space, flat, s1.mode_rotations)
+
+    # rho0's own diagonal held as one flat factor is not rho0's per-mode
+    # factors either: the dense lane answers, with the same numbers
+    rho0, flat = rolled(pair.rho1.space.dense_limit, shift=0)
+    assert _shared_basis(rho0, flat) == (None, False)
+    assert np.array_equal(flat.to_dense(), pair.rho1.to_dense())
+    assert q_s(rho0, flat, 0.5) == pytest.approx(sp.q(0.5), abs=1e-10)
 
     rho0, rho1 = rolled(pair.rho1.space.dense_limit)
     assert _shared_basis(rho0, rho1) == (None, False)

@@ -44,7 +44,8 @@ def test_params_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("theta", math.nan), ("theta", math.inf), ("nbar2", math.nan), ("nbar3", math.nan),
-    ("nbar2", math.inf), ("nbar3", math.inf), ("tail_bound", math.nan)])
+    ("nbar2", math.inf), ("nbar3", math.inf), ("tail_bound", math.nan),
+    ("tail_bound", 0.0), ("tail_bound", -1.0)])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError):
         GOLDEN_POINT.with_updates(**{field: value})
@@ -269,13 +270,18 @@ def test_hypothesis_pair_arrays_are_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0
     # the structured pair holds rho1's diagonal as per-mode factors and its
-    # triplet as the nonzero entries only; rho1 is built from them on demand
+    # triplet as the nonzero entries only; rho1 holds that pair itself
+    assert [f.name for f in fields(pair)] == ["params", "rho0", "rho1"]
     assert [f.name for f in fields(sp)] == ["factors", "scale", "weight", "v_index", "v_value"]
     assert len(sp.factors) == 3
-    s1 = pair.rho1.structure
-    assert np.array_equal(s1.diag, np.kron(np.kron(*sp.factors[:2]), sp.factors[2]))
-    assert np.array_equal(np.flatnonzero(s1.vectors[:, 0]), sp.v_index)
-    assert np.array_equal(s1.vectors[sp.v_index, 0], sp.v_value)
+    assert pair.rho1.structure.pair is sp
+    assert np.count_nonzero(sp.v_value) == len(sp.v_index)
+    # with_eta keeps rho0, the factors, the rotations and the triplet
+    other = pair.with_eta(0.3)
+    assert other.rho0 is pair.rho0 and other.structured.factors is sp.factors
+    assert other.rho1.structure.mode_rotations is pair.rho1.structure.mode_rotations
+    assert other.structured.v_value is sp.v_value
+    assert (other.structured.scale, other.structured.weight) == (0.7, 0.3)
 
 
 def test_hypothesis_h1_affine_in_eta():

@@ -358,6 +358,14 @@ def test_nan_tolerance_is_a_usage_error(capsys):
     assert "tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tail_bound", ["0", "-1"])
+def test_non_positive_tail_bound_is_a_usage_error(capsys, tail_bound):
+    # auto_cutoff takes log(tail_bound): the parameters reject it first, by name
+    code = main(["chernoff", "--tail-bound", tail_bound])
+    assert code == 1
+    assert "tail_bound must be positive (inf disables the check), got" in capsys.readouterr().err
+
+
 def test_cli_strict_regime_exit_code(capsys):
     # nbar=3 violates the high-noise regime; --strict makes that fatal
     code = main(["chernoff", "--theta", "0.1", "--eta", "0.05", "--nbar2", "3",
