@@ -18,7 +18,7 @@ from .errors import NumericalError, RegimeWarning
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
 # eigh is unused here but stays bound for callers that reach it as bounds.eigh
 from .spectral import (SUPPORT_TOL, StructuredPair, diag_rank_one_trace_power, eigh,  # noqa: F401
-                       eigvalsh, overlap_terms)
+                       eigvalsh, eigvalsh_difference, overlap_terms)
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -186,8 +186,8 @@ def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 
     if structured is not None:
         # the trace norm is even under negation, so swapped roles swap the priors
         return structured.helstrom(1.0 - pi0 if swapped else pi0)
-    diff = (1.0 - pi0) * rho1.to_dense() - pi0 * rho0.to_dense()
-    return 0.5 * (1.0 - float(np.sum(np.abs(eigvalsh(diff)))))
+    eigs = eigvalsh_difference(1.0 - pi0, rho1.to_dense(), pi0, rho0.to_dense())
+    return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
 
 
 def povm_error(rho0: DensityOperator, rho1: DensityOperator,

@@ -9,6 +9,7 @@ for per-mode cutoffs ``(c_0, ..., c_{M-1})``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -251,9 +252,8 @@ class DensityOperator:
         if isinstance(s, TensorProduct):
             return float(np.prod([f.trace() for f in s.factors]))
         if isinstance(s, DiagPlusLowRank):
-            # summed over the kron, O(dim), so that it rounds as the dense trace
             p = s.pair
-            return p.scale * float(np.sum(reduce(np.kron, p.factors))) \
+            return p.scale * math.prod(float(f.sum()) for f in p.factors) \
                 + p.weight * float(np.sum(np.abs(p.v_value) ** 2))
         raise TypeError(f"unknown structure {type(s)}")
 
@@ -272,18 +272,7 @@ class DensityOperator:
         if isinstance(s, TensorProduct):
             return reduce(np.kron, [f.to_dense() for f in s.factors])
         if isinstance(s, DiagPlusLowRank):
-            p = s.pair
-            mat = np.diag(p.scale * reduce(np.kron, p.factors).astype(complex))
-            mat[np.ix_(p.v_index, p.v_index)] += p.weight * np.outer(p.v_value, p.v_value.conj())
-            # R M R^dag one mode at a time: row axis m by R, column axis n + m
-            # by conj(R), O(dim^2 c_m) each instead of O(dim^3) with kron(R)
-            cut, n = self.space.cutoffs, self.space.modes
-            t = mat.reshape(cut + cut)
-            for m, rot in enumerate(s.mode_rotations):
-                if rot is not None:
-                    t = np.moveaxis(np.tensordot(rot, t, axes=(1, m)), 0, m)
-                    t = np.moveaxis(np.tensordot(t, rot.conj(), axes=(n + m, 1)), -1, n + m)
-            return t.reshape(mat.shape)
+            return _diag_plus_low_rank_dense(s, self.space.cutoffs)
         raise TypeError(f"unknown structure {type(s)}")
 
     @cached_property
@@ -330,6 +319,35 @@ class DensityOperator:
         top = max(float(np.max(diag, initial=0.0)), 0.0)
         if float(np.min(diag, initial=0.0)) < -PSD_TOL * max(top, 1e-300):
             raise NumericalError("negative diagonal entry below PSD tolerance")
+
+
+def _diag_plus_low_rank_dense(s: DiagPlusLowRank, cutoffs: tuple[int, ...]) -> np.ndarray:
+    """Dense ``R (scale diag(d0) + weight v v^dag) R^dag``, written block by
+    block.
+
+    ``R`` acts only on the rotated modes, so the indices that share their
+    coordinates on the other modes form one block of size ``C``, the product
+    of the rotated cutoffs: ``Rr diag(d) Rr^dag`` with ``Rr`` the kron of the
+    rotated modes' unitaries.  The rank-one term adds ``weight (R v)(R v)^dag``
+    on the blocks that ``v`` touches.  O(dim C^2) past the zeroed matrix.
+    """
+    p = s.pair
+    dim = math.prod(cutoffs)
+    rotated = [m for m, rot in enumerate(s.mode_rotations) if rot is not None]
+    fixed = [m for m, rot in enumerate(s.mode_rotations) if rot is None]
+    rr = reduce(np.kron, [s.mode_rotations[m] for m in rotated], np.eye(1))
+    # block[g, c]: the basis index at position c of block g
+    block = np.arange(dim).reshape(cutoffs).transpose(fixed + rotated).reshape(-1, len(rr))
+    d = (p.scale * reduce(np.kron, p.factors))[block]
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[block[:, :, None], block[:, None, :]] = (rr * d[:, None, :]) @ rr.conj().T
+    v = np.zeros(dim, dtype=complex)
+    v[p.v_index] = p.v_value
+    touched = np.flatnonzero(v[block].any(axis=1))
+    rv = (v[block[touched]] @ rr.T).ravel()
+    support = block[touched].ravel()
+    mat[np.ix_(support, support)] += p.weight * np.outer(rv, rv.conj())
+    return mat
 
 
 def factor_eigensystems(rho: DensityOperator) -> tuple[tuple[np.ndarray, ...], tuple]:

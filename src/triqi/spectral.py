@@ -45,22 +45,21 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Connected component of each vertex of the graph whose symmetric boolean
-    adjacency matrix is ``pattern``, named by its smallest vertex.
+def _components(n: int, edges) -> np.ndarray:
+    """Connected component of each of ``n`` vertices of the undirected graph
+    with the edges ``(i[t], j[t])`` of every ``(i, j)`` in ``edges``, named by
+    its smallest vertex.
 
-    Min-label propagation with pointer jumping, on boolean arrays only: a
-    round gives each vertex the least label among itself and its neighbours,
-    found as its first neighbour in label order, in O(n^2).
+    Min-label propagation with pointer jumping over the edge lists: a round
+    gives each vertex the least label among itself and its neighbours, in
+    O(n + edges).
     """
-    n = len(pattern)
-    adjacent = pattern | np.eye(n, dtype=bool)
     label = np.arange(n)
     while True:
-        order = np.argsort(label, kind="stable")
-        # rows in label order: by symmetry, column i's first True is vertex
-        # i's first neighbour in that order
-        new = label[order[np.argmax(adjacent[order], axis=0)]]
+        new = label.copy()
+        for i, j in edges:
+            np.minimum.at(new, i, label[j])
+            np.minimum.at(new, j, label[i])
         # labels only decrease and each names a vertex of the same component
         while not np.array_equal(jumped := new[new], new):
             new = jumped
@@ -78,15 +77,20 @@ def _groups(label: np.ndarray) -> list[np.ndarray]:
     return [part.reshape(-1, k) for part, k in zip(np.split(order, np.cumsum(counts)[:-1]), ks)]
 
 
-def _split(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(rows, stack)`` for each component size of the graph of the nonzero
-    entries of ``mat`` and ``mat^dag``: the ``(m, k)`` basis indices of its
-    components and their ``(m, k, k)`` diagonal blocks.  Every other entry of
-    both is exactly zero, so the split is a permutation similarity of
-    ``(mat + mat^dag) / 2``."""
-    nonzero = mat != 0
-    return [(rows, mat[rows[:, :, None], rows[:, None, :]])
-            for rows in _groups(_components(nonzero | nonzero.T))]
+def _split(*mats: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``(rows, *stacks)`` for each component size of the graph of the nonzero
+    entries of all of ``mats`` and their adjoints: the ``(m, k)`` basis indices
+    of its components and, for each matrix, its ``(m, k, k)`` diagonal blocks.
+    Every other entry of each matrix and its adjoint is exactly zero, so the
+    split is a permutation similarity of each ``(mat + mat^dag) / 2``.
+
+    One O(dim^2) scan per matrix lists its nonzero entries; the component
+    search and the blocks cost O(nonzero entries) and O(sum k^2).
+    """
+    n = len(mats[0])
+    label = _components(n, [np.divmod(np.flatnonzero(mat != 0), n) for mat in mats])
+    return [(rows, *(mat[rows[:, :, None], rows[:, None, :]] for mat in mats))
+            for rows in _groups(label)]
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -128,8 +132,21 @@ def eigh(matrix: np.ndarray) -> EigenSystem:
 def eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part ``(M + M^dag) / 2``, split
     into connected components as :func:`eigh` splits them."""
+    return _block_eigvalsh(stack for _, stack in _split(np.asarray(matrix)))
+
+
+def eigvalsh_difference(a: float, mat_a: np.ndarray, b: float, mat_b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``a A - b B``.
+
+    Both matrices split on the components of their joined nonzero pattern, and
+    the difference is formed per block, never as a whole matrix.
+    """
+    return _block_eigvalsh(a * sa - b * sb for _, sa, sb in _split(mat_a, mat_b))
+
+
+def _block_eigvalsh(stacks) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh((stack + _adjoint(stack)) / 2.0).ravel()
-                                   for _, stack in _split(np.asarray(matrix))]))
+                                   for stack in stacks]))
 
 
 def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,15 +155,14 @@ def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.nd
     ``i[t]`` of ``es0`` with eigenvector ``j[t]`` of ``es1``.
 
     Two eigenvectors overlap only inside one connected component of the union
-    of the two splits, so the table is one batched product per component size,
-    O(sum k^3) in all instead of O(dim^3).
+    of the two splits, found in O(dim) from their ``blocks``, so the table is
+    one batched product per component size, O(sum k^3) in all instead of
+    O(dim^3).
     """
     n = len(es0.eigenvalues)
-    links = np.zeros((n, n), dtype=bool)
-    for es in (es0, es1):
-        for rows, _ in es.blocks:
-            links[rows, rows[:, :1]] = True
-    union = _components(links | links.T)
+    # each component of either split, as edges from its first index
+    union = _components(n, [(rows.ravel(), np.repeat(rows[:, 0], rows.shape[1]))
+                            for es in (es0, es1) for rows, _ in es.blocks])
     cols = []
     for es in (es0, es1):
         of_col = np.empty(n, dtype=int)

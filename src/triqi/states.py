@@ -294,7 +294,10 @@ def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Smallest cutoff whose thermal tail mass is below the bound."""
     if nbar <= 0:
         raise ValueError(f"nbar must be positive, got {nbar}")
-    if not math.isfinite(tail_bound) or tail_bound >= 1.0:
+    # NaN fails every comparison, so it is rejected here too
+    if not tail_bound > 0:
+        raise ValueError(f"tail_bound must be positive (inf disables the check), got {tail_bound}")
+    if tail_bound >= 1.0:  # inf included
         return 2
     q = nbar / (nbar + 1.0)
     k = max(int(math.floor(math.log(tail_bound) / math.log(q))) + 1, 2)

@@ -196,6 +196,28 @@ def test_helstrom_golden_values():
         pytest.approx(0.4772620726123002, abs=1e-11)
 
 
+def _differing_patterns():
+    """Two dense operators whose nonzero patterns differ and join: rho0
+    couples indices {0, 1} and {2, 3}, rho1 couples {1, 2}."""
+    m0 = np.zeros((4, 4), dtype=complex)
+    m0[np.ix_([0, 1], [0, 1])] = [[0.3, 0.1j], [-0.1j, 0.2]]
+    m0[np.ix_([2, 3], [2, 3])] = [[0.25, 0.05], [0.05, 0.25]]
+    m1 = np.diag([0.4, 0.2, 0.3, 0.1]).astype(complex)
+    m1[1, 2] = m1[2, 1] = 0.1
+    space = build_space(1, [4])
+    return DensityOperator.dense(space, m0), DensityOperator.dense(space, m1)
+
+
+@pytest.mark.parametrize("pi0", [0.0, 0.3, 0.5, 1.0])
+def test_dense_helstrom_matches_full_difference(pi0):
+    pairs = [(dense_copy(p.rho0), dense_copy(p.rho1))
+             for p in map(build_hypothesis_pair, DENSE_CHECK_POINTS)]
+    for d0, d1 in pairs + [_differing_patterns()]:
+        for a, b in ((d0, d1), (d1, d0)):
+            expected = helstrom_ref(a.to_dense(), b.to_dense(), pi0)
+            assert helstrom_optimum(a, b, pi0) == pytest.approx(expected, abs=1e-14)
+
+
 def test_helstrom_below_half_q_half():
     for pair in (GOLDEN_PAIR, TRACED_PAIR):
         hel = helstrom_optimum(pair.rho0, pair.rho1)
@@ -434,6 +456,28 @@ def test_structured_matches_dense_over_the_domain(params):
             pytest.approx(helstrom_ref(m0, m1, pi0), abs=1e-10), pi0
 
 
+def test_dense_lane_allocates_by_blocks():
+    # dim 800 with blocks of size 2; peaks in units of one complex dim x dim matrix
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[2])
+    unit = 16 * pair.rho0.space.total_dim ** 2
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    # the returned matrix is one unit
+    assert peak(pair.rho1.to_dense) <= 1.1
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    assert peak(lambda: helstrom_optimum(d0, d1)) <= 0.25
+    # decompose both first, so that only the Q_s terms and the search are traced
+    d0.eigensystem, d1.eigensystem
+    assert peak(lambda: chernoff(d0, d1)) <= 0.05
+
+
 def test_thermal_point_allocates_no_array_of_the_full_dimension():
     # dim 1.7M, where one float64 array of the full dimension is 13.9 MB
     params = ProtocolParams(theta=0.01, eta=0.01, nbar2=50.0, nbar3=50.0)
@@ -448,6 +492,7 @@ def test_thermal_point_allocates_no_array_of_the_full_dimension():
             evaluate_point(params)
             # the operator-level entry points on the pair's own operators
             rho0, rho1 = pair.rho0, pair.rho1
+            rho1.validate()
             hypothesis_h1(params)
             grid = [float(s) for s in np.linspace(0.0, 1.0, 21)]
             forward = [q_s(rho0, rho1, s) for s in grid]

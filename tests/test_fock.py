@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from triqi import spectral
@@ -185,6 +185,38 @@ def test_rotated_to_dense_two_rotated_modes_rank_one():
         space, pair, mode_rotations=(unitary(3), None, unitary(4)), trace_normalized=False)
     assert rho.structure.pair is pair
     expected = rotated_dense_ref(rho.structure, cutoffs)
+    assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
+    assert rho.trace() == pytest.approx(np.trace(expected).real, rel=1e-14)
+
+
+@st.composite
+def diag_plus_low_rank_operators(draw):
+    """DiagPlusLowRank operators on 1-3 modes of cutoffs 1-4: per-mode factors
+    or one flat factor, a random unitary on any subset of the modes and 0-4
+    nonzero entries of ``v``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cutoffs = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    dim = int(np.prod(cutoffs))
+    if draw(st.booleans()):
+        factors = (rng.uniform(size=dim),)
+    else:
+        factors = tuple(rng.uniform(size=c) for c in cutoffs)
+    count = draw(st.integers(0, min(4, dim)))
+    index = np.sort(rng.choice(dim, size=count, replace=False))
+    pair = spectral.StructuredPair(factors, rng.uniform(0.1, 1.0), rng.uniform(0.0, 1.0), index,
+                                   rng.normal(size=count) + 1j * rng.normal(size=count))
+    rotations = []
+    for c in cutoffs:
+        q, r = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
+        rotations.append(q * (np.diag(r) / np.abs(np.diag(r))) if draw(st.booleans()) else None)
+    return DensityOperator.diag_plus_low_rank(build_space(len(cutoffs), cutoffs), pair,
+                                              rotations, trace_normalized=False)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(diag_plus_low_rank_operators())
+def test_block_to_dense_matches_kron_oracle(rho):
+    expected = rotated_dense_ref(rho.structure, rho.space.cutoffs)
     assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
     assert rho.trace() == pytest.approx(np.trace(expected).real, rel=1e-14)
 

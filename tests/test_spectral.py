@@ -79,6 +79,36 @@ def permuted_block_matrices(draw):
     return mat[np.ix_(perm, perm)]
 
 
+@st.composite
+def sparsity_patterns(draw):
+    """Random nonzero patterns of 1-40 indices at densities up to 0.3:
+    one-sided (upper triangular), symmetric, or neither."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    mat = rng.uniform(size=(n, n)) < draw(st.floats(0.0, 0.3))
+    if draw(st.booleans()):
+        mat = np.triu(mat)
+    elif draw(st.booleans()):
+        mat = mat | mat.T
+    return mat
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sparsity_patterns())
+@example(np.eye(6, dtype=bool))  # diagonal: one component per index
+@example(np.ones((64, 64), dtype=bool))  # fully dense: one component
+@example(np.eye(5, k=2, dtype=bool))  # one-sided: 0-2-4 and 1-3
+@example(np.zeros((3, 3), dtype=bool))
+def test_components_match_graph_search(pattern):
+    n = len(pattern)
+    ref = components_ref(pattern)
+    # the reference numbers components in search order; _components names
+    # each by its smallest index
+    smallest = np.array([np.flatnonzero(ref == ref[v])[0] for v in range(n)])
+    edges = [np.divmod(np.flatnonzero(pattern), n)]
+    assert np.array_equal(spectral._components(n, edges), smallest)
+
+
 def _joined_blocks():
     """Two 2x2 blocks joined only by a 1e-300 entry and its mirror."""
     mat = np.zeros((4, 4))

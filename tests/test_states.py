@@ -181,6 +181,15 @@ def test_auto_cutoff_cap():
         auto_cutoff(5000.0)  # would need ~1e5 levels, far over the per-mode cap
 
 
+@pytest.mark.parametrize("tail_bound", [0.0, -1.0, -math.inf, math.nan])
+def test_auto_cutoff_rejects_non_positive_tail_bound(tail_bound):
+    with pytest.raises(ValueError, match="tail_bound must be positive"):
+        auto_cutoff(3.0, tail_bound)
+    # inf disables the check and any bound >= 1 holds at the smallest cutoff
+    for disabled in (math.inf, 1.0, 2.0):
+        assert auto_cutoff(3.0, disabled) == 2
+
+
 def test_evolve_exact_needs_four_levels():
     with pytest.raises(ValueError):
         evolve_exact(0.1, 3)
