@@ -17,7 +17,7 @@ from .fock import DensityOperator, Ket, SpaceDescriptor, build_space, partial_tr
 from .overlap_audit import (SignChoice, TraceAudit, audit_overlap, closed_form_overlap,
                             principal_overlap, signed_root_overlap)
 from .spectral import EigenSystem, eigh
-from .states import (HypothesisPair, ProtocolParams, background_state,
+from .states import (HypothesisPair, ProtocolParams, background_marginals,
                      build_hypothesis_pair, evolve_exact, hypothesis_h0,
                      hypothesis_h1, load_params, mean_photon_number, thermal_state,
                      three_photon_state)
@@ -27,7 +27,7 @@ __all__ = [
     "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem", "HypothesisPair",
     "Ket", "NumericalError", "ProtocolParams", "RegimeWarning", "ResourceError", "SignChoice",
     "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit", "TriqiError",
-    "TruncationError", "advantage_ratio", "audit_overlap", "background_state",
+    "TruncationError", "advantage_ratio", "audit_overlap", "background_marginals",
     "bhattacharyya_bound", "build_hypothesis_pair", "build_space", "chernoff",
     "closed_form_overlap", "eigh", "emit", "error_bound_2gamma", "error_bound_3gamma",
     "evaluate_point", "evolve_exact", "helstrom_optimum", "hypothesis_h0", "hypothesis_h1",

@@ -167,13 +167,18 @@ def _golden_section(q, tol: float) -> ChernoffResult:
     return ChernoffResult(s_star, q_star, exponent, tuple(zip(grid_s.tolist(), grid_q.tolist())))
 
 
+def check_shot_count(m_shots) -> None:
+    """Reject a shot count that is not an integer >= 1; a bool is not one."""
+    if isinstance(m_shots, bool) or not isinstance(m_shots, (int, np.integer)) or m_shots < 1:
+        raise ValueError(f"shot count must be >= 1 (an integer), got {m_shots!r}")
+
+
 def bhattacharyya_bound(rho0: DensityOperator, rho1: DensityOperator, m_shots: int) -> float:
     """(1/2) [Tr(rho0^{1/2} rho1^{1/2})]^M, the s = 1/2 error bound.
 
     Weaker than the Chernoff infimum but closed-form friendly.
     """
-    if m_shots < 1:
-        raise ValueError("shot count must be >= 1")
+    check_shot_count(m_shots)
     return 0.5 * q_s(rho0, rho1, 0.5) ** m_shots
 
 
@@ -319,6 +324,7 @@ def evaluate_point(params: ProtocolParams, m_shots: int = 1,
     stay independently settable.  ``pair``, if given, must have been built
     from ``params``; every quantity reads its structured form.
     """
+    check_shot_count(m_shots)
     if pair is None:
         pair = build_hypothesis_pair(params)
     elif pair.params != params:

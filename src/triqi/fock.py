@@ -1,5 +1,5 @@
 """Truncated multimode Fock space: basis indexing, kets, structured density
-operators, tensor products and partial traces.
+operators and partial traces.
 
 Basis convention (frozen): row-major ordering with mode 0 slowest, i.e. the
 basis index of occupations (n_0, ..., n_{M-1}) is
@@ -158,12 +158,6 @@ class Diagonal:
 
 
 @dataclass(frozen=True)
-class TensorProduct:
-    """Tensor product of factor density operators over disjoint mode blocks."""
-    factors: tuple
-
-
-@dataclass(frozen=True)
 class DiagPlusLowRank:
     """Operator ``R (scale diag(d0) + weight v v^dag) R^dag`` of a structured
     pair ``pair``: its diagonal ``d0 = kron(*pair.factors)``, ``scale``,
@@ -181,30 +175,29 @@ class DiagPlusLowRank:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian PSD operator with a structural tag and (optionally) unit trace."""
+    """Hermitian PSD unit-trace operator with a structural tag."""
 
     space: SpaceDescriptor
     structure: object
-    trace_normalized: bool = True
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def dense(cls, space: SpaceDescriptor, matrix, trace_normalized: bool = True) -> "DensityOperator":
+    def dense(cls, space: SpaceDescriptor, matrix) -> "DensityOperator":
         space.require_dense("dense density operator")
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (space.total_dim, space.total_dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {space.total_dim}")
         mat.setflags(write=False)
-        return cls(space, Dense(mat), trace_normalized)
+        return cls(space, Dense(mat))
 
     @classmethod
-    def diagonal(cls, space: SpaceDescriptor, probs, trace_normalized: bool = True) -> "DensityOperator":
+    def diagonal(cls, space: SpaceDescriptor, probs) -> "DensityOperator":
         p = np.asarray(probs, dtype=float)
         if p.shape != (space.total_dim,):
             raise ValueError(f"diagonal has shape {p.shape}, expected ({space.total_dim},)")
         p.setflags(write=False)
-        return cls(space, Diagonal(p), trace_normalized)
+        return cls(space, Diagonal(p))
 
     @classmethod
     def from_ket(cls, ket: Ket) -> "DensityOperator":
@@ -213,23 +206,8 @@ class DensityOperator:
         return cls.dense(ket.space, mat)
 
     @classmethod
-    def product(cls, factors, trace_normalized: bool = True) -> "DensityOperator":
-        flat: list[DensityOperator] = []
-        for f in factors:
-            if isinstance(f.structure, TensorProduct):
-                flat.extend(f.structure.factors)
-            else:
-                flat.append(f)
-        if len(flat) == 1:
-            return flat[0]
-        cutoffs = sum((f.space.cutoffs for f in flat), ())
-        dense_limit = max(f.space.dense_limit for f in flat)
-        space = SpaceDescriptor(cutoffs, dense_limit)
-        return cls(space, TensorProduct(tuple(flat)), trace_normalized)
-
-    @classmethod
     def diag_plus_low_rank(cls, space: SpaceDescriptor, pair: spectral.StructuredPair,
-                           mode_rotations=None, trace_normalized: bool = True) -> "DensityOperator":
+                           mode_rotations=None) -> "DensityOperator":
         if pair.dim != space.total_dim:
             raise ValueError(f"pair dimension {pair.dim} does not match the space "
                              f"({space.total_dim})")
@@ -239,7 +217,7 @@ class DensityOperator:
         for rot in rotations:
             if rot is not None:
                 rot.setflags(write=False)
-        return cls(space, DiagPlusLowRank(pair, rotations), trace_normalized)
+        return cls(space, DiagPlusLowRank(pair, rotations))
 
     # -- basic queries -------------------------------------------------------
 
@@ -249,8 +227,6 @@ class DensityOperator:
             return float(np.real(np.trace(s.matrix)))
         if isinstance(s, Diagonal):
             return float(np.sum(s.probs))
-        if isinstance(s, TensorProduct):
-            return float(np.prod([f.trace() for f in s.factors]))
         if isinstance(s, DiagPlusLowRank):
             p = s.pair
             return p.scale * math.prod(float(f.sum()) for f in p.factors) \
@@ -269,8 +245,6 @@ class DensityOperator:
             return s.matrix
         if isinstance(s, Diagonal):
             return np.diag(s.probs.astype(complex))
-        if isinstance(s, TensorProduct):
-            return reduce(np.kron, [f.to_dense() for f in s.factors])
         if isinstance(s, DiagPlusLowRank):
             return _diag_plus_low_rank_dense(s, self.space.cutoffs)
         raise TypeError(f"unknown structure {type(s)}")
@@ -293,9 +267,6 @@ class DensityOperator:
         s = self.structure
         if isinstance(s, Diagonal):
             self._check_diag_psd(s.probs)
-        elif isinstance(s, TensorProduct):
-            for f in s.factors:
-                DensityOperator(f.space, f.structure, trace_normalized=False).validate()
         elif isinstance(s, DiagPlusLowRank):
             # the kron's least entry over its largest is its worst factor's
             for f in s.pair.factors:
@@ -311,7 +282,7 @@ class DensityOperator:
             top = max(eigs.max(), 0.0)
             if eigs.min() < -PSD_TOL * max(top, 1e-300):
                 raise NumericalError(f"negative eigenvalue {eigs.min()} below PSD tolerance")
-        if self.trace_normalized and abs(self.trace() - 1.0) > TRACE_TOL:
+        if abs(self.trace() - 1.0) > TRACE_TOL:
             raise NumericalError(f"trace {self.trace()} deviates from 1 beyond {TRACE_TOL}")
 
     @staticmethod
@@ -350,54 +321,21 @@ def _diag_plus_low_rank_dense(s: DiagPlusLowRank, cutoffs: tuple[int, ...]) -> n
     return mat
 
 
-def factor_eigensystems(rho: DensityOperator) -> tuple[tuple[np.ndarray, ...], tuple]:
-    """Eigenvalues of each tensor factor of ``rho`` and the per-mode rotations
-    into their eigenbases.
+def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
+    """Re-express a compatible operator as DiagPlusLowRank.
 
-    ``kron`` of the eigenvalues is ``rho``'s diagonal in the rotated product
-    basis.  Diagonal factors need no rotation (None on each of their modes);
-    single-mode dense factors go through an eigendecomposition, which is cheap
-    because factors are small.
+    A DiagPlusLowRank operator, such as either hypothesis of a built pair,
+    returns as it is.  A Diagonal one becomes a single flat factor at scale 1,
+    with no rank-one term and no rotation.
     """
     s = rho.structure
-    if isinstance(s, TensorProduct):
-        factors = s.factors
-    elif isinstance(s, Diagonal):
-        factors = (rho,)
-    else:
-        raise NumericalError(f"cannot convert structure {type(s).__name__} to DiagPlusLowRank")
-    eigenvalues = []
-    rotations: list[np.ndarray | None] = []
-    for f in factors:
-        fs = f.structure
-        if isinstance(fs, Diagonal):
-            eigenvalues.append(fs.probs)
-            rotations.extend([None] * f.space.modes)
-        elif isinstance(fs, Dense):
-            if f.space.modes != 1:
-                raise NumericalError("dense tensor factors must be single-mode for structured conversion")
-            evals, evecs = np.linalg.eigh(fs.matrix)
-            eigenvalues.append(evals)
-            rotations.append(evecs)
-        else:
-            raise NumericalError(f"cannot convert nested structure {type(fs).__name__}")
-    return tuple(eigenvalues), tuple(rotations)
-
-
-def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
-    """Re-express a compatible operator as DiagPlusLowRank in its own eigenbasis.
-
-    Diagonal operators and tensor products convert through
-    :func:`factor_eigensystems`, in O(cutoff).  The result has no rank-one
-    term: its pair holds the factor eigenvalues at scale 1, and the per-mode
-    rotations.
-    """
-    if isinstance(rho.structure, DiagPlusLowRank):
+    if isinstance(s, DiagPlusLowRank):
         return rho
-    eigenvalues, rotations = factor_eigensystems(rho)
-    pair = spectral.StructuredPair(eigenvalues, 1.0, 0.0, np.zeros(0, dtype=int),
+    if not isinstance(s, Diagonal):
+        raise NumericalError(f"cannot convert structure {type(s).__name__} to DiagPlusLowRank")
+    pair = spectral.StructuredPair((s.probs,), 1.0, 0.0, np.zeros(0, dtype=int),
                                    np.zeros(0, dtype=complex))
-    return DensityOperator.diag_plus_low_rank(rho.space, pair, rotations, rho.trace_normalized)
+    return DensityOperator.diag_plus_low_rank(rho.space, pair)
 
 
 def same_rotations(a, b) -> bool:
@@ -429,26 +367,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
     if isinstance(s, Diagonal):
         probs = s.probs.reshape(rho.space.cutoffs).sum(axis=traced).reshape(-1)
-        return DensityOperator.diagonal(sub, probs, rho.trace_normalized)
-
-    if isinstance(s, TensorProduct):
-        out_factors = []
-        scalar = 1.0
-        offset = 0
-        for f in s.factors:
-            fmodes = tuple(range(offset, offset + f.space.modes))
-            fkeep = tuple(m - offset for m in keep if m in fmodes)
-            offset += f.space.modes
-            if not fkeep:
-                scalar *= f.trace()
-            elif len(fkeep) == f.space.modes:
-                out_factors.append(f)
-            else:
-                out_factors.append(partial_trace(f, fkeep))
-        result = DensityOperator.product(out_factors, rho.trace_normalized)
-        if abs(scalar - 1.0) > 1e-15:
-            result = _scale(result, scalar)
-        return result
+        return DensityOperator.diagonal(sub, probs)
 
     # Dense and DiagPlusLowRank go through materialization.
     mat = rho.to_dense()
@@ -458,11 +377,4 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         tensor = np.trace(tensor, axis1=m, axis2=m + modes_left)
         modes_left -= 1
     red = tensor.reshape(sub.total_dim, sub.total_dim)
-    return DensityOperator.dense(sub, red, rho.trace_normalized)
-
-
-def _scale(rho: DensityOperator, factor: float) -> DensityOperator:
-    s = rho.structure
-    if isinstance(s, Diagonal):
-        return DensityOperator.diagonal(rho.space, s.probs * factor, rho.trace_normalized)
-    return DensityOperator.dense(rho.space, rho.to_dense() * factor, rho.trace_normalized)
+    return DensityOperator.dense(sub, red)

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TruncationError
-from .fock import (DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor, build_space,
-                   factor_eigensystems)
+from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor, build_space
 from .spectral import StructuredPair
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
@@ -206,9 +205,6 @@ class EvolvedState:
     leakage: float
     ket: Ket
 
-    def closed_form(self) -> Ket:
-        return three_photon_state(self.theta, self.ket.space)
-
     def support_deviation(self) -> float:
         """Amplitude deviation from the closed form on its span {|000>, |111>}."""
         c = self.chain_amplitudes
@@ -278,16 +274,21 @@ def thermal_probs(nbar: float, cutoff: int) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_state(nbar: float, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND,
-                  dense_limit: int = DEFAULT_DENSE_LIMIT) -> DensityOperator:
-    """Single-mode truncated thermal state, renormalized to unit trace."""
+def thermal_marginal(nbar: float, cutoff: int, tail_bound: float) -> np.ndarray:
+    """:func:`thermal_probs`, once the truncated tail is checked against the bound."""
     tail = thermal_tail_mass(nbar, cutoff)
     if tail > tail_bound:
         raise TruncationError(
             f"thermal tail mass {tail:.3e} above bound {tail_bound:.1e}: "
             f"cutoff {cutoff} too small for nbar={nbar}")
+    return thermal_probs(nbar, cutoff)
+
+
+def thermal_state(nbar: float, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND,
+                  dense_limit: int = DEFAULT_DENSE_LIMIT) -> DensityOperator:
+    """Single-mode truncated thermal state, renormalized to unit trace."""
     space = build_space(1, (cutoff,), dense_limit)
-    return DensityOperator.diagonal(space, thermal_probs(nbar, cutoff))
+    return DensityOperator.diagonal(space, thermal_marginal(nbar, cutoff, tail_bound))
 
 
 def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
@@ -323,48 +324,29 @@ def flat_probs(nbar: float, cutoff: int) -> np.ndarray:
     return p
 
 
-def background_state(params: ProtocolParams) -> DensityOperator:
-    """Two-mode background on the signal modes.
+def background_marginals(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of the background on the two signal modes, whose product it is.
 
-    thermal variant: exact product of truncated thermal states.
-    flat variant: uniform diagonal over the first round(nbar) levels per mode,
-    the trace-one reading of the high-noise identity-per-nbar approximation.
+    thermal variant: truncated thermal occupations, each within the tail bound.
+    flat variant: uniform over the first round(nbar) levels per mode, the
+    trace-one reading of the high-noise identity-per-nbar approximation.
     """
     _, c1, c2 = params.resolved_cutoffs()
-    factors = []
-    for nbar, cutoff in ((params.nbar2, c1), (params.nbar3, c2)):
-        if params.background == "thermal":
-            factors.append(thermal_state(nbar, cutoff, params.tail_bound, params.dense_limit))
-        else:
-            space = build_space(1, (cutoff,), params.dense_limit)
-            factors.append(DensityOperator.diagonal(space, flat_probs(nbar, cutoff)))
-    return DensityOperator.product(factors)
+    if params.background == "flat":
+        return flat_probs(params.nbar2, c1), flat_probs(params.nbar3, c2)
+    return (thermal_marginal(params.nbar2, c1, params.tail_bound),
+            thermal_marginal(params.nbar3, c2, params.tail_bound))
 
 
 # ---------------------------------------------------------------------------
 # hypothesis operators
 # ---------------------------------------------------------------------------
 
-def idler_ket(theta: float, cutoff: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Ket:
-    """Single-mode idler state ``cos(theta)|0> - i sin(theta)|1>``."""
-    space = build_space(1, (cutoff,), dense_limit)
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = np.cos(theta)
-    amps[1] = -1j * np.sin(theta)
-    return Ket(space, amps)
-
-
 def hypothesis_h0(params: ProtocolParams) -> DensityOperator:
-    """Target-absent state: idler factor (pure or traced) times the background."""
-    c0, _, _ = params.resolved_cutoffs()
-    if params.idler == "paper_pure":
-        idler = DensityOperator.from_ket(idler_ket(params.theta, c0, params.dense_limit))
-    else:
-        probs = np.zeros(c0)
-        probs[0] = np.cos(params.theta) ** 2
-        probs[1] = np.sin(params.theta) ** 2
-        idler = DensityOperator.diagonal(build_space(1, (c0,), params.dense_limit), probs)
-    return DensityOperator.product([idler, background_state(params)])
+    """Target-absent state, idler (pure or traced) times the background: the
+    ``rho0`` of :func:`build_hypothesis_pair`, a DiagPlusLowRank operator with
+    no rank-one term over its own eigenbasis."""
+    return build_hypothesis_pair(params).rho0
 
 
 def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
@@ -383,11 +365,12 @@ def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
 class HypothesisPair:
     """The two discrimination hypotheses plus the parameters that built them.
 
-    ``rho0`` is a tensor product of per-mode factors.  ``rho1`` is a
-    DiagPlusLowRank operator over rho0's eigenbasis, and ``structured``, the
-    :class:`StructuredPair` it holds, is the pair in that basis without any
-    array of the full dimension; every bound and the principal root overlap
-    read it.
+    Both are DiagPlusLowRank operators over rho0's eigenbasis that share one
+    ``factors`` tuple (rho0's per-mode eigenvalues) and one ``mode_rotations``
+    tuple.  rho0's pair has scale 1 and no rank-one term; ``structured``, the
+    :class:`StructuredPair` that rho1 holds, is the pair of hypotheses in that
+    basis without any array of the full dimension, and every bound and the
+    principal root overlap read it.
     """
 
     params: ProtocolParams
@@ -416,22 +399,35 @@ def _mix(params: ProtocolParams, rho0: DensityOperator, factors, rotations,
 
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
-    """Build rho0 once and derive the structured pair from its per-mode
-    eigensystems, in O(cutoff).
+    """Build both hypotheses in rho0's eigenbasis from per-mode eigensystems,
+    in O(cutoff).
 
-    The background factors are diagonal, so only the idler is rotated: the
+    rho0 is the idler times the two background marginals.  The pure idler's
+    eigensystem is that of its ``c0 x c0`` projector; the traced idler and the
+    backgrounds are diagonal already, so only a pure idler is rotated.  The
     triplet ``cos(theta)|000> - i sin(theta)|111>`` has the entry
     ``conj(R[n, k]) * amplitude(|nnn>)`` at ``(k, n, n)`` in the rotated basis,
     for every idler eigenvector ``k`` and ``n`` in {0, 1}; in that order the
     flat indices ascend.
     """
-    rho0 = hypothesis_h0(params)
-    eigenvalues, rotations = factor_eigensystems(rho0)
-    cutoffs = rho0.space.cutoffs
-    idler_rotation = np.eye(cutoffs[0]) if rotations[0] is None else rotations[0]
+    space = params.space()
+    c0 = space.cutoffs[0]
     amplitudes = np.array([np.cos(params.theta), -1j * np.sin(params.theta)])
-    k, n = np.meshgrid(np.arange(cutoffs[0]), (0, 1), indexing="ij")
-    index = np.ravel_multi_index((k, n, n), cutoffs).ravel()
+    if params.idler == "paper_pure":
+        idler = np.zeros(c0, dtype=complex)
+        idler[:2] = amplitudes
+        idler_eigenvalues, idler_rotation = np.linalg.eigh(np.outer(idler, idler.conj()))
+        rotations = (idler_rotation, None, None)
+    else:
+        idler_eigenvalues = np.zeros(c0)
+        idler_eigenvalues[:2] = np.cos(params.theta) ** 2, np.sin(params.theta) ** 2
+        idler_rotation = np.eye(c0)
+        rotations = (None, None, None)
+    factors = (idler_eigenvalues, *background_marginals(params))
+    empty = StructuredPair(factors, 1.0, 0.0, np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
+    rho0 = DensityOperator.diag_plus_low_rank(space, empty, rotations)
+    k, n = np.meshgrid(np.arange(c0), (0, 1), indexing="ij")
+    index = np.ravel_multi_index((k, n, n), space.cutoffs).ravel()
     value = (idler_rotation[:2].conj().T * amplitudes).ravel()
     keep = np.flatnonzero(value)
-    return _mix(params, rho0, eigenvalues, rotations, index[keep], value[keep])
+    return _mix(params, rho0, factors, rho0.structure.mode_rotations, index[keep], value[keep])

@@ -47,11 +47,15 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
+        bounds.check_shot_count(self.m_shots)
         for name, values in self.axes:
             if name not in AXIS_NAMES:
                 raise ValueError(f"unknown axis {name!r}; valid axes: {AXIS_NAMES}")
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
+            if name == "M":
+                for value in values:
+                    bounds.check_shot_count(value)
         n_points = self.n_points
         if n_points > MAX_POINTS:
             raise ValueError(f"sweep has {n_points} points, above the cap {MAX_POINTS}")
@@ -90,7 +94,7 @@ class SweepSpec:
         if "format" in values:
             spec_kwargs["fmt"] = values.pop("format")
         if "M" in values:
-            spec_kwargs["m_shots"] = int(values.pop("M"))
+            spec_kwargs["m_shots"] = textfmt.parse_value(values.pop("M"))
         if "workers" in values:
             spec_kwargs["workers"] = int(values.pop("workers"))
         fixed = params_from_mapping(values)
@@ -119,7 +123,7 @@ def _point_params(spec: SweepSpec, values: dict) -> tuple[ProtocolParams, dict]:
         elif name == "n_signal":
             extras["n_signal"] = float(value)
         elif name == "M":
-            extras["m_shots"] = int(value)
+            extras["m_shots"] = value
     return spec.fixed.with_updates(**updates), extras
 
 

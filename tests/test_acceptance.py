@@ -171,7 +171,7 @@ def test_criterion_8_state_invariants():
     traced = GOLDEN_POINT.with_updates(idler="traced")
     rho_psi = DensityOperator.from_ket(three_photon_state(traced.theta, traced.space()))
     reduced = partial_trace(rho_psi, [0]).to_dense()
-    idler = hypothesis_h0(traced).structure.factors[0].to_dense()
+    idler = partial_trace(hypothesis_h0(traced), [0]).to_dense()
     checks.append(np.abs(reduced - idler[:2, :2]).max() <= 1e-12)
     ok = all(checks)
     _criterion(8, ok, "Hermitian/PSD/trace invariants, auto-cutoff tails < 1e-8, "

@@ -182,7 +182,7 @@ def test_rotated_to_dense_two_rotated_modes_rank_one():
     pair = spectral.StructuredPair(factors, 0.7, 0.2, index,
                                    rng.normal(size=4) + 1j * rng.normal(size=4))
     rho = DensityOperator.diag_plus_low_rank(
-        space, pair, mode_rotations=(unitary(3), None, unitary(4)), trace_normalized=False)
+        space, pair, mode_rotations=(unitary(3), None, unitary(4)))
     assert rho.structure.pair is pair
     expected = rotated_dense_ref(rho.structure, cutoffs)
     assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
@@ -210,7 +210,7 @@ def diag_plus_low_rank_operators(draw):
         q, r = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
         rotations.append(q * (np.diag(r) / np.abs(np.diag(r))) if draw(st.booleans()) else None)
     return DensityOperator.diag_plus_low_rank(build_space(len(cutoffs), cutoffs), pair,
-                                              rotations, trace_normalized=False)
+                                              rotations)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

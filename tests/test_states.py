@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from triqi.bounds import q_s
 from triqi.errors import TruncationError
-from triqi.fock import DensityOperator, build_space, partial_trace
+from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space, partial_trace
 from triqi.presets import GOLDEN_POINT, GOLDEN_POINT_TRACED
-from triqi.states import (ProtocolParams, auto_cutoff, background_state,
+from triqi.states import (ProtocolParams, auto_cutoff, background_marginals,
                           build_hypothesis_pair, evolve_exact, flat_levels,
                           hypothesis_h0, hypothesis_h1, load_params,
                           mean_photon_number, params_from_mapping, thermal_probs,
@@ -203,19 +204,17 @@ def test_flat_levels_rounding():
 
 def test_background_flat_uniform():
     p = ProtocolParams(theta=0.0, eta=0.0, nbar2=4.0, nbar3=4.0, background="flat")
-    bg = background_state(p)
-    mat = bg.to_dense()
-    assert_allclose(mat, np.eye(16) / 16.0, atol=1e-15)
+    b2, b3 = background_marginals(p)
+    assert_allclose(np.kron(b2, b3), np.full(16, 1 / 16.0), atol=1e-15)
 
 
 def test_background_thermal_product():
     p = ProtocolParams(theta=0.0, eta=0.0, nbar2=1.0, nbar3=1.0, cutoffs=(2, 30, 30))
-    bg = background_state(p)
-    mat = bg.to_dense()
+    b2, b3 = background_marginals(p)
     tail = thermal_tail_mass(1.0, 30)
     for j, k in ((0, 0), (1, 2), (3, 1)):
         raw = 2.0 ** -(j + k + 2)
-        assert mat[j * 30 + k, j * 30 + k].real * (1 - tail) ** 2 == pytest.approx(raw, abs=1e-12)
+        assert b2[j] * b3[k] * (1 - tail) ** 2 == pytest.approx(raw, abs=1e-12)
 
 
 def test_flat_vs_thermal_trace_distance_golden():
@@ -271,7 +270,7 @@ def test_hypothesis_pair_matches_direct_mixture_oracle():
     assert_allclose(tr.rho1.to_dense(), r1t, atol=1e-14)
 
 
-def test_hypothesis_pair_arrays_are_read_only():
+def test_hypothesis_pair_arrays_are_read_only(monkeypatch):
     pair = build_hypothesis_pair(GOLDEN_POINT)
     rotation = pair.rho1.structure.mode_rotations[0]
     sp = pair.structured
@@ -291,6 +290,27 @@ def test_hypothesis_pair_arrays_are_read_only():
     assert other.rho1.structure.mode_rotations is pair.rho1.structure.mode_rotations
     assert other.structured.v_value is sp.v_value
     assert (other.structured.scale, other.structured.weight) == (0.7, 0.3)
+    # both hypotheses have one shape: rho0 is the pair's own DiagPlusLowRank,
+    # with the same factors and rotations, so the operator-level Q_s neither
+    # converts nor decomposes anything
+    eigh_calls = []
+    original_eigh = np.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        eigh_calls.append(args)
+        return original_eigh(*args, **kwargs)
+
+    pairs = [build_hypothesis_pair(p) for p in (GOLDEN_POINT, GOLDEN_POINT_TRACED)]
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for pair in pairs:
+        s0, s1 = pair.rho0.structure, pair.rho1.structure
+        assert as_diag_plus_low_rank(pair.rho0) is pair.rho0
+        assert s0.pair.factors is pair.structured.factors
+        assert s0.mode_rotations is s1.mode_rotations
+        assert (s0.pair.scale, s0.pair.weight, s0.pair.v_index.size) == (1.0, 0.0, 0)
+        for s in (0.25, 0.5):
+            assert q_s(pair.rho0, pair.rho1, s) == pair.structured.q(s)
+    assert eigh_calls == []
 
 
 def test_hypothesis_h1_affine_in_eta():
@@ -306,7 +326,7 @@ def test_traced_idler_equals_partial_trace():
     space = p.space()
     rho_psi = DensityOperator.from_ket(three_photon_state(p.theta, space))
     reduced = partial_trace(rho_psi, [0]).to_dense()
-    idler_factor = hypothesis_h0(p).structure.factors[0].to_dense()
+    idler_factor = partial_trace(hypothesis_h0(p), [0]).to_dense()
     assert np.abs(reduced - idler_factor[:2, :2]).max() <= 1e-12
 
 

@@ -194,6 +194,33 @@ def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
     assert "scipy" in test
 
 
+def test_public_names_resolve_and_removed_names_are_gone():
+    missing = [name for name in triqi.__all__ if not hasattr(triqi, name)]
+    assert missing == [] and len(set(triqi.__all__)) == len(triqi.__all__)
+    removed = [(triqi, "background_state"), (states, "background_state"),
+               (states, "idler_ket"), (states.EvolvedState, "closed_form"),
+               (fock, "TensorProduct"), (fock, "factor_eigensystems"),
+               (fock.DensityOperator, "product"), (fock.DensityOperator, "trace_normalized")]
+    assert [name for owner, name in removed if hasattr(owner, name)] == []
+
+
+def test_shot_count_must_be_an_integer_of_at_least_one(capsys, tmp_path):
+    for bad in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="shot count must be >= 1"):
+            evaluate_point(GOLDEN_POINT, m_shots=bad)
+    assert main(["chernoff", "--M", "0"]) == 1
+    assert "shot count must be >= 1" in capsys.readouterr().err
+    # int(1.5) and int(true) would evaluate M = 1 under another label
+    for line in ("axis.M = 1.5", "axis.M = 1,true", "M = 0"):
+        cfg = tmp_path / "shots.cfg"
+        cfg.write_text("theta = 0.01\neta = 0.001\nnbar2 = 20\nnbar3 = 20\n"
+                       f"background = flat\n{line}\n")
+        with pytest.raises(ValueError, match="shot count must be >= 1"):
+            SweepSpec.from_file(cfg)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "shot count must be >= 1" in capsys.readouterr().err
+
+
 def test_sweep_row_types_linalg_and_memory_failures(monkeypatch):
     original = sweep.build_hypothesis_pair
 
