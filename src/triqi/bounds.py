@@ -191,7 +191,8 @@ def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 
     if structured is not None:
         # the trace norm is even under negation, so swapped roles swap the priors
         return structured.helstrom(1.0 - pi0 if swapped else pi0)
-    eigs = eigvalsh_difference(1.0 - pi0, rho1.to_dense(), pi0, rho0.to_dense())
+    eigs = eigvalsh_difference(1.0 - pi0, rho1.to_dense(), pi0, rho0.to_dense(),
+                               (rho1.nonzero_pattern, rho0.nonzero_pattern))
     return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
 
 

@@ -250,15 +250,24 @@ class DensityOperator:
         raise TypeError(f"unknown structure {type(s)}")
 
     @cached_property
+    def nonzero_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """``spectral.nonzero_pattern`` of the dense matrix, scanned once per
+        operator and read-only; every dense split of the operator reads it."""
+        pattern = spectral.nonzero_pattern(self.to_dense())
+        for arr in pattern:
+            arr.setflags(write=False)
+        return pattern
+
+    @cached_property
     def eigensystem(self) -> spectral.EigenSystem:
         """``spectral.eigh`` of the dense matrix, computed once per operator.
 
         Safe to cache: the operator is frozen and its arrays, like the cached
         ones, are read-only; a failed check raises on every access, since
-        exceptions are not cached.
+        exceptions are not cached.  It holds O(sum k^2) numbers, not dim^2.
         """
-        es = spectral.eigh(self.to_dense())
-        for arr in (es.eigenvalues, es.eigenvectors, *(a for b in es.blocks for a in b)):
+        es = spectral.eigh(self.to_dense(), self.nonzero_pattern)
+        for arr in (es.eigenvalues, *(a for b in es.blocks for a in b)):
             arr.setflags(write=False)
         return es
 
@@ -278,7 +287,7 @@ class DensityOperator:
             herm = np.max(np.abs(mat - mat.conj().T))
             if herm > HERMITIAN_TOL:
                 raise NumericalError(f"Hermiticity violation {herm} > {HERMITIAN_TOL}")
-            eigs = spectral.eigvalsh(mat)
+            eigs = spectral.eigvalsh(mat, self.nonzero_pattern)
             top = max(eigs.max(), 0.0)
             if eigs.min() < -PSD_TOL * max(top, 1e-300):
                 raise NumericalError(f"negative eigenvalue {eigs.min()} below PSD tolerance")

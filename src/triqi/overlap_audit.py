@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeWarning, TriqiError
-from .states import (HypothesisPair, ProtocolParams, RegimeFlags, build_hypothesis_pair,
-                     flat_levels, flat_probs, thermal_probs)
+from .states import (HypothesisPair, ProtocolParams, RegimeFlags, background_marginals,
+                     build_hypothesis_pair, flat_levels)
 
 MATCH_TOLERANCE_FACTOR = 10.0
 # Half-decade ladder two to four decades below the working reflectivity, deep
@@ -93,12 +93,10 @@ def closed_form_overlap(eta: float, nbar: float) -> float:
 
 
 def _background_levels(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    _, c1, c2 = params.resolved_cutoffs()
-    if params.background == "flat":
-        if flat_levels(params.nbar2) < 2 or flat_levels(params.nbar3) < 2:
-            raise ValueError("signed-root construction needs at least two flat levels per mode")
-        return flat_probs(params.nbar2, c1), flat_probs(params.nbar3, c2)
-    return thermal_probs(params.nbar2, c1), thermal_probs(params.nbar3, c2)
+    """The pair build's background marginals, thermal tail check included."""
+    if params.background == "flat" and min(flat_levels(params.nbar2), flat_levels(params.nbar3)) < 2:
+        raise ValueError("signed-root construction needs at least two flat levels per mode")
+    return background_marginals(params)
 
 
 def signed_root_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS) -> SignedTrace:

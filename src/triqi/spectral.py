@@ -30,19 +30,14 @@ _SECULAR_MAX_ITER = 100
 class EigenSystem:
     """Ascending eigenvalues and the matching unitary column eigenvectors.
 
-    ``blocks`` records the split the decomposition used: for each component
-    size ``k``, the basis indices ``(m, k)`` of its ``m`` connected components
-    and the eigenvector columns ``(m, k)`` that live on them.  An eigenvector
-    is exactly zero off its component.
+    ``blocks`` holds, per component size ``k``, ``(rows, cols, vectors)``: the
+    ``(m, k)`` indices of ``m`` connected components, the eigenvector columns
+    that live on them and their ``(m, k, k)`` entries ``V[rows[g, a], cols[g, b]]``.
+    An eigenvector is exactly zero off its component.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def _components(n: int, edges) -> np.ndarray:
@@ -77,18 +72,24 @@ def _groups(label: np.ndarray) -> list[np.ndarray]:
     return [part.reshape(-1, k) for part, k in zip(np.split(order, np.cumsum(counts)[:-1]), ks)]
 
 
-def _split(*mats: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+def nonzero_pattern(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the exactly nonzero entries of a square
+    matrix: the one O(dim^2) scan that splitting it takes."""
+    return np.divmod(np.flatnonzero(mat != 0), len(mat))
+
+
+def _split(mats, patterns) -> list[tuple[np.ndarray, ...]]:
     """``(rows, *stacks)`` for each component size of the graph of the nonzero
     entries of all of ``mats`` and their adjoints: the ``(m, k)`` basis indices
     of its components and, for each matrix, its ``(m, k, k)`` diagonal blocks.
     Every other entry of each matrix and its adjoint is exactly zero, so the
     split is a permutation similarity of each ``(mat + mat^dag) / 2``.
 
-    One O(dim^2) scan per matrix lists its nonzero entries; the component
-    search and the blocks cost O(nonzero entries) and O(sum k^2).
+    ``patterns`` holds each matrix's :func:`nonzero_pattern` or None to scan it
+    here; the component search and blocks cost O(nonzero entries), O(sum k^2).
     """
     n = len(mats[0])
-    label = _components(n, [np.divmod(np.flatnonzero(mat != 0), n) for mat in mats])
+    label = _components(n, [pattern or nonzero_pattern(mat) for mat, pattern in zip(mats, patterns)])
     return [(rows, *(mat[rows[:, :, None], rows[:, None, :]] for mat in mats))
             for rows in _groups(label)]
 
@@ -97,17 +98,17 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-def eigh(matrix: np.ndarray) -> EigenSystem:
+def eigh(matrix: np.ndarray, pattern=None) -> EigenSystem:
     """Hermitian eigendecomposition with an input symmetry check.
 
     Decomposes each connected component of the exact nonzero pattern on its
     own, one batched ``np.linalg.eigh`` per component size; a fully dense
-    matrix is one component.
+    matrix is one component.  ``pattern`` is its :func:`nonzero_pattern`, if known.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    split = _split(mat)
+    split = _split([mat], [pattern])
     # the blocks hold every nonzero entry of mat and mat^dag, so these are
     # the maxima over the whole matrix
     dev = np.max([np.max(np.abs(stack - _adjoint(stack))) for _, stack in split])
@@ -119,34 +120,50 @@ def eigh(matrix: np.ndarray) -> EigenSystem:
     order = np.argsort(w, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    v = np.zeros(mat.shape, dtype=parts[0][2].dtype)
-    blocks, offset = [], 0
-    for rows, _, pv in parts:
-        cols = rank[offset:offset + rows.size].reshape(rows.shape)
-        v[rows[:, :, None], cols[:, None, :]] = pv
-        blocks.append((rows, cols))
-        offset += rows.size
-    return EigenSystem(w[order], v, tuple(blocks))
+    cols = np.split(rank, np.cumsum([rows.size for rows, _, _ in parts])[:-1])
+    return EigenSystem(w[order], tuple((rows, c.reshape(rows.shape), pv)
+                                       for (rows, _, pv), c in zip(parts, cols)))
 
 
-def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+def eigvalsh(matrix: np.ndarray, pattern=None) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part ``(M + M^dag) / 2``, split
     into connected components as :func:`eigh` splits them."""
-    return _block_eigvalsh(stack for _, stack in _split(np.asarray(matrix)))
+    return _block_eigvalsh(stack for _, stack in _split([np.asarray(matrix)], [pattern]))
 
 
-def eigvalsh_difference(a: float, mat_a: np.ndarray, b: float, mat_b: np.ndarray) -> np.ndarray:
+def eigvalsh_difference(a: float, mat_a: np.ndarray, b: float, mat_b: np.ndarray,
+                        patterns=(None, None)) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``a A - b B``.
 
     Both matrices split on the components of their joined nonzero pattern, and
     the difference is formed per block, never as a whole matrix.
     """
-    return _block_eigvalsh(a * sa - b * sb for _, sa, sb in _split(mat_a, mat_b))
+    return _block_eigvalsh(a * sa - b * sb for _, sa, sb in _split([mat_a, mat_b], patterns))
 
 
 def _block_eigvalsh(stacks) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh((stack + _adjoint(stack)) / 2.0).ravel()
                                    for stack in stacks]))
+
+
+def _gather(es: EigenSystem, n: int):
+    """``(rows, cols) -> V[rows[:, :, None], cols[:, None, :]]`` for the
+    eigenvectors ``V`` of ``es``, read from its blocks and a trailing zero by
+    each index's component, row offset into them and column position."""
+    flat = np.append(np.concatenate([v.ravel() for _, _, v in es.blocks]), 0)
+    row_comp, head, col_comp, pos = (np.empty(n, dtype=int) for _ in range(4))
+    offset = 0
+    for rows, cols, v in es.blocks:
+        row_comp[rows] = col_comp[cols] = rows[:, :1]
+        head[rows] = offset + rows.shape[1] * np.arange(rows.size).reshape(rows.shape)
+        pos[cols] = np.arange(rows.shape[1])
+        offset += v.size
+
+    def gather(rows, cols):
+        r, c = rows[:, :, None], cols[:, None, :]
+        return flat[np.where(row_comp[r] == col_comp[c], head[r] + pos[c], -1)]
+
+    return gather
 
 
 def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,24 +173,23 @@ def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.nd
 
     Two eigenvectors overlap only inside one connected component of the union
     of the two splits, found in O(dim) from their ``blocks``, so the table is
-    one batched product per component size, O(sum k^3) in all instead of
-    O(dim^3).
+    one batched product per component size of stacks gathered from the
+    blocks, O(sum k^3) in all instead of O(dim^3).
     """
     n = len(es0.eigenvalues)
     # each component of either split, as edges from its first index
     union = _components(n, [(rows.ravel(), np.repeat(rows[:, 0], rows.shape[1]))
-                            for es in (es0, es1) for rows, _ in es.blocks])
+                            for es in (es0, es1) for rows, _, _ in es.blocks])
     cols = []
     for es in (es0, es1):
         of_col = np.empty(n, dtype=int)
-        for rows, c in es.blocks:
+        for rows, c, _ in es.blocks:
             of_col[c] = union[rows[:, :1]]
         cols.append(_groups(of_col))
+    gather0, gather1 = _gather(es0, n), _gather(es1, n)
     i, j, table = [], [], []
     for rows, c0, c1 in zip(_groups(union), *cols):
-        v0 = es0.eigenvectors[rows[:, :, None], c0[:, None, :]]
-        v1 = es1.eigenvectors[rows[:, :, None], c1[:, None, :]]
-        table.append((np.abs(_adjoint(v0) @ v1) ** 2).ravel())
+        table.append((np.abs(_adjoint(gather0(rows, c0)) @ gather1(rows, c1)) ** 2).ravel())
         i.append(np.repeat(c0, c0.shape[1], axis=1).ravel())
         j.append(np.tile(c1, c1.shape[1]).ravel())
     return np.concatenate(i), np.concatenate(j), np.concatenate(table)

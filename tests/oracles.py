@@ -72,6 +72,23 @@ def components_ref(mat):
     return connected_components(csr_matrix(np.asarray(mat) != 0), directed=False)[1]
 
 
+def dense_eigenvectors(es):
+    """The full unitary eigenvector matrix of a ``spectral.EigenSystem``,
+    assembled from its ``(rows, cols, vectors)`` blocks: column ``cols[g, b]``
+    holds ``vectors[g, :, b]`` on the rows ``rows[g]`` and zeros elsewhere."""
+    n = len(es.eigenvalues)
+    v = np.zeros((n, n), dtype=np.result_type(*(vectors for _, _, vectors in es.blocks)))
+    for rows, cols, vectors in es.blocks:
+        v[rows[:, :, None], cols[:, None, :]] = vectors
+    return v
+
+
+def reconstruct_ref(es):
+    """``V diag(w) V^dag`` of a ``spectral.EigenSystem``."""
+    v = dense_eigenvectors(es)
+    return (v * es.eigenvalues) @ v.conj().T
+
+
 def dense_overlap_ref(v0, v1):
     """Squared eigenvector overlap table ``|V0^dag V1|^2`` as one dense product."""
     return np.abs(v0.conj().T @ v1) ** 2

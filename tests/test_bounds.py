@@ -19,8 +19,8 @@ from triqi.spectral import rank_one_spectrum
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
                           build_hypothesis_pair, flat_levels, hypothesis_h1, three_photon_state)
 
-from oracles import (QsGrid, dense_overlap_ref, helstrom_ref, pair_full_arrays_ref, qs_ref,
-                     support_powers_ref, trace_power_ref)
+from oracles import (QsGrid, dense_eigenvectors, dense_overlap_ref, helstrom_ref,
+                     pair_full_arrays_ref, qs_ref, support_powers_ref, trace_power_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -385,7 +385,7 @@ def test_dense_overlap_blocks_match_dense_product(params):
     pair = build_hypothesis_pair(params)
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
     es0, es1 = d0.eigensystem, d1.eigensystem
-    table = dense_overlap_ref(es0.eigenvectors, es1.eigenvectors)
+    table = dense_overlap_ref(dense_eigenvectors(es0), dense_eigenvectors(es1))
     # the per-block entries are the whole table: every other entry is zero
     i, j, entries = spectral.overlap_terms(es0, es1)
     blocks = np.zeros_like(table)
@@ -476,6 +476,53 @@ def test_dense_lane_allocates_by_blocks():
     # decompose both first, so that only the Q_s terms and the search are traced
     d0.eigensystem, d1.eigensystem
     assert peak(lambda: chernoff(d0, d1)) <= 0.05
+
+
+def _arrays(x):
+    """Every array reachable from ``x`` through dataclass fields and tuples."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from _arrays(item)
+    elif hasattr(x, "__dataclass_fields__"):
+        yield from _arrays(tuple(vars(x).values()))
+
+
+def test_dense_eigensystem_holds_no_array_of_the_full_dimension_squared():
+    # dim 800 with blocks of size 2; in units of one complex dim x dim matrix
+    rho = dense_copy(build_hypothesis_pair(DENSE_CHECK_POINTS[2]).rho1)
+    unit = 16 * rho.space.total_dim ** 2
+    tracemalloc.start()
+    try:
+        es = rho.eigensystem
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.05 * unit
+    assert peak < 0.15 * unit
+    arrays = list(_arrays(es))
+    assert len(arrays) == 1 + 3 * len(es.blocks)
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_dense_lane_scans_each_operator_once(monkeypatch):
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[1])
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    shape = d0.to_dense().shape
+    scans = []
+    original = np.flatnonzero
+
+    def counting(a):
+        if np.shape(a) == shape:
+            scans.append(a)
+        return original(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counting)
+    chernoff(d0, d1)
+    q_s(d0, d1, 0.5)
+    helstrom_optimum(d0, d1)
+    assert len(scans) == 2
 
 
 def test_thermal_point_allocates_no_array_of_the_full_dimension():

@@ -284,9 +284,9 @@ def test_validate_dense_branch_reads_split_eigenvalues(monkeypatch):
     calls = []
     original = spectral.eigvalsh
 
-    def counting(mat):
+    def counting(mat, *args):
         calls.append(len(mat))
-        return original(mat)
+        return original(mat, *args)
 
     monkeypatch.setattr(spectral, "eigvalsh", counting)
     pair = build_hypothesis_pair(GOLDEN_POINT)

@@ -270,6 +270,16 @@ def test_audit_marks_incomplete_subcomputations():
     assert a.principal is not None  # the principal path has no two-level requirement
 
 
+def test_audit_signed_root_applies_the_thermal_tail_check():
+    # cutoff 10 at nbar 20 leaves a thermal tail mass of 0.61, against 1e-8
+    p = ProtocolParams(theta=0.01, eta=0.01, nbar2=20.0, nbar3=20.0, cutoffs=(2, 10, 10))
+    a = audit_overlap(p)
+    assert a.signed_root is None
+    assert any(item.startswith("signed_root: thermal tail mass") for item in a.incomplete)
+    assert any(item.startswith("principal: thermal tail mass") for item in a.incomplete)
+    assert a.verdict != overlap_audit.VERDICT_MATCHES
+
+
 def test_audit_reads_a_passed_pair_of_its_params():
     pair = build_hypothesis_pair(GOLDEN_POINT)
     assert audit_overlap(GOLDEN_POINT, pair=pair) == audit_overlap(GOLDEN_POINT)

@@ -17,8 +17,9 @@ from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secu
                             rank_one_spectrum)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
-from oracles import (components_ref, helstrom_ref, pair_arrays_ref, pair_full_arrays_ref,
-                     q_flat_closed_form, qs_ref, thermal_probs_ref, trace_power_ref)
+from oracles import (components_ref, dense_eigenvectors, helstrom_ref, pair_arrays_ref,
+                     pair_full_arrays_ref, q_flat_closed_form, qs_ref, reconstruct_ref,
+                     thermal_probs_ref, trace_power_ref)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -43,8 +44,8 @@ def test_eigh_invariants():
         m = random_psd(dim)
         es = eigh(m)
         top = np.abs(m).max()
-        assert np.abs(es.reconstruct() - m).max() <= 1e-10 * top
-        v = es.eigenvectors
+        assert np.abs(reconstruct_ref(es) - m).max() <= 1e-10 * top
+        v = dense_eigenvectors(es)
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
 
 
@@ -133,20 +134,24 @@ def test_split_eigh_matches_full_decomposition(mat):
     assert np.abs(es.eigenvalues - reference).max() <= 1e-12 * scale
     assert np.all(np.diff(es.eigenvalues) >= 0)
     assert np.abs(spectral.eigvalsh(mat) - reference).max() <= 1e-12 * scale
-    v = es.eigenvectors
+    v = dense_eigenvectors(es)
     assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
-    assert np.abs(es.reconstruct() - mat).max() <= 1e-12 * scale
+    assert np.abs(reconstruct_ref(es) - mat).max() <= 1e-12 * scale
     # the recorded split is the exact component structure, and each
     # eigenvector lives on one component and is zero elsewhere
     labels = components_ref(mat)
-    for part in ([rows for rows, _ in es.blocks], [cols for _, cols in es.blocks]):
+    for part in ([rows for rows, _, _ in es.blocks], [cols for _, cols, _ in es.blocks]):
         assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in part])), np.arange(n))
-    for rows, cols in es.blocks:
+    for rows, cols, vectors in es.blocks:
+        assert vectors.shape == rows.shape + rows.shape[1:]
         for r, c in zip(rows, cols):
             assert set(labels[r]) == {labels[r[0]]} and np.sum(labels == labels[r[0]]) == len(r)
             assert np.all(v[np.setdiff1d(np.arange(n), r)][:, c] == 0)
     for j in range(n):
         assert len(set(labels[np.flatnonzero(v[:, j])])) == 1
+    # the overlap table's gather reads the same entries, zeros included
+    everything = np.arange(n)[None, :]
+    assert spectral._gather(es, n)(everything, everything)[0].tobytes() == v.tobytes()
     for i, j in ((0, n - 1), (n - 1, 0)) if n > 1 else ():
         skew = mat.astype(complex)
         skew[i, j] += 1e-6 * max(float(np.abs(mat).max()), 1e-300)
