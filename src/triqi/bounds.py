@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError, RegimeWarning
+from . import spectral
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
-# eigh is unused here but stays bound for callers that reach it as bounds.eigh
+# eigh is called as spectral.eigh; it stays bound for callers that reach it as bounds.eigh
 from .spectral import (SUPPORT_TOL, StructuredPair, diag_rank_one_trace_power, eigh,  # noqa: F401
-                       eigvalsh, eigvalsh_difference, overlap_terms)
+                       eigvalsh, overlap_terms)
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -68,45 +71,80 @@ def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
 
 
 class _PairContext:
-    """The terms ``(c, a, b)`` of ``Q_s`` for one user-supplied pair, built
-    once for repeated calls.
+    """What every quantity of one user-supplied pair reads, built once.
 
-    Reads a :class:`StructuredPair`'s terms whenever both operators share a
-    structured basis, with the eigenvalue roles swapped when the rank-one term
-    sits on ``rho0``; otherwise the nonzero entries of the overlap table of the
-    operators' cached eigensystems, masked to both supports here.
+    A pair that shares one structured basis reads its :class:`StructuredPair`
+    (roles swapped when the rank-one term sits on ``rho0``).  Any other pair
+    splits once on the :func:`spectral.components` of both operators' joined
+    nonzero patterns: ``Q_s`` decomposes each operator there, so both
+    eigensystems share their rows, and Helstrom forms ``pi1 rho1 - pi0 rho0``
+    block by block there.  The operators are held by weak reference only.
     """
 
     def __init__(self, rho0: DensityOperator, rho1: DensityOperator):
         _check_space(rho0, rho1)
-        structured, swapped = _shared_basis(rho0, rho1)
-        if structured is None:
-            self.terms = _dense_terms(rho0, rho1)
-        else:
-            c, a, b = structured._terms
+        self.refs = (weakref.ref(rho0, _forget), weakref.ref(rho1, _forget))
+        self.structured, self.swapped = _shared_basis(rho0, rho1)
+        if self.structured is None:
+            self.groups = spectral.components(rho0.space.total_dim,
+                                              [rho0.nonzero_pattern, rho1.nonzero_pattern])
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        """The terms ``(c, a, b)`` of ``Q_s``."""
+        if self.structured is not None:
+            c, a, b = self.structured._terms
             # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s)
-            self.terms = (c, b, a) if swapped else (c, a, b)
+            return (c, b, a) if self.swapped else (c, a, b)
+        es0, es1 = (spectral.eigh(ref().to_dense(), self.groups) for ref in self.refs)
+        i, j, c = overlap_terms(es0, es1)
+        a, b = es0.eigenvalues[i], es1.eigenvalues[j]
+        keep = np.ones(len(c), dtype=bool)
+        for name, w, x in (("rho0", es0.eigenvalues, a), ("rho1", es1.eigenvalues, b)):
+            top = max(float(w.max()), 1e-300)
+            if w.min() < -1e-10 * top:
+                raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
+            keep &= x > SUPPORT_TOL * top
+        return c[keep], a[keep], b[keep]
 
     def q(self, s: float) -> float:
         return diag_rank_one_trace_power(self.terms, s)
 
+    def helstrom(self, pi0: float) -> float:
+        if self.structured is not None:
+            # the trace norm is even under negation, so swapped roles swap the priors
+            return self.structured.helstrom(1.0 - pi0 if self.swapped else pi0)
+        m0, m1 = (spectral.blocks(ref().to_dense(), self.groups) for ref in self.refs)
+        eigs = spectral.block_eigvalsh((1.0 - pi0) * s1 - pi0 * s0 for s0, s1 in zip(m0, m1))
+        return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
 
-def _dense_terms(rho0: DensityOperator, rho1: DensityOperator) -> tuple[np.ndarray, ...]:
-    es0, es1 = rho0.eigensystem, rho1.eigensystem
-    i, j, c = overlap_terms(es0, es1)
-    a, b = es0.eigenvalues[i], es1.eigenvalues[j]
-    keep = np.ones(len(c), dtype=bool)
-    for name, w, x in (("rho0", es0.eigenvalues, a), ("rho1", es1.eigenvalues, b)):
-        top = max(float(w.max()), 1e-300)
-        if w.min() < -1e-10 * top:
-            raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
-        keep &= x > SUPPORT_TOL * top
-    return c[keep], a[keep], b[keep]
+
+_last_context: _PairContext | None = None
+
+
+def _pair_context(rho0: DensityOperator, rho1: DensityOperator) -> _PairContext:
+    """The :class:`_PairContext` of ``(rho0, rho1)``, in this order: the last
+    one built, while both of its operators live, or a new one.  Threads that
+    race on the cache can only cost each other a rebuild."""
+    global _last_context
+    last = _last_context
+    if last is not None and last.refs[0]() is rho0 and last.refs[1]() is rho1:
+        return last
+    _last_context = context = _PairContext(rho0, rho1)
+    return context
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the cached context once either of its operators dies."""
+    global _last_context
+    last = _last_context
+    if last is not None and (ref is last.refs[0] or ref is last.refs[1]):
+        _last_context = None
 
 
 def q_s(rho0: DensityOperator, rho1: DensityOperator, s: float) -> float:
     """Tr(rho0^s rho1^{1-s}) with powers restricted to the support (0^0 = 0)."""
-    return _PairContext(rho0, rho1).q(s)
+    return _pair_context(rho0, rho1).q(s)
 
 
 @dataclass(frozen=True)
@@ -124,7 +162,7 @@ def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6) ->
     ``-CONVEXITY_SLACK``) before the unimodal search is trusted; the scan also
     supplies the reported Q_s curve, endpoints included.
     """
-    return _golden_section(_PairContext(rho0, rho1).q, tol)
+    return _golden_section(_pair_context(rho0, rho1).q, tol)
 
 
 def _golden_section(q, tol: float) -> ChernoffResult:
@@ -186,14 +224,7 @@ def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 
     """Minimum single-shot error (1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)."""
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"prior pi0={pi0} outside [0, 1]")
-    _check_space(rho0, rho1)
-    structured, swapped = _shared_basis(rho0, rho1)
-    if structured is not None:
-        # the trace norm is even under negation, so swapped roles swap the priors
-        return structured.helstrom(1.0 - pi0 if swapped else pi0)
-    eigs = eigvalsh_difference(1.0 - pi0, rho1.to_dense(), pi0, rho0.to_dense(),
-                               (rho1.nonzero_pattern, rho0.nonzero_pattern))
-    return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
+    return _pair_context(rho0, rho1).helstrom(pi0)
 
 
 def povm_error(rho0: DensityOperator, rho1: DensityOperator,

@@ -252,24 +252,12 @@ class DensityOperator:
     @cached_property
     def nonzero_pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """``spectral.nonzero_pattern`` of the dense matrix, scanned once per
-        operator and read-only; every dense split of the operator reads it."""
+        operator and read-only; every dense split of the operator reads it.
+        It holds O(nonzero entries) indices, not dim^2."""
         pattern = spectral.nonzero_pattern(self.to_dense())
         for arr in pattern:
             arr.setflags(write=False)
         return pattern
-
-    @cached_property
-    def eigensystem(self) -> spectral.EigenSystem:
-        """``spectral.eigh`` of the dense matrix, computed once per operator.
-
-        Safe to cache: the operator is frozen and its arrays, like the cached
-        ones, are read-only; a failed check raises on every access, since
-        exceptions are not cached.  It holds O(sum k^2) numbers, not dim^2.
-        """
-        es = spectral.eigh(self.to_dense(), self.nonzero_pattern)
-        for arr in (es.eigenvalues, *(a for b in es.blocks for a in b)):
-            arr.setflags(write=False)
-        return es
 
     def validate(self) -> None:
         """Check the Hermitian / PSD / trace invariants at the standard tolerances."""
@@ -284,7 +272,9 @@ class DensityOperator:
                 raise NumericalError("negative low-rank weight breaks positive semidefiniteness")
         else:
             mat = self.to_dense()
-            herm = np.max(np.abs(mat - mat.conj().T))
+            rows, cols = self.nonzero_pattern
+            # every other entry of mat and of its adjoint is zero
+            herm = np.max(np.abs(mat[rows, cols] - mat[cols, rows].conj()), initial=0.0)
             if herm > HERMITIAN_TOL:
                 raise NumericalError(f"Hermiticity violation {herm} > {HERMITIAN_TOL}")
             eigs = spectral.eigvalsh(mat, self.nonzero_pattern)

@@ -24,6 +24,7 @@ SUPPORT_TOL = 1e-12
 DEFLATION_REL_GAP = 1e-13
 EIGH_HERMITIAN_TOL = 1e-10
 _SECULAR_MAX_ITER = 100
+_SCAN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,9 @@ class EigenSystem:
     """Ascending eigenvalues and the matching unitary column eigenvectors.
 
     ``blocks`` holds, per component size ``k``, ``(rows, cols, vectors)``: the
-    ``(m, k)`` indices of ``m`` connected components, the eigenvector columns
-    that live on them and their ``(m, k, k)`` entries ``V[rows[g, a], cols[g, b]]``.
-    An eigenvector is exactly zero off its component.
+    ``(m, k)`` indices of ``m`` components of the split (see :func:`components`),
+    the eigenvector columns that live on them and their ``(m, k, k)`` entries
+    ``V[rows[g, a], cols[g, b]]``.  An eigenvector is exactly zero off its component.
     """
 
     eigenvalues: np.ndarray
@@ -63,59 +64,73 @@ def _components(n: int, edges) -> np.ndarray:
         label = new
 
 
-def _groups(label: np.ndarray) -> list[np.ndarray]:
-    """Indices grouped by ``label``: for each group size ``k``, ascending, an
-    ``(m, k)`` array whose rows are its ``m`` groups in label order."""
-    sizes = np.bincount(label, minlength=len(label))[label]
+def nonzero_pattern(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the exactly nonzero entries of a square
+    matrix, in row-major order: the one O(dim^2) scan that splitting it takes.
+
+    The scan runs ``_SCAN_ROWS`` rows at a time.  A complex entry is nonzero
+    exactly when either of its float halves is, so it compares the halves and
+    reads each entry's two booleans as one ``uint16``.
+    """
+    n = len(mat)
+    flat = [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, n, _SCAN_ROWS):
+        chunk = np.ascontiguousarray(mat[lo:lo + _SCAN_ROWS])
+        if np.iscomplexobj(chunk):
+            nonzero = (chunk.view(chunk.real.dtype) != 0).view(np.uint16) != 0
+        else:
+            nonzero = chunk != 0
+        flat.append(np.flatnonzero(nonzero) + lo * n)
+    return np.divmod(np.concatenate(flat), n)
+
+
+def components(n: int, patterns) -> list[np.ndarray]:
+    """The split of ``n x n`` matrices with the nonzero ``patterns`` (see
+    :func:`nonzero_pattern`): the connected components of the graph of all
+    their entries and their adjoints', grouped by size ``k``, ascending, as
+    one ``(m, k)`` array of basis indices each, in label order.  Each matrix
+    is zero off its diagonal blocks on the split.  O(nonzero entries).
+    """
+    label = _components(n, patterns)
+    sizes = np.bincount(label, minlength=n)[label]
     order = np.lexsort((label, sizes))
     ks, counts = np.unique(sizes[order], return_counts=True)
     return [part.reshape(-1, k) for part, k in zip(np.split(order, np.cumsum(counts)[:-1]), ks)]
 
 
-def nonzero_pattern(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the exactly nonzero entries of a square
-    matrix: the one O(dim^2) scan that splitting it takes."""
-    return np.divmod(np.flatnonzero(mat != 0), len(mat))
-
-
-def _split(mats, patterns) -> list[tuple[np.ndarray, ...]]:
-    """``(rows, *stacks)`` for each component size of the graph of the nonzero
-    entries of all of ``mats`` and their adjoints: the ``(m, k)`` basis indices
-    of its components and, for each matrix, its ``(m, k, k)`` diagonal blocks.
-    Every other entry of each matrix and its adjoint is exactly zero, so the
-    split is a permutation similarity of each ``(mat + mat^dag) / 2``.
-
-    ``patterns`` holds each matrix's :func:`nonzero_pattern` or None to scan it
-    here; the component search and blocks cost O(nonzero entries), O(sum k^2).
-    """
-    n = len(mats[0])
-    label = _components(n, [pattern or nonzero_pattern(mat) for mat, pattern in zip(mats, patterns)])
-    return [(rows, *(mat[rows[:, :, None], rows[:, None, :]] for mat in mats))
-            for rows in _groups(label)]
+def blocks(mat: np.ndarray, groups) -> list[np.ndarray]:
+    """The ``(m, k, k)`` diagonal blocks of ``mat`` on each of ``groups``."""
+    return [mat[rows[:, :, None], rows[:, None, :]] for rows in groups]
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-def eigh(matrix: np.ndarray, pattern=None) -> EigenSystem:
+def eigh(matrix: np.ndarray, groups=None) -> EigenSystem:
     """Hermitian eigendecomposition with an input symmetry check.
 
-    Decomposes each connected component of the exact nonzero pattern on its
-    own, one batched ``np.linalg.eigh`` per component size; a fully dense
-    matrix is one component.  ``pattern`` is its :func:`nonzero_pattern`, if known.
+    Decomposes each block of a split on its own, one batched
+    ``np.linalg.eigh`` per component size; a fully dense matrix is one
+    component.  ``groups`` is a split that holds every nonzero entry of the
+    matrix, such as the :func:`components` of two operators' joined patterns,
+    which gives both eigensystems the same ``rows``; by default the components
+    of the matrix's own pattern.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    split = _split([mat], [pattern])
+    if groups is None:
+        groups = components(len(mat), [nonzero_pattern(mat)])
+    stacks = blocks(mat, groups)
     # the blocks hold every nonzero entry of mat and mat^dag, so these are
     # the maxima over the whole matrix
-    dev = np.max([np.max(np.abs(stack - _adjoint(stack))) for _, stack in split])
-    scale = max(float(np.max([np.max(np.abs(stack)) for _, stack in split])), 1e-300)
+    dev = np.max([np.max(np.abs(stack - _adjoint(stack))) for stack in stacks])
+    scale = max(float(np.max([np.max(np.abs(stack)) for stack in stacks])), 1e-300)
     if dev > EIGH_HERMITIAN_TOL * scale:
         raise NumericalError(f"matrix deviates from Hermitian by {dev} (tol {EIGH_HERMITIAN_TOL * scale})")
-    parts = [(rows, *np.linalg.eigh((stack + _adjoint(stack)) / 2.0)) for rows, stack in split]
+    parts = [(rows, *np.linalg.eigh((stack + _adjoint(stack)) / 2.0))
+             for rows, stack in zip(groups, stacks)]
     w = np.concatenate([pw.ravel() for _, pw, _ in parts])
     order = np.argsort(w, kind="stable")
     rank = np.empty_like(order)
@@ -127,43 +142,16 @@ def eigh(matrix: np.ndarray, pattern=None) -> EigenSystem:
 
 def eigvalsh(matrix: np.ndarray, pattern=None) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part ``(M + M^dag) / 2``, split
-    into connected components as :func:`eigh` splits them."""
-    return _block_eigvalsh(stack for _, stack in _split([np.asarray(matrix)], [pattern]))
+    into the components of its nonzero ``pattern`` (scanned if not given)."""
+    mat = np.asarray(matrix)
+    return block_eigvalsh(blocks(mat, components(len(mat), [pattern or nonzero_pattern(mat)])))
 
 
-def eigvalsh_difference(a: float, mat_a: np.ndarray, b: float, mat_b: np.ndarray,
-                        patterns=(None, None)) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``a A - b B``.
-
-    Both matrices split on the components of their joined nonzero pattern, and
-    the difference is formed per block, never as a whole matrix.
-    """
-    return _block_eigvalsh(a * sa - b * sb for _, sa, sb in _split([mat_a, mat_b], patterns))
-
-
-def _block_eigvalsh(stacks) -> np.ndarray:
+def block_eigvalsh(stacks) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian parts of all ``(m, k, k)``
+    blocks in ``stacks``, together."""
     return np.sort(np.concatenate([np.linalg.eigvalsh((stack + _adjoint(stack)) / 2.0).ravel()
                                    for stack in stacks]))
-
-
-def _gather(es: EigenSystem, n: int):
-    """``(rows, cols) -> V[rows[:, :, None], cols[:, None, :]]`` for the
-    eigenvectors ``V`` of ``es``, read from its blocks and a trailing zero by
-    each index's component, row offset into them and column position."""
-    flat = np.append(np.concatenate([v.ravel() for _, _, v in es.blocks]), 0)
-    row_comp, head, col_comp, pos = (np.empty(n, dtype=int) for _ in range(4))
-    offset = 0
-    for rows, cols, v in es.blocks:
-        row_comp[rows] = col_comp[cols] = rows[:, :1]
-        head[rows] = offset + rows.shape[1] * np.arange(rows.size).reshape(rows.shape)
-        pos[cols] = np.arange(rows.shape[1])
-        offset += v.size
-
-    def gather(rows, cols):
-        r, c = rows[:, :, None], cols[:, None, :]
-        return flat[np.where(row_comp[r] == col_comp[c], head[r] + pos[c], -1)]
-
-    return gather
 
 
 def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,25 +159,15 @@ def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.nd
     ``(i, j, table)``: ``table[t]`` is the squared overlap of eigenvector
     ``i[t]`` of ``es0`` with eigenvector ``j[t]`` of ``es1``.
 
-    Two eigenvectors overlap only inside one connected component of the union
-    of the two splits, found in O(dim) from their ``blocks``, so the table is
-    one batched product per component size of stacks gathered from the
-    blocks, O(sum k^3) in all instead of O(dim^3).
+    Both eigensystems must share their ``rows`` (see :func:`eigh`'s
+    ``groups``); two eigenvectors then overlap only on one block, and the
+    table is one batched product per component size, O(sum k^3).
     """
-    n = len(es0.eigenvalues)
-    # each component of either split, as edges from its first index
-    union = _components(n, [(rows.ravel(), np.repeat(rows[:, 0], rows.shape[1]))
-                            for es in (es0, es1) for rows, _, _ in es.blocks])
-    cols = []
-    for es in (es0, es1):
-        of_col = np.empty(n, dtype=int)
-        for rows, c, _ in es.blocks:
-            of_col[c] = union[rows[:, :1]]
-        cols.append(_groups(of_col))
-    gather0, gather1 = _gather(es0, n), _gather(es1, n)
     i, j, table = [], [], []
-    for rows, c0, c1 in zip(_groups(union), *cols):
-        table.append((np.abs(_adjoint(gather0(rows, c0)) @ gather1(rows, c1)) ** 2).ravel())
+    for (rows, c0, v0), (rows1, c1, v1) in zip(es0.blocks, es1.blocks, strict=True):
+        if not np.array_equal(rows, rows1):
+            raise ValueError("the eigensystems do not share one split")
+        table.append((np.abs(_adjoint(v0) @ v1) ** 2).ravel())
         i.append(np.repeat(c0, c0.shape[1], axis=1).ravel())
         j.append(np.tile(c1, c1.shape[1]).ravel())
     return np.concatenate(i), np.concatenate(j), np.concatenate(table)

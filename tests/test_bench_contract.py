@@ -64,3 +64,31 @@ def test_sweep_specs_take_a_worker_count(harness, tmp_path):
     assert run.GoldenSweep(t, 1, tmp_path).sweep_spec(2).workers == 2
     # the point grid builds its SweepSpec(axes=, fixed=, outputs=, workers=)
     assert run.PointGrid(t, 1, tmp_path).sweep_spec(2).workers == 2
+
+
+def test_dense_pair_is_decomposed_and_scanned_once_under_the_tracer(harness, monkeypatch):
+    run, t = harness
+    pair = t.states.build_hypothesis_pair(t.presets.GOLDEN_POINT)
+    d0, d1 = run._dense_copy(t, pair.rho0), run._dense_copy(t, pair.rho1)
+    scans = []
+    original = t.spectral.nonzero_pattern
+
+    def counting(mat):
+        scans.append(len(mat))
+        return original(mat)
+
+    monkeypatch.setattr(t.spectral, "nonzero_pattern", counting)
+    tracer = run.spans.Tracer()
+    with run.spans.installed(tracer, run.layer_targets(t)):
+        t.bounds.q_s(d0, d1, 0.5)
+        first = list(tracer.spans)
+        t.bounds.chernoff(d0, d1)
+        t.bounds.helstrom_optimum(d0, d1)
+    # bench/test_bench.py expects exactly this nesting
+    root, = [s for s in first if s.name == "bounds.q_s"]
+    eighs = [s for s in first if s.name == "spectral.eigh"]
+    assert len(eighs) == 2 and all(s.parent == root.id for s in eighs)
+    assert scans == [72, 72]
+    later = tracer.spans[len(first):]
+    assert {"bounds.chernoff", "bounds.helstrom"} <= {s.name for s in later}
+    assert not [s for s in later if s.name == "spectral.eigh"] and scans == [72, 72]

@@ -1,13 +1,15 @@
+import gc
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from triqi import spectral
-from triqi.bounds import (_PairContext, advantage_ratio, bhattacharyya_bound,
+from triqi import bounds, spectral
+from triqi.bounds import (_PairContext, _pair_context, advantage_ratio, bhattacharyya_bound,
                           chernoff, error_bound_2gamma, error_bound_3gamma,
                           evaluate_point, helstrom_optimum, povm_error, q_s)
 from triqi.errors import NumericalError, RegimeWarning
@@ -371,12 +373,53 @@ def test_dense_lane_decomposes_each_operator_once(monkeypatch):
     space = build_space(1, [2])
     skew = DensityOperator.dense(space, np.array([[0.5, 0.1], [0.3, 0.5]]))
     good = DensityOperator.diagonal(space, [0.5, 0.5])
+    # a failed decomposition is not cached: every call decomposes again
     for _ in range(2):
         with pytest.raises(NumericalError):
-            skew.eigensystem
+            chernoff(skew, good)
         with pytest.raises(NumericalError):
             q_s(skew, good, 0.5)
     assert len(calls) == 6
+
+
+def test_pair_context_misses_on_another_order_or_operator():
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[1])
+
+    def values(rho0, rho1):
+        result = chernoff(rho0, rho1)
+        return (result.s_star, result.q_star, result.grid, q_s(rho0, rho1, 0.3),
+                bhattacharyya_bound(rho0, rho1, 2), helstrom_optimum(rho0, rho1, 0.2))
+
+    def fresh():
+        return dense_copy(pair.rho0), dense_copy(pair.rho1)
+
+    forward, backward = values(*fresh()), values(*fresh()[::-1])
+    d0, d1 = fresh()
+    other = dense_copy(pair.rho1)
+    assert values(d0, d1) == forward
+    context = _pair_context(d0, d1)
+    assert _pair_context(d0, d1) is context
+    for a, b, expected in ((d1, d0, backward), (d0, other, forward), (other, d0, backward),
+                           (d0, d1, forward)):
+        assert _pair_context(a, b) is not context
+        context = _pair_context(a, b)
+        assert values(a, b) == expected
+        assert _pair_context(a, b) is context
+
+
+def test_pair_context_keeps_no_operator_alive():
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[1])
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    q_s(d0, d1, 0.5)
+    context = _pair_context(d0, d1)
+    assert bounds._last_context is context
+    ref = weakref.ref(d1)
+    del d1
+    gc.collect()
+    assert ref() is None and context.refs[1]() is None
+    # the cache lets go of the context with the operator
+    assert bounds._last_context is None
+    assert context.refs[0]() is d0
 
 
 @pytest.mark.parametrize("params", DENSE_CHECK_POINTS,
@@ -384,7 +427,8 @@ def test_dense_lane_decomposes_each_operator_once(monkeypatch):
 def test_dense_overlap_blocks_match_dense_product(params):
     pair = build_hypothesis_pair(params)
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
-    es0, es1 = d0.eigensystem, d1.eigensystem
+    groups = spectral.components(d0.space.total_dim, [d0.nonzero_pattern, d1.nonzero_pattern])
+    es0, es1 = (spectral.eigh(rho.to_dense(), groups) for rho in (d0, d1))
     table = dense_overlap_ref(dense_eigenvectors(es0), dense_eigenvectors(es1))
     # the per-block entries are the whole table: every other entry is zero
     i, j, entries = spectral.overlap_terms(es0, es1)
@@ -473,8 +517,8 @@ def test_dense_lane_allocates_by_blocks():
     assert peak(pair.rho1.to_dense) <= 1.1
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
     assert peak(lambda: helstrom_optimum(d0, d1)) <= 0.25
-    # decompose both first, so that only the Q_s terms and the search are traced
-    d0.eigensystem, d1.eigensystem
+    # Helstrom has split the pair, so only the decompositions on that split,
+    # the Q_s terms and the search are traced
     assert peak(lambda: chernoff(d0, d1)) <= 0.05
 
 
@@ -491,34 +535,38 @@ def _arrays(x):
 
 def test_dense_eigensystem_holds_no_array_of_the_full_dimension_squared():
     # dim 800 with blocks of size 2; in units of one complex dim x dim matrix
-    rho = dense_copy(build_hypothesis_pair(DENSE_CHECK_POINTS[2]).rho1)
-    unit = 16 * rho.space.total_dim ** 2
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[2])
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    unit = 16 * d0.space.total_dim ** 2
     tracemalloc.start()
     try:
-        es = rho.eigensystem
+        # both scans, the joint split, both eigensystems and the Q_s terms
+        context = _pair_context(d0, d1)
+        context.terms
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained < 0.05 * unit
     assert peak < 0.15 * unit
-    arrays = list(_arrays(es))
-    assert len(arrays) == 1 + 3 * len(es.blocks)
-    assert not any(arr.flags.writeable for arr in arrays)
+    arrays = list(_arrays((context.terms, tuple(context.groups))))
+    assert len(arrays) == 3 + len(context.groups)
+    assert max(arr.nbytes for arr in arrays) < 0.01 * unit
+    # what the operators cache, their patterns, is read-only
+    patterns = list(_arrays((d0.nonzero_pattern, d1.nonzero_pattern)))
+    assert len(patterns) == 4 and not any(arr.flags.writeable for arr in patterns)
 
 
 def test_dense_lane_scans_each_operator_once(monkeypatch):
     pair = build_hypothesis_pair(DENSE_CHECK_POINTS[1])
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
-    shape = d0.to_dense().shape
     scans = []
-    original = np.flatnonzero
+    original = spectral.nonzero_pattern
 
-    def counting(a):
-        if np.shape(a) == shape:
-            scans.append(a)
-        return original(a)
+    def counting(mat):
+        scans.append(mat)
+        return original(mat)
 
-    monkeypatch.setattr(np, "flatnonzero", counting)
+    monkeypatch.setattr(spectral, "nonzero_pattern", counting)
     chernoff(d0, d1)
     q_s(d0, d1, 0.5)
     helstrom_optimum(d0, d1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,3 +299,17 @@ def test_validate_dense_branch_reads_split_eigenvalues(monkeypatch):
     with pytest.raises(NumericalError, match="negative eigenvalue"):
         DensityOperator.dense(build_space(1, [4]), mat).validate()
     assert calls == [72, 4]
+
+
+def test_validate_dense_branch_peaks_below_a_quarter_matrix():
+    # dim 800 with blocks of size 2; in units of one complex dim x dim matrix
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[2])
+    rho = DensityOperator.dense(pair.rho1.space, pair.rho1.to_dense())
+    unit = 16 * rho.space.total_dim ** 2
+    tracemalloc.start()
+    try:
+        rho.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * unit

@@ -110,6 +110,49 @@ def test_components_match_graph_search(pattern):
     assert np.array_equal(spectral._components(n, edges), smallest)
 
 
+@st.composite
+def scanned_matrices(draw):
+    """Square matrices of dims 0-300, across the scan's row chunks, real or
+    complex, C-contiguous or not, sparse or dense, with entries drawn from
+    values that test each half of a complex number: -0.0, NaN, purely real
+    and purely imaginary ones.  Whole row chunks may be zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from((0, 1, 7, spectral._SCAN_ROWS - 1, spectral._SCAN_ROWS,
+                              spectral._SCAN_ROWS + 1, 2 * spectral._SCAN_ROWS + 44)))
+    values = np.array([0.0, -0.0, np.nan, 1.5, -2.0, 1e-300, 1j, -0.0j, 1e-300j, 2 - 3j,
+                       complex(-0.0, -0.0), complex(np.nan, 0.0), complex(0.0, np.nan)])
+    complex_entries = draw(st.booleans())
+    if not complex_entries:
+        values = values[np.isreal(values)].real
+    mat = rng.choice(values, size=(n, n))
+    mat[rng.uniform(size=(n, n)) >= draw(st.floats(0.0, 1.0))] = 0.0
+    zero_rows = draw(st.integers(0, n))  # a zero band as long as whole chunks
+    start = draw(st.integers(0, n - zero_rows))
+    mat[start:start + zero_rows] = 0.0
+    layout = draw(st.sampled_from(("C", "F", "transposed", "strided")))
+    if layout == "F":
+        mat = np.asfortranarray(mat)
+    elif layout == "transposed":
+        mat = np.ascontiguousarray(mat.T).T
+    elif layout == "strided":
+        wide = np.zeros((n, 2 * n), dtype=mat.dtype)
+        wide[:, ::2] = mat
+        mat = wide[:, ::2]
+    return mat
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(scanned_matrices())
+@example(np.zeros((2 * spectral._SCAN_ROWS + 3,) * 2, dtype=complex))  # every chunk zero
+@example(np.diag(np.full(spectral._SCAN_ROWS + 5, -0.0 + 1j)))
+def test_nonzero_pattern_matches_flat_scan(mat):
+    n = len(mat)
+    expected = np.divmod(np.flatnonzero(mat != 0), max(n, 1))
+    rows, cols = spectral.nonzero_pattern(mat)
+    assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+    assert rows.dtype == cols.dtype == np.intp
+
+
 def _joined_blocks():
     """Two 2x2 blocks joined only by a 1e-300 entry and its mirror."""
     mat = np.zeros((4, 4))
@@ -149,9 +192,17 @@ def test_split_eigh_matches_full_decomposition(mat):
             assert np.all(v[np.setdiff1d(np.arange(n), r)][:, c] == 0)
     for j in range(n):
         assert len(set(labels[np.flatnonzero(v[:, j])])) == 1
-    # the overlap table's gather reads the same entries, zeros included
-    everything = np.arange(n)[None, :]
-    assert spectral._gather(es, n)(everything, everything)[0].tobytes() == v.tobytes()
+    # a coarser split that holds the matrix's own, here its components joined
+    # with those of a chain over the even indices, decomposes it as well and
+    # records exactly that split as the rows
+    chain = (np.arange(0, n - 2, 2), np.arange(2, n, 2))
+    coarse = spectral.components(n, [spectral.nonzero_pattern(mat), chain])
+    joined = eigh(mat, coarse)
+    assert np.abs(joined.eigenvalues - reference).max() <= 1e-12 * scale
+    assert np.abs(reconstruct_ref(joined) - mat).max() <= 1e-12 * scale
+    assert [rows.tobytes() for rows, _, _ in joined.blocks] == [g.tobytes() for g in coarse]
+    vj = dense_eigenvectors(joined)
+    assert np.abs(vj.conj().T @ vj - np.eye(n)).max() <= 1e-12
     for i, j in ((0, n - 1), (n - 1, 0)) if n > 1 else ():
         skew = mat.astype(complex)
         skew[i, j] += 1e-6 * max(float(np.abs(mat).max()), 1e-300)

@@ -200,7 +200,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
     removed = [(triqi, "background_state"), (states, "background_state"),
                (states, "idler_ket"), (states.EvolvedState, "closed_form"),
                (fock, "TensorProduct"), (fock, "factor_eigensystems"),
-               (fock.DensityOperator, "product"), (fock.DensityOperator, "trace_normalized")]
+               (fock.DensityOperator, "product"), (fock.DensityOperator, "trace_normalized"),
+               (fock.DensityOperator, "eigensystem"), (spectral, "eigvalsh_difference")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
 
 
