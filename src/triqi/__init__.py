@@ -10,16 +10,15 @@ __version__ = "0.1.0"
 
 from .bounds import (BoundReport, advantage_ratio, bhattacharyya_bound, chernoff,
                      error_bound_2gamma, error_bound_3gamma, evaluate_point,
-                     helstrom_optimum, povm_error, q_s)
+                     helstrom_optimum, q_s)
 from .errors import (DenseLimitError, NumericalError, RegimeWarning, ResourceError,
                      TriqiError, TruncationError)
-from .fock import DensityOperator, Ket, SpaceDescriptor, build_space, partial_trace, tensor_ket
+from .fock import DensityOperator, Ket, SpaceDescriptor, build_space
 from .overlap_audit import (SignChoice, TraceAudit, audit_overlap, closed_form_overlap,
                             principal_overlap, signed_root_overlap)
 from .spectral import EigenSystem, eigh
 from .states import (HypothesisPair, ProtocolParams, background_marginals,
-                     build_hypothesis_pair, evolve_exact, hypothesis_h0,
-                     hypothesis_h1, load_params, mean_photon_number, thermal_state,
+                     build_hypothesis_pair, evolve_exact, load_params, mean_photon_number,
                      three_photon_state)
 from .sweep import SweepSpec, SweepTable, emit, run_sweep
 
@@ -30,8 +29,7 @@ __all__ = [
     "TruncationError", "advantage_ratio", "audit_overlap", "background_marginals",
     "bhattacharyya_bound", "build_hypothesis_pair", "build_space", "chernoff",
     "closed_form_overlap", "eigh", "emit", "error_bound_2gamma", "error_bound_3gamma",
-    "evaluate_point", "evolve_exact", "helstrom_optimum", "hypothesis_h0", "hypothesis_h1",
-    "load_params", "mean_photon_number", "partial_trace", "povm_error", "principal_overlap",
-    "q_s", "run_sweep", "signed_root_overlap", "tensor_ket", "thermal_state",
+    "evaluate_point", "evolve_exact", "helstrom_optimum", "load_params",
+    "mean_photon_number", "principal_overlap", "q_s", "run_sweep", "signed_root_overlap",
     "three_photon_state",
 ]

@@ -1,9 +1,9 @@
 """Quantum hypothesis-testing quantities for the two illumination hypotheses.
 
 Implements Q_s = Tr(rho0^s rho1^{1-s}), its golden-section minimization (the
-Chernoff quantity), the s = 1/2 Bhattacharyya evaluation, POVM error and the
-Helstrom optimum, plus the closed-form error bounds of the three-photon and
-the two-mode Gaussian benchmark protocols.
+Chernoff quantity), the s = 1/2 Bhattacharyya evaluation and the Helstrom
+optimum, plus the closed-form error bounds of the three-photon and the
+two-mode Gaussian benchmark protocols.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import spectral
 from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
 # eigh is called as spectral.eigh; it stays bound for callers that reach it as bounds.eigh
 from .spectral import (SUPPORT_TOL, StructuredPair, diag_rank_one_trace_power, eigh,  # noqa: F401
-                       eigvalsh, overlap_terms)
+                       overlap_terms)
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
                      HypothesisPair, ProtocolParams, build_hypothesis_pair)
 
@@ -225,33 +225,6 @@ def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"prior pi0={pi0} outside [0, 1]")
     return _pair_context(rho0, rho1).helstrom(pi0)
-
-
-def povm_error(rho0: DensityOperator, rho1: DensityOperator,
-               e0: np.ndarray, e1: np.ndarray, pi0: float = 0.5) -> float:
-    """Two-outcome POVM error pi0 Tr(E1 rho0) + pi1 Tr(E0 rho1).
-
-    Checks POVM completeness (E0 + E1 = identity) and positivity before
-    evaluating; cross-check any POVM against :func:`helstrom_optimum`.
-    """
-    if not 0.0 <= pi0 <= 1.0:
-        raise ValueError(f"prior pi0={pi0} outside [0, 1]")
-    _check_space(rho0, rho1)
-    e0 = np.asarray(e0, dtype=complex)
-    e1 = np.asarray(e1, dtype=complex)
-    dim = rho0.space.total_dim
-    if e0.shape != (dim, dim) or e1.shape != (dim, dim):
-        raise ValueError("POVM element dimensions do not match the state space")
-    dev = np.max(np.abs(e0 + e1 - np.eye(dim)))
-    if dev > 1e-10:
-        raise NumericalError(f"POVM completeness violated: max |E0 + E1 - I| = {dev}")
-    for name, e in (("E0", e0), ("E1", e1)):
-        eigs = eigvalsh(e)
-        if eigs.min() < -1e-10 * max(eigs.max(), 1e-300):
-            raise NumericalError(f"POVM element {name} has negative eigenvalue {eigs.min()}")
-    m0 = rho0.to_dense()
-    m1 = rho1.to_dense()
-    return float(np.real(pi0 * np.sum(e1 * m0.T) + (1.0 - pi0) * np.sum(e0 * m1.T)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ class TruncationError(TriqiError):
 
 class NumericalError(TriqiError):
     """Raised on numeric contract violations: non-Hermitian input, PSD failure,
-    secular solve non-convergence, POVM completeness violation."""
+    secular solve non-convergence, a ket off unit norm."""
 
 
 class ResourceError(TriqiError):

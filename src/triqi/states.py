@@ -228,6 +228,8 @@ def evolve_exact(theta: float, chain_cutoff: int) -> EvolvedState:
     The population stranded at the top chain level is reported as leakage and
     must stay below ``CHAIN_LEAK_TOL`` (raise the cutoff otherwise).
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if chain_cutoff < 4:
         raise ValueError(f"chain cutoff must be >= 4, got {chain_cutoff}")
     k = np.arange(1, chain_cutoff)
@@ -236,7 +238,7 @@ def evolve_exact(theta: float, chain_cutoff: int) -> EvolvedState:
     evals, evecs = np.linalg.eigh(h)
     amps = evecs @ (np.exp(-1j * theta * evals) * evecs[0, :].conj())
     leakage = float(np.abs(amps[-1]) ** 2)
-    if leakage > CHAIN_LEAK_TOL:
+    if not leakage <= CHAIN_LEAK_TOL:
         raise TruncationError(
             f"chain leakage {leakage:.3e} above {CHAIN_LEAK_TOL:.1e} at cutoff {chain_cutoff}; "
             "raise the chain cutoff")
@@ -282,13 +284,6 @@ def thermal_marginal(nbar: float, cutoff: int, tail_bound: float) -> np.ndarray:
             f"thermal tail mass {tail:.3e} above bound {tail_bound:.1e}: "
             f"cutoff {cutoff} too small for nbar={nbar}")
     return thermal_probs(nbar, cutoff)
-
-
-def thermal_state(nbar: float, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND,
-                  dense_limit: int = DEFAULT_DENSE_LIMIT) -> DensityOperator:
-    """Single-mode truncated thermal state, renormalized to unit trace."""
-    space = build_space(1, (cutoff,), dense_limit)
-    return DensityOperator.diagonal(space, thermal_marginal(nbar, cutoff, tail_bound))
 
 
 def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
@@ -341,25 +336,6 @@ def background_marginals(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # hypothesis operators
 # ---------------------------------------------------------------------------
-
-def hypothesis_h0(params: ProtocolParams) -> DensityOperator:
-    """Target-absent state, idler (pure or traced) times the background: the
-    ``rho0`` of :func:`build_hypothesis_pair`, a DiagPlusLowRank operator with
-    no rank-one term over its own eigenbasis."""
-    return build_hypothesis_pair(params).rho0
-
-
-def hypothesis_h1(params: ProtocolParams) -> DensityOperator:
-    """Target-present state ``(1 - eta) rho0 + eta |Psi><Psi|``.
-
-    The ``rho1`` of :func:`build_hypothesis_pair`: a DiagPlusLowRank operator
-    holding the pair's :class:`StructuredPair` in the eigenbasis of the
-    target-absent state (its diagonal shared with rho0's and scaled by
-    ``1 - eta``, the triplet projector as the single rank-one term) and rho0's
-    per-mode rotations.
-    """
-    return build_hypothesis_pair(params).rho1
-
 
 @dataclass(frozen=True)
 class HypothesisPair:

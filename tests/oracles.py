@@ -66,6 +66,11 @@ def helstrom_ref(rho0, rho1, pi0):
     return 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))))
 
 
+def povm_error_ref(rho0, rho1, e0, e1, pi0):
+    """Two-outcome POVM error pi0 Tr(E1 rho0) + pi1 Tr(E0 rho1) on dense matrices."""
+    return float(np.real(pi0 * np.trace(e1 @ rho0) + (1.0 - pi0) * np.trace(e0 @ rho1)))
+
+
 def components_ref(mat):
     """Connected component label of each index of the graph of the nonzero
     entries of ``mat``, from scipy's graph search."""

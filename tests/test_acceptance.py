@@ -12,15 +12,17 @@ import pytest
 
 from triqi.bounds import chernoff, error_bound_2gamma, error_bound_3gamma, q_s
 from triqi.cli import main
-from triqi.fock import DensityOperator, partial_trace
+from triqi.fock import DensityOperator
 from triqi.overlap_audit import audit_overlap, closed_form_overlap, signed_root_overlap
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            golden_sweep_spec)
 from triqi.states import (ProtocolParams, auto_cutoff, build_hypothesis_pair,
-                          evolve_exact, hypothesis_h0, mean_photon_number,
+                          evolve_exact, mean_photon_number,
                           thermal_tail_mass, three_photon_state)
 from triqi.sweep import render, run_sweep
 from triqi.textfmt import parse_csv
+
+from oracles import partial_trace_ref
 
 
 def _criterion(number, ok, detail):
@@ -169,9 +171,10 @@ def test_criterion_8_state_invariants():
     for nbar in (1.0, 5.0, 20.0, 50.0):
         checks.append(thermal_tail_mass(nbar, auto_cutoff(nbar)) < 1e-8)
     traced = GOLDEN_POINT.with_updates(idler="traced")
-    rho_psi = DensityOperator.from_ket(three_photon_state(traced.theta, traced.space()))
-    reduced = partial_trace(rho_psi, [0]).to_dense()
-    idler = partial_trace(hypothesis_h0(traced), [0]).to_dense()
+    space = traced.space()
+    amps = three_photon_state(traced.theta, space).amplitudes
+    reduced = partial_trace_ref(np.outer(amps, amps.conj()), space.cutoffs, (0,))
+    idler = partial_trace_ref(build_hypothesis_pair(traced).rho0.to_dense(), space.cutoffs, (0,))
     checks.append(np.abs(reduced - idler[:2, :2]).max() <= 1e-12)
     ok = all(checks)
     _criterion(8, ok, "Hermitian/PSD/trace invariants, auto-cutoff tails < 1e-8, "

@@ -7,15 +7,15 @@ from numpy.testing import assert_allclose
 
 from triqi.bounds import q_s
 from triqi.errors import TruncationError
-from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space, partial_trace
+from triqi.fock import as_diag_plus_low_rank, build_space
 from triqi.presets import GOLDEN_POINT, GOLDEN_POINT_TRACED
-from triqi.states import (ProtocolParams, auto_cutoff, background_marginals,
-                          build_hypothesis_pair, evolve_exact, flat_levels,
-                          hypothesis_h0, hypothesis_h1, load_params,
-                          mean_photon_number, params_from_mapping, thermal_probs,
-                          thermal_state, thermal_tail_mass, three_photon_state)
+from triqi.states import (DEFAULT_TAIL_BOUND, ProtocolParams, auto_cutoff,
+                          background_marginals, build_hypothesis_pair, evolve_exact,
+                          flat_levels, load_params, mean_photon_number, params_from_mapping,
+                          thermal_marginal, thermal_probs, thermal_tail_mass,
+                          three_photon_state)
 
-from oracles import chain_amplitudes_ref, pair_matrices_ref
+from oracles import chain_amplitudes_ref, pair_matrices_ref, partial_trace_ref
 
 # chain amplitudes at theta=0.1, cutoff 8, frozen from the scipy expm oracle
 CHAIN_GOLDEN_01 = np.array([
@@ -158,16 +158,15 @@ def test_thermal_probs_form():
 
 
 def test_thermal_zero_temperature_limit():
-    rho = thermal_state(1e-9, 4)
-    probs = rho.structure.probs
+    probs = thermal_marginal(1e-9, 4, DEFAULT_TAIL_BOUND)
     assert probs[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_thermal_tail_and_guard():
     assert thermal_tail_mass(5.0, 128) == pytest.approx(7.32e-11, rel=1e-2)
-    thermal_state(5.0, 128)  # passes the default bound
+    thermal_marginal(5.0, 128, DEFAULT_TAIL_BOUND)  # passes the default bound
     with pytest.raises(TruncationError):
-        thermal_state(5.0, 16)
+        thermal_marginal(5.0, 16, DEFAULT_TAIL_BOUND)
 
 
 def test_auto_cutoff_minimal():
@@ -194,6 +193,12 @@ def test_auto_cutoff_rejects_non_positive_tail_bound(tail_bound):
 def test_evolve_exact_needs_four_levels():
     with pytest.raises(ValueError):
         evolve_exact(0.1, 3)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_evolve_exact_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match=f"theta must be finite, got {theta}"):
+        evolve_exact(theta, 16)
 
 
 def test_flat_levels_rounding():
@@ -230,7 +235,7 @@ def test_flat_vs_thermal_trace_distance_golden():
 
 def test_hypothesis_h0_theta_zero_flat():
     p = ProtocolParams(theta=0.0, eta=0.0, nbar2=4.0, nbar3=4.0, background="flat")
-    mat = hypothesis_h0(p).to_dense()
+    mat = build_hypothesis_pair(p).rho0.to_dense()
     expected = np.zeros((32, 32), dtype=complex)
     expected[:16, :16] = np.eye(16) / 16.0
     assert_allclose(mat, expected, atol=1e-15)
@@ -243,8 +248,8 @@ def test_hypothesis_states_normalized(background, idler, theta, eta):
     p = ProtocolParams(theta=theta, eta=eta, nbar2=3.0, nbar3=4.0,
                        cutoffs=(2, 8, 8), background=background, idler=idler,
                        tail_bound=math.inf)
-    h0 = hypothesis_h0(p)
-    h1 = hypothesis_h1(p)
+    pair = build_hypothesis_pair(p)
+    h0, h1 = pair.rho0, pair.rho1
     assert h0.trace() == pytest.approx(1.0, abs=1e-12)
     assert h1.trace() == pytest.approx(1.0, abs=1e-12)
     h0.validate()
@@ -252,11 +257,11 @@ def test_hypothesis_states_normalized(background, idler, theta, eta):
 
 
 def test_hypothesis_h1_limits():
-    p0 = GOLDEN_POINT.with_updates(eta=0.0)
-    assert_allclose(hypothesis_h1(p0).to_dense(), hypothesis_h0(p0).to_dense(), atol=1e-14)
+    pair0 = build_hypothesis_pair(GOLDEN_POINT.with_updates(eta=0.0))
+    assert_allclose(pair0.rho1.to_dense(), pair0.rho0.to_dense(), atol=1e-14)
     p1 = GOLDEN_POINT.with_updates(eta=1.0)
     psi = three_photon_state(p1.theta, p1.space())
-    assert_allclose(hypothesis_h1(p1).to_dense(),
+    assert_allclose(build_hypothesis_pair(p1).rho1.to_dense(),
                     np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-14)
 
 
@@ -315,7 +320,7 @@ def test_hypothesis_pair_arrays_are_read_only(monkeypatch):
 
 def test_hypothesis_h1_affine_in_eta():
     etas = (0.0, 0.3, 1.0)
-    mats = {eta: hypothesis_h1(GOLDEN_POINT.with_updates(eta=eta)).to_dense()
+    mats = {eta: build_hypothesis_pair(GOLDEN_POINT.with_updates(eta=eta)).rho1.to_dense()
             for eta in etas}
     mixed = 0.7 * mats[0.0] + 0.3 * mats[1.0]
     assert np.abs(mixed - mats[0.3]).max() <= 1e-12
@@ -324,9 +329,10 @@ def test_hypothesis_h1_affine_in_eta():
 def test_traced_idler_equals_partial_trace():
     p = GOLDEN_POINT_TRACED
     space = p.space()
-    rho_psi = DensityOperator.from_ket(three_photon_state(p.theta, space))
-    reduced = partial_trace(rho_psi, [0]).to_dense()
-    idler_factor = partial_trace(hypothesis_h0(p), [0]).to_dense()
+    amps = three_photon_state(p.theta, space).amplitudes
+    reduced = partial_trace_ref(np.outer(amps, amps.conj()), space.cutoffs, (0,))
+    rho0 = build_hypothesis_pair(p).rho0.to_dense()
+    idler_factor = partial_trace_ref(rho0, space.cutoffs, (0,))
     assert np.abs(reduced - idler_factor[:2, :2]).max() <= 1e-12
 
 

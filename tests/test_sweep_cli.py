@@ -201,7 +201,15 @@ def test_public_names_resolve_and_removed_names_are_gone():
                (states, "idler_ket"), (states.EvolvedState, "closed_form"),
                (fock, "TensorProduct"), (fock, "factor_eigensystems"),
                (fock.DensityOperator, "product"), (fock.DensityOperator, "trace_normalized"),
-               (fock.DensityOperator, "eigensystem"), (spectral, "eigvalsh_difference")]
+               (fock.DensityOperator, "eigensystem"), (spectral, "eigvalsh_difference"),
+               (fock, "tensor_ket"), (fock.Ket, "basis_state"), (fock.Ket, "from_amplitudes"),
+               (fock.DensityOperator, "from_ket"), (fock, "partial_trace"),
+               (fock.SpaceDescriptor, "subspace"), (fock, "Diagonal"),
+               (fock.DensityOperator, "diagonal"), (states, "thermal_state"),
+               (states, "hypothesis_h0"), (states, "hypothesis_h1"), (bounds, "povm_error"),
+               (bounds, "eigvalsh")]
+    removed += [(triqi, name) for name in ("tensor_ket", "partial_trace", "thermal_state",
+                                           "hypothesis_h0", "hypothesis_h1", "povm_error")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
 
 
