@@ -238,8 +238,10 @@ def error_bound_3gamma(eta: float, nbar: float, m_shots: float) -> float:
     restriction eta >> 1/nbar^2; violations warn but never fail.  Note the
     bound is independent of the signal mean photon number per mode.
     """
-    if eta < 0 or nbar <= 0 or m_shots < 0:
-        raise ValueError("need eta >= 0, nbar > 0, m_shots >= 0")
+    # written so that NaN fails the check
+    if not (0 <= eta < math.inf and nbar > 0 and 0 <= m_shots < math.inf):
+        raise ValueError("need eta and m_shots finite and >= 0 and nbar > 0, "
+                         f"got eta={eta}, nbar={nbar}, m_shots={m_shots}")
     if nbar < HIGH_NOISE_MIN_NBAR:
         warnings.warn(f"nbar={nbar} is not deep in the high-noise regime", RegimeWarning, stacklevel=2)
     if eta > SMALL_ETA_MAX:
@@ -252,8 +254,10 @@ def error_bound_3gamma(eta: float, nbar: float, m_shots: float) -> float:
 
 def error_bound_2gamma(kappa: float, n_signal: float, nbar: float, m_shots: float) -> float:
     """Two-mode Gaussian benchmark bound (1/2) exp(-M kappa N_S / nbar)."""
-    if kappa < 0 or n_signal < 0 or nbar <= 0 or m_shots < 0:
-        raise ValueError("need kappa >= 0, n_signal >= 0, nbar > 0, m_shots >= 0")
+    if not (0 <= kappa < math.inf and 0 <= n_signal < math.inf and nbar > 0
+            and 0 <= m_shots < math.inf):
+        raise ValueError("need kappa, n_signal and m_shots finite and >= 0 and nbar > 0, "
+                         f"got kappa={kappa}, n_signal={n_signal}, nbar={nbar}, m_shots={m_shots}")
     if not 0.0 < kappa <= 0.1:
         warnings.warn(f"kappa={kappa} outside the low-transmissivity regime", RegimeWarning, stacklevel=2)
     if n_signal > 0.1:
@@ -267,7 +271,7 @@ def advantage_ratio(n_signal: float) -> float:
     Under the preset identifications kappa = sqrt(eta) and N_S = theta^2, the
     exponent ratio is exactly 1/N_S; it requires N_S < 1 for an advantage.
     """
-    if n_signal <= 0:
+    if not n_signal > 0:
         raise ValueError(f"n_signal must be positive, got {n_signal}")
     if n_signal >= 1:
         raise ValueError(f"no advantage for n_signal={n_signal} >= 1")

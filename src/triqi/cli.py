@@ -41,35 +41,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_param_options(p: argparse.ArgumentParser) -> None:
+def _add_point_options(p: argparse.ArgumentParser) -> None:
+    """Options that fix the signal and background modes."""
     p.add_argument("--theta", type=float, default=0.1, help="interaction strength g*t")
-    p.add_argument("--eta", type=float, default=0.05, help="target reflectivity")
     p.add_argument("--nbar2", type=float, default=3.0, help="background mean photons, signal mode 1")
     p.add_argument("--nbar3", type=float, default=3.0, help="background mean photons, signal mode 2")
     p.add_argument("--cutoff", type=int, default=0,
                    help="signal-mode Fock cutoff (0 = auto-select from the tail bound)")
     p.add_argument("--background", choices=["thermal", "flat"], default="thermal")
-    p.add_argument("--idler", choices=["paper-pure", "traced"], default="paper-pure")
     p.add_argument("--tail-bound", type=float, default=None,
                    help="maximum tolerated thermal truncation tail mass")
-    p.add_argument("--dense-limit", type=int, default=None,
-                   help="largest dimension allowed to materialize densely")
-    p.add_argument("--tol", type=float, default=1e-6, help="minimizer tolerance on s")
+    p.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
+
+
+def _add_pair_options(p: argparse.ArgumentParser) -> None:
+    """Point options plus those that fix the hypothesis pair and the report."""
+    _add_point_options(p)
+    p.add_argument("--eta", type=float, default=0.05, help="target reflectivity")
+    p.add_argument("--idler", choices=["paper-pure", "traced"], default="paper-pure")
     p.add_argument("--strict", action="store_true",
                    help="treat regime violations as errors (exit code 3)")
-    p.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "text"], default="text")
 
 
-def _params_from_args(args) -> ProtocolParams:
-    kwargs = dict(theta=args.theta, eta=args.eta, nbar2=args.nbar2, nbar3=args.nbar3,
-                  background=args.background, idler=args.idler.replace("-", "_"))
+def _params_from_args(args, eta: float = 0.0, idler: str = "paper-pure") -> ProtocolParams:
+    """The point's parameters; ``state`` reads only the space, which eta and
+    the idler leave alone, so it takes the defaults."""
+    kwargs = dict(theta=args.theta, eta=eta, nbar2=args.nbar2, nbar3=args.nbar3,
+                  background=args.background, idler=idler.replace("-", "_"))
     if args.cutoff:
         kwargs["cutoffs"] = (2, args.cutoff, args.cutoff)
     if args.tail_bound is not None:
         kwargs["tail_bound"] = args.tail_bound
-    if args.dense_limit is not None:
-        kwargs["dense_limit"] = args.dense_limit
     return ProtocolParams(**kwargs)
 
 
@@ -122,14 +125,14 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_chernoff(args) -> int:
-    params = _params_from_args(args)
+    params = _params_from_args(args, args.eta, args.idler)
     report = evaluate_point(params, m_shots=args.M, tol=args.tol)
     _emit_record(report.as_record(), args)
     return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
-    params = _params_from_args(args)
+    params = _params_from_args(args, args.eta, args.idler)
     audit = audit_overlap(params, fit_gap=args.fit_gap)
     _emit_record(audit.as_record(), args)
     return EXIT_OK
@@ -192,19 +195,20 @@ def build_parser() -> _Parser:
 
     p_state = sub.add_parser("state",
                              help="build and inspect the signal states")
-    _add_param_options(p_state)
+    _add_point_options(p_state)
     p_state.add_argument("--chain-cutoff", type=int, default=16)
     p_state.set_defaults(func=_cmd_state)
 
     p_chernoff = sub.add_parser("chernoff",
                                 help="full bound report for one parameter point")
-    _add_param_options(p_chernoff)
+    _add_pair_options(p_chernoff)
+    p_chernoff.add_argument("--tol", type=float, default=1e-6, help="minimizer tolerance on s")
     p_chernoff.add_argument("--M", type=int, default=1, help="shot count for the M-copy bounds")
     p_chernoff.set_defaults(func=_cmd_chernoff)
 
     p_audit = sub.add_parser("appendix-audit",
                              help="three-way trace audit at one parameter point")
-    _add_param_options(p_audit)
+    _add_pair_options(p_audit)
     p_audit.add_argument("--fit-gap", action="store_true",
                          help="fit the leading eta-order of the principal-vs-signed gap")
     p_audit.set_defaults(func=_cmd_audit)

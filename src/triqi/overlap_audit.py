@@ -4,13 +4,13 @@ Three values are produced side by side and never merged into one verdict of
 correctness:
 
 * the closed-form value ``1 - sqrt(eta)/nbar``;
-* the hand-signed root construction, which writes the root of the mixed
-  hypothesis as the rho0 root minus a sign-flipped rank-one triplet term and
-  drops second-order background products, evaluated term by term;
+* the minus-branch root construction, which writes the root of the mixed
+  hypothesis as the rho0 root minus the rank-one triplet term and drops
+  second-order background products, evaluated term by term;
 * the principal functional-calculus trace (both roots PSD), computed on the
   structured path.
 
-The sign-flipped root is not the principal root, so the last two values
+The minus-branch root is not the principal root, so the last two values
 legitimately differ; the audit quantifies that gap and fits its leading order
 in the reflectivity.
 """
@@ -35,30 +35,6 @@ GAP_FIT_LADDER = (1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2)
 VERDICT_MATCHES = "matches_paper_order"
 VERDICT_DEVIATES = "deviates"
 VERDICT_REGIME = "regime_violated"
-
-
-@dataclass(frozen=True)
-class SignChoice:
-    """Signs chosen for the square roots in the hand-signed construction.
-
-    ``sign_rho0`` multiplies the idler projector inside the rho0 root;
-    ``sign_psi_term`` is the sign of the rank-one triplet-projector root inside
-    the rho1 root (the minus choice keeps the trace below 1);
-    ``sign_background_terms`` applies to the background blocks of the rho1
-    root, matching rho0's components when positive.
-    """
-
-    sign_rho0: int = +1
-    sign_psi_term: int = -1
-    sign_background_terms: int = +1
-
-    def __post_init__(self):
-        for name in ("sign_rho0", "sign_psi_term", "sign_background_terms"):
-            if getattr(self, name) not in (-1, +1):
-                raise ValueError(f"{name} must be +1 or -1")
-
-
-SELECTED_SIGNS = SignChoice()
 
 
 @dataclass(frozen=True)
@@ -99,17 +75,17 @@ def _background_levels(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     return background_marginals(params)
 
 
-def signed_root_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS) -> SignedTrace:
-    """Evaluate the hand-signed root product term by term.
+def signed_root_overlap(params: ProtocolParams) -> SignedTrace:
+    """Evaluate the minus-branch root product term by term.
 
     The product decomposes into three lines: the background identity line
-    (trace of rho0), the rank-one entangled cross term whose coefficient is
-    ``sqrt(eta) * <Psi| rho0^{1/2} |Psi>`` evaluated exactly on the truncated
+    (trace of rho0), the rank-one entangled cross term
+    ``-sqrt(eta) * <Psi| rho0^{1/2} |Psi>`` evaluated exactly on the truncated
     backgrounds, and a two-level signal-block correction that is second order
     in 1/nbar and is dropped from the total, mirroring the construction that
-    discards it before taking the trace.  Flipping ``sign_psi_term`` to +1
-    pushes the total above 1, which is why the minus branch is the selected
-    one.  Outside the validity regime the value is still computed, with a
+    discards it before taking the trace.  The plus branch of the triplet term
+    would push the total above 1, which is why the minus branch is the one
+    taken.  Outside the validity regime the value is still computed, with a
     warning.
     """
     flags = params.regime_flags()
@@ -117,28 +93,29 @@ def signed_root_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIG
         warnings.warn(
             f"signed-root construction evaluated outside its regime: {flags.as_dict()}",
             RegimeWarning, stacklevel=2)
-    return _signed_root_terms(params, signs)
+    return _signed_root_terms(params)
 
 
-def _signed_root_terms(params: ProtocolParams, signs: SignChoice) -> SignedTrace:
+def _signed_root_terms(params: ProtocolParams) -> SignedTrace:
     """:func:`signed_root_overlap` without the regime check, for callers that
     leave the regime on purpose."""
     b2, b3 = _background_levels(params)
     c, s = math.cos(params.theta), math.sin(params.theta)
-    s0 = signs.sign_rho0
-    sbg = signs.sign_background_terms
-    spsi = signs.sign_psi_term
-
     gamma = c ** 4 * math.sqrt(b2[0] * b3[0]) + s ** 4 * math.sqrt(b2[1] * b3[1])
     beta = (b2[0] + b2[1]) * (b3[0] + b3[1])
     terms = (
-        TraceTerm("background_identity", s0 * sbg * 1.0, "1", True),
-        TraceTerm("entangled_cross", s0 * spsi * math.sqrt(params.eta) * gamma,
-                  "sqrt(eta)/nbar", True),
-        TraceTerm("signal_block_correction", -s0 * sbg * beta, "1/nbar^2", False),
+        TraceTerm("background_identity", 1.0, "1", True),
+        TraceTerm("entangled_cross", -math.sqrt(params.eta) * gamma, "sqrt(eta)/nbar", True),
+        TraceTerm("signal_block_correction", -beta, "1/nbar^2", False),
     )
     total = sum(t.value for t in terms if t.included)
     return SignedTrace(total, terms)
+
+
+def match_tolerance(params: ProtocolParams) -> float:
+    """Largest signed-vs-closed-form gap the verdict counts as the paper's order."""
+    return MATCH_TOLERANCE_FACTOR * (params.theta ** 2 * math.sqrt(params.eta)
+                                     + 1.0 / params.nbar_mean ** 2)
 
 
 def principal_overlap(params: ProtocolParams) -> float:
@@ -156,8 +133,7 @@ class GapFit:
     sign_change: bool
 
 
-def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
-                      pair: HypothesisPair | None = None) -> GapFit:
+def gap_leading_order(params: ProtocolParams, pair: HypothesisPair | None = None) -> GapFit:
     """Fit the leading eta-order of the principal-vs-signed gap as eta -> 0.
 
     Evaluates both traces on a geometric eta ladder scaled off the working
@@ -177,7 +153,7 @@ def gap_leading_order(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS
     # warning filters, which concurrent sweep rows share)
     for e in etas:
         rung = pair.with_eta(e)
-        gaps.append(rung.structured.q(0.5) - _signed_root_terms(rung.params, signs).value)
+        gaps.append(rung.structured.q(0.5) - _signed_root_terms(rung.params).value)
     gaps_arr = np.array(gaps)
     # eta = 0 rungs have log(eta) = -inf and only rounding noise for a gap
     nz = (np.array(etas) > 0) & (gaps_arr != 0)
@@ -194,7 +170,6 @@ class TraceAudit:
     """Side-by-side record of the three overlap values and their agreement."""
 
     params: ProtocolParams
-    signs: SignChoice
     analytic: float
     signed_root: float | None
     principal: float | None
@@ -206,8 +181,7 @@ class TraceAudit:
     incomplete: tuple[str, ...] = ()
 
     def match_tolerance(self) -> float:
-        p = self.params
-        return MATCH_TOLERANCE_FACTOR * (p.theta ** 2 * math.sqrt(p.eta) + 1.0 / p.nbar_mean ** 2)
+        return match_tolerance(self.params)
 
     def as_record(self) -> dict:
         rec = {
@@ -232,8 +206,8 @@ class TraceAudit:
         return rec
 
 
-def audit_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
-                  fit_gap: bool = False, pair: HypothesisPair | None = None) -> TraceAudit:
+def audit_overlap(params: ProtocolParams, fit_gap: bool = False,
+                  pair: HypothesisPair | None = None) -> TraceAudit:
     """Assemble the full trace audit at one parameter point.
 
     The verdict classifies agreement orders only: ``regime_violated`` when the
@@ -252,7 +226,7 @@ def audit_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
     signed = None
     terms: tuple[TraceTerm, ...] = ()
     try:
-        st = signed_root_overlap(params, signs)
+        st = signed_root_overlap(params)
         signed, terms = st.value, st.terms
     except (TriqiError, ValueError) as exc:
         incomplete.append(f"signed_root: {exc}")
@@ -279,17 +253,16 @@ def audit_overlap(params: ProtocolParams, signs: SignChoice = SELECTED_SIGNS,
         verdict = VERDICT_MATCHES
     elif not flags.all_hold():
         verdict = VERDICT_REGIME
-    elif signed is not None and abs(signed - analytic) <= MATCH_TOLERANCE_FACTOR * (
-            theta ** 2 * math.sqrt(eta) + 1.0 / nbar ** 2):
+    elif signed is not None and abs(signed - analytic) <= match_tolerance(params):
         verdict = VERDICT_MATCHES
     else:
         verdict = VERDICT_DEVIATES
 
     gap = None
     if fit_gap and signed is not None and principal is not None:
-        gap = gap_leading_order(params, signs, pair)
+        gap = gap_leading_order(params, pair)
 
-    return TraceAudit(params=params, signs=signs, analytic=analytic,
+    return TraceAudit(params=params, analytic=analytic,
                       signed_root=signed, principal=principal,
                       error_terms=error_terms, flags=flags, verdict=verdict,
                       gap_fit=gap, terms=terms, incomplete=tuple(incomplete))

@@ -50,12 +50,13 @@ def golden_sweep_spec(workers: int = 1) -> SweepSpec:
 # reproduction tables for the CLI
 # ---------------------------------------------------------------------------
 
-def reproduce_factor100(m_shots: int = 10_000, eta: float = 0.01,
-                        nbar: float = 100.0) -> SweepTable:
+def reproduce_factor100() -> SweepTable:
     """Exponent-ratio table under the preset identifications kappa = sqrt(eta),
-    N_S = theta^2; the ratio column is exactly 1/N_S."""
+    N_S = theta^2, at eta = 0.01, nbar = 100 and 10,000 shots; the ratio column
+    is exactly 1/N_S."""
     columns = ("n_signal", "kappa", "nbar", "M", "p3g", "p2g", "ratio")
     rows = []
+    m_shots, eta, nbar = 10_000, 0.01, 100.0
     kappa = math.sqrt(eta)
     for n_signal in (0.01, 0.1):
         p3g = bounds.error_bound_3gamma(eta, nbar, m_shots)
@@ -65,14 +66,14 @@ def reproduce_factor100(m_shots: int = 10_000, eta: float = 0.01,
     return SweepTable(columns, tuple(rows))
 
 
-def reproduce_appendix_regime(theta: float = 0.01) -> SweepTable:
-    """Trace audit over the validity-regime grid, flat background."""
+def reproduce_appendix_regime() -> SweepTable:
+    """Trace audit over the validity-regime grid at theta = 0.01, flat background."""
     columns = ("eta", "nbar", "t_paper", "t_papersign", "t_principal",
                "match_tol", "verdict")
     rows = []
     for nbar in (20.0, 50.0):
         for eta in (1e-2, 4e-2):
-            params = ProtocolParams(theta=theta, eta=eta, nbar2=nbar, nbar3=nbar,
+            params = ProtocolParams(theta=0.01, eta=eta, nbar2=nbar, nbar3=nbar,
                                     background="flat")
             a = audit_overlap(params)
             rows.append((eta, nbar, a.analytic, a.signed_root, a.principal,
@@ -80,8 +81,8 @@ def reproduce_appendix_regime(theta: float = 0.01) -> SweepTable:
     return SweepTable(columns, tuple(rows))
 
 
-def reproduce_evolution_order(chain_cutoff: int = 24) -> SweepTable:
-    """Deviation of the exact chain evolution from the closed form.
+def reproduce_evolution_order() -> SweepTable:
+    """Deviation of the exact chain evolution (chain cutoff 24) from the closed form.
 
     The closed form lives on span{|000>, |111>}; the deviation restricted to
     that support shrinks as theta^3, while the full-chain deviation is
@@ -91,7 +92,7 @@ def reproduce_evolution_order(chain_cutoff: int = 24) -> SweepTable:
                "full_dev", "full_dev_over_theta2", "leakage", "mean_photons")
     rows = []
     for theta in (0.2, 0.1, 0.05):
-        ev = evolve_exact(theta, chain_cutoff)
+        ev = evolve_exact(theta, 24)
         rows.append((theta, ev.support_deviation(),
                      ev.support_deviation() / theta ** 3,
                      ev.full_deviation(), ev.full_deviation() / theta ** 2,

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import DenseLimitError, TruncationError
 from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor, build_space
 from .spectral import StructuredPair
 
@@ -77,7 +76,6 @@ class ProtocolParams:
     background: str = "thermal"
     idler: str = "paper_pure"
     tail_bound: float = DEFAULT_TAIL_BOUND
-    dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
         # NaN fails every comparison, so finiteness is checked first
@@ -128,21 +126,10 @@ class ProtocolParams:
         return (2, c1, c2)
 
     def space(self) -> SpaceDescriptor:
-        return build_space(3, self.resolved_cutoffs(), self.dense_limit)
+        return build_space(3, self.resolved_cutoffs())
 
     def with_updates(self, **kwargs) -> "ProtocolParams":
         return replace(self, **kwargs)
-
-
-def load_params(path, **overrides) -> ProtocolParams:
-    """Read a plain-text key=value parameter preset.
-
-    Recognized keys: theta, eta, nbar2, nbar3, cutoffs (comma separated),
-    background, idler, tail_bound, dense_limit.  Lines starting with '#' and
-    blank lines are ignored.
-    """
-    values = parse_key_values(Path(path).read_text())
-    return params_from_mapping(values, **overrides)
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -158,9 +145,9 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
-def params_from_mapping(values: dict[str, str], **overrides) -> ProtocolParams:
-    known = {"theta", "eta", "nbar2", "nbar3", "cutoffs", "background", "idler",
-             "tail_bound", "dense_limit"}
+def params_from_mapping(values: dict[str, str]) -> ProtocolParams:
+    """Parameters from :func:`parse_key_values` text; ``cutoffs`` is comma separated."""
+    known = {"theta", "eta", "nbar2", "nbar3", "cutoffs", "background", "idler", "tail_bound"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
@@ -168,14 +155,11 @@ def params_from_mapping(values: dict[str, str], **overrides) -> ProtocolParams:
     for key in ("theta", "eta", "nbar2", "nbar3", "tail_bound"):
         if key in values:
             kwargs[key] = float(values[key])
-    if "dense_limit" in values:
-        kwargs["dense_limit"] = int(values["dense_limit"])
     if "cutoffs" in values:
         kwargs["cutoffs"] = tuple(int(c) for c in values["cutoffs"].split(","))
     for key in ("background", "idler"):
         if key in values:
             kwargs[key] = values[key]
-    kwargs.update(overrides)
     return ProtocolParams(**kwargs)
 
 
@@ -226,12 +210,18 @@ def evolve_exact(theta: float, chain_cutoff: int) -> EvolvedState:
     ``(n+1)^(3/2)`` between |nnn> and the next triplet level; the propagator
     comes from the eigendecomposition of that small real symmetric matrix.
     The population stranded at the top chain level is reported as leakage and
-    must stay below ``CHAIN_LEAK_TOL`` (raise the cutoff otherwise).
+    must stay below ``CHAIN_LEAK_TOL`` (raise the cutoff otherwise).  The
+    returned ket spans all ``chain_cutoff**3`` Fock states, so that count may
+    not exceed the entries of the largest matrix the dense limit admits.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if chain_cutoff < 4:
         raise ValueError(f"chain cutoff must be >= 4, got {chain_cutoff}")
+    if chain_cutoff ** 3 > DEFAULT_DENSE_LIMIT ** 2:
+        raise DenseLimitError(
+            f"chain cutoff {chain_cutoff} needs a ket of {chain_cutoff ** 3} amplitudes "
+            f"> {DEFAULT_DENSE_LIMIT ** 2}, the entries of the largest dense matrix")
     k = np.arange(1, chain_cutoff)
     h = np.zeros((chain_cutoff, chain_cutoff))
     h[k - 1, k] = h[k, k - 1] = k ** 1.5

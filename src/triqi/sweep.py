@@ -197,10 +197,3 @@ def emit(table: SweepTable, fmt: str, destination) -> None:
         path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
-
-
-def read_table(source) -> SweepTable:
-    """Read a CSV table back with typed cells (exact float round trip)."""
-    text = source if isinstance(source, str) and "\n" in source else Path(source).read_text()
-    columns, rows = textfmt.parse_csv(text)
-    return SweepTable(tuple(columns), tuple(tuple(r) for r in rows))

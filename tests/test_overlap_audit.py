@@ -6,8 +6,7 @@ import pytest
 from triqi import overlap_audit, states
 from triqi.cli import main
 from triqi.errors import RegimeWarning
-from triqi.overlap_audit import (SignChoice, audit_overlap,
-                                 closed_form_overlap, gap_leading_order,
+from triqi.overlap_audit import (audit_overlap, closed_form_overlap, gap_leading_order,
                                  principal_overlap, signed_root_overlap)
 from triqi.presets import AUDIT_POINT, AUDIT_POINT_SMALL, DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.states import (ProtocolParams, build_hypothesis_pair, flat_probs,
@@ -36,9 +35,11 @@ def test_closed_form_in_unit_interval():
 
 def test_signed_trace_eta_zero_collapses_to_one():
     p = AUDIT_POINT.with_updates(eta=0.0)
-    assert signed_root_overlap(p).value == pytest.approx(1.0, abs=1e-15)
-    flipped = SignChoice(sign_psi_term=+1)
-    assert signed_root_overlap(p, flipped).value == pytest.approx(1.0, abs=1e-15)
+    st = signed_root_overlap(p)
+    assert st.value == pytest.approx(1.0, abs=1e-15)
+    # the plus branch of the triplet term: the cross term enters with its sign flipped
+    flipped = st.term("background_identity").value - st.term("entangled_cross").value
+    assert flipped == pytest.approx(1.0, abs=1e-15)
 
 
 def test_signed_trace_at_audit_point():
@@ -50,8 +51,8 @@ def test_signed_trace_at_audit_point():
 
 
 def test_signed_trace_rejected_sign_exceeds_one():
-    st = signed_root_overlap(AUDIT_POINT, SignChoice(sign_psi_term=+1))
-    assert st.value > 1.0
+    st = signed_root_overlap(AUDIT_POINT)
+    assert st.term("background_identity").value - st.term("entangled_cross").value > 1.0
 
 
 def test_signed_trace_below_one_on_preset_grid():

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from triqi import states
 from triqi.bounds import q_s
-from triqi.errors import TruncationError
+from triqi.cli import main
+from triqi.errors import DenseLimitError, TruncationError
 from triqi.fock import as_diag_plus_low_rank, build_space
 from triqi.presets import GOLDEN_POINT, GOLDEN_POINT_TRACED
 from triqi.states import (DEFAULT_TAIL_BOUND, ProtocolParams, auto_cutoff,
                           background_marginals, build_hypothesis_pair, evolve_exact,
-                          flat_levels, load_params, mean_photon_number, params_from_mapping,
-                          thermal_marginal, thermal_probs, thermal_tail_mass,
+                          flat_levels, mean_photon_number, params_from_mapping,
+                          parse_key_values, thermal_marginal, thermal_probs, thermal_tail_mass,
                           three_photon_state)
 
 from oracles import chain_amplitudes_ref, pair_matrices_ref, partial_trace_ref
@@ -336,9 +338,20 @@ def test_traced_idler_equals_partial_trace():
     assert np.abs(reduced - idler_factor[:2, :2]).max() <= 1e-12
 
 
-def test_load_params_round_trip(tmp_path):
-    cfg = tmp_path / "point.cfg"
-    cfg.write_text("""
+def test_chain_ket_bounded_by_the_dense_limit(monkeypatch, capsys):
+    # the chain ket holds chain_cutoff**3 amplitudes: the cap is the entry count
+    # of the largest dense matrix, a chain cutoff of 256 at the default limit
+    assert 256 ** 3 == states.DEFAULT_DENSE_LIMIT ** 2
+    monkeypatch.setattr(states, "DEFAULT_DENSE_LIMIT", 8)
+    assert evolve_exact(0.01, 4).ket.space.total_dim == 64
+    with pytest.raises(DenseLimitError, match="chain cutoff 5 needs a ket of 125 amplitudes"):
+        evolve_exact(0.01, 5)
+    assert main(["state", "--theta", "0.01", "--chain-cutoff", "5"]) == 2
+    assert "numeric failure: chain cutoff 5" in capsys.readouterr().err
+
+
+def test_key_values_round_trip():
+    text = """
 # golden point
 theta = 0.1
 eta = 0.05
@@ -348,9 +361,8 @@ cutoffs = 2,6,6
 background = thermal
 idler = paper_pure
 tail_bound = inf
-""")
-    p = load_params(cfg)
-    assert p == GOLDEN_POINT
+"""
+    assert params_from_mapping(parse_key_values(text)) == GOLDEN_POINT
 
 
 def test_params_mapping_rejects_unknown_keys():

@@ -1,5 +1,8 @@
+import argparse
 import ast
 import csv
+import dataclasses
+import inspect
 import math
 import os
 import re
@@ -14,13 +17,13 @@ import pytest
 import triqi
 from triqi import bounds, fock, overlap_audit, spectral, states, sweep
 from triqi.bounds import evaluate_point
-from triqi.cli import main
+from triqi.cli import build_parser, main
 from triqi.errors import RegimeWarning
 from triqi.overlap_audit import audit_overlap
-from triqi.presets import GOLDEN_POINT, golden_sweep_spec
+from triqi.presets import GOLDEN_POINT, REPRODUCTIONS, golden_sweep_spec
 from triqi.states import ProtocolParams
-from triqi.sweep import (SweepSpec, SweepTable, emit, read_table, render, run_sweep)
-from triqi.textfmt import format_float, format_record, parse_record
+from triqi.sweep import (SweepSpec, SweepTable, emit, render, run_sweep)
+from triqi.textfmt import format_float, format_record, parse_csv, parse_record
 
 FIXED = ProtocolParams(theta=0.01, eta=1e-3, nbar2=20.0, nbar3=20.0, background="flat")
 
@@ -210,7 +213,68 @@ def test_public_names_resolve_and_removed_names_are_gone():
                (bounds, "eigvalsh")]
     removed += [(triqi, name) for name in ("tensor_ket", "partial_trace", "thermal_state",
                                            "hypothesis_h0", "hypothesis_h1", "povm_error")]
+    removed += [(overlap_audit, "SignChoice"), (overlap_audit, "SELECTED_SIGNS"),
+                (overlap_audit.TraceAudit, "signs"), (states, "load_params"),
+                (states.ProtocolParams, "dense_limit"), (sweep, "read_table"),
+                (triqi, "SignChoice"), (triqi, "load_params")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
+    # the audit's sign choice, the point's dense limit and the presets' knobs
+    # went with them
+    for func in (overlap_audit.signed_root_overlap, overlap_audit._signed_root_terms,
+                 overlap_audit.gap_leading_order, overlap_audit.audit_overlap):
+        assert "signs" not in inspect.signature(func).parameters
+    assert "dense_limit" not in {f.name for f in dataclasses.fields(ProtocolParams)}
+    assert [name for name, f in REPRODUCTIONS.items() if inspect.signature(f).parameters] == []
+    assert not (Path(__file__).resolve().parents[1] / "configs" / "golden_point.cfg").exists()
+
+
+def _options(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+
+
+def test_cli_option_surface(capsys, tmp_path):
+    point = {"-h", "--help", "--theta", "--nbar2", "--nbar3", "--cutoff", "--background",
+             "--tail-bound", "--out"}
+    pair = point | {"--eta", "--idler", "--strict", "--format"}
+    parser = build_parser()
+    assert _options(parser, "state") == point | {"--chain-cutoff"}
+    assert _options(parser, "chernoff") == pair | {"--tol", "--M"}
+    assert _options(parser, "appendix-audit") == pair | {"--fit-gap"}
+    # flags a subcommand used to accept without reading them are usage errors now
+    removed = {"state": (["--eta", "0.7"], ["--idler", "traced"], ["--tol", "9"], ["--strict"],
+                         ["--format", "csv"], ["--dense-limit", "1"]),
+               "appendix-audit": (["--tol", "9"], ["--dense-limit", "1"]),
+               "chernoff": (["--dense-limit", "1"],)}
+    for command, flags in removed.items():
+        for flag in flags:
+            assert main([command, *flag]) == 1, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("theta = 0.01\neta = 0.001\nnbar2 = 20\nnbar3 = 20\n"
+                   "background = flat\ndense_limit = 1\naxis.eta = 0.001\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "unknown parameter keys: ['dense_limit']" in capsys.readouterr().err
+
+
+def test_nan_and_infinite_closed_form_inputs_fail_the_sweep_row():
+    # NaN fails every comparison, so it used to pass the range checks and
+    # print nan with an empty error cell
+    for call in (lambda: bounds.error_bound_2gamma(math.nan, 0.01, 10.0, 1),
+                 lambda: bounds.error_bound_2gamma(math.inf, 0.01, 10.0, 1),
+                 lambda: bounds.error_bound_2gamma(0.1, math.inf, 10.0, 1),
+                 lambda: bounds.error_bound_3gamma(0.01, 10.0, math.nan),
+                 lambda: bounds.advantage_ratio(math.nan)):
+        with pytest.raises(ValueError, match="got .*(nan|inf)"):
+            call()
+    spec = SweepSpec.from_mapping({"theta": "0.01", "eta": "0.001", "nbar2": "20",
+                                   "nbar3": "20", "background": "flat",
+                                   "axis.kappa": "nan,inf,0.1", "outputs": "p2g,ratio"})
+    rows = run_sweep(spec).rows
+    for row, value in zip(rows[:2], ("nan", "inf")):
+        assert row[1:3] == (None, None)
+        assert row[-1].startswith("ValueError: ") and f"kappa={value}" in row[-1]
+    assert rows[2][-1] == "" and rows[2][1] > 0
 
 
 def test_shot_count_must_be_an_integer_of_at_least_one(capsys, tmp_path):
@@ -295,9 +359,9 @@ def test_emit_round_trip_exact(tmp_path):
     table = run_sweep(spec)
     path = tmp_path / "sweep.csv"
     emit(table, "csv", path)
-    back = read_table(path)
-    assert back.columns == table.columns
-    for row, orig in zip(back.rows, table.rows):
+    columns, rows = parse_csv(path.read_text())
+    assert tuple(columns) == table.columns
+    for row, orig in zip(rows, table.rows):
         for cell, ocell in zip(row, orig):
             if ocell is None or ocell == "":
                 assert cell in (None, "")
