@@ -13,14 +13,12 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import evaluate_point
 from .errors import RegimeWarning, TriqiError
 from .overlap_audit import audit_overlap
 from .presets import REPRODUCTIONS, golden_sweep_spec
-from .states import ProtocolParams, evolve_exact, mean_photon_number, thermal_tail_mass, three_photon_state
+from .states import ProtocolParams, evolve_exact, thermal_tail_mass, triplet_amplitudes
 from .sweep import SweepSpec, SweepTable, emit, render, run_sweep
 from .textfmt import format_csv, format_record
 
@@ -99,12 +97,10 @@ def _cmd_state(args) -> int:
     params = _params_from_args(args)
     space = params.space()
     lines = [f"space cutoffs = {space.cutoffs} (dim {space.total_dim})"]
-    psi = three_photon_state(params.theta, space)
-    nz = np.nonzero(psi.amplitudes)[0]
     lines.append("closed-form state amplitudes:")
-    for i in nz:
-        occ = space.occupations_of(int(i))
-        lines.append(f"  |{occ[0]}{occ[1]}{occ[2]}> : {psi.amplitudes[i]:.12g}")
+    for n, amp in enumerate(triplet_amplitudes(params.theta)):
+        if amp != 0:
+            lines.append(f"  |{n}{n}{n}> : {amp:.12g}")
     ev = evolve_exact(params.theta, args.chain_cutoff)
     lines.append(f"chain evolution (cutoff {args.chain_cutoff}):")
     for n, amp in enumerate(ev.chain_amplitudes):
@@ -114,7 +110,7 @@ def _cmd_state(args) -> int:
     lines.append(f"deviation on support = {ev.support_deviation():.6g}")
     lines.append(f"deviation full chain = {ev.full_deviation():.6g}")
     for mode in range(3):
-        lines.append(f"mean photons mode {mode} = {mean_photon_number(ev.ket, mode):.12g}")
+        lines.append(f"mean photons mode {mode} = {ev.mean_photons:.12g}")
     for label, nbar, cutoff in (("mode1", params.nbar2, space.cutoffs[1]),
                                 ("mode2", params.nbar3, space.cutoffs[2])):
         if params.background == "thermal":
@@ -233,7 +229,6 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--format", choices=["csv", "text"], default="csv")
     p_rep.add_argument("--golden", type=str, default=None)
     p_rep.add_argument("--write-golden", action="store_true")
-    p_rep.add_argument("--strict", action="store_true")
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -1,5 +1,4 @@
-"""Truncated multimode Fock space: basis indexing, kets and structured density
-operators.
+"""Truncated multimode Fock space and its structured density operators.
 
 Basis convention (frozen): row-major ordering with mode 0 slowest, i.e. the
 basis index of occupations (n_0, ..., n_{M-1}) is
@@ -23,7 +22,6 @@ DEFAULT_DENSE_LIMIT = 4096
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
-NORM_TOL = 1e-12
 ROTATION_TOL = 1e-12
 
 
@@ -47,32 +45,12 @@ class SpaceDescriptor:
     def total_dim(self) -> int:
         return int(np.prod(self.cutoffs))
 
-    def index_of(self, occupations) -> int:
-        """Basis index of an occupation tuple (row-major, mode 0 slowest)."""
-        if len(occupations) != self.modes:
-            raise ValueError(f"expected {self.modes} occupation numbers, got {len(occupations)}")
-        return int(np.ravel_multi_index(tuple(occupations), self.cutoffs))
-
-    def occupations_of(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a basis index."""
-        return tuple(int(n) for n in np.unravel_index(index, self.cutoffs))
-
-    def mode_occupations(self, mode: int) -> np.ndarray:
-        """Occupation number on ``mode`` for every basis index, as a vector."""
-        self._check_mode(mode)
-        grid = np.unravel_index(np.arange(self.total_dim), self.cutoffs)
-        return grid[mode].astype(np.int64)
-
     def require_dense(self, what: str = "dense operation") -> None:
         if self.total_dim > self.dense_limit:
             raise DenseLimitError(
                 f"{what} needs dimension {self.total_dim} > dense limit {self.dense_limit}; "
                 "use a structured path or raise dense_limit"
             )
-
-    def _check_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.modes:
-            raise ValueError(f"mode {mode} out of range for {self.modes}-mode space")
 
 
 def build_space(modes: int, cutoffs, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SpaceDescriptor:
@@ -85,25 +63,6 @@ def build_space(modes: int, cutoffs, dense_limit: int = DEFAULT_DENSE_LIMIT) -> 
     if any(c < 1 for c in cutoffs):
         raise ValueError(f"all cutoffs must be >= 1, got {cutoffs}")
     return SpaceDescriptor(cutoffs, int(dense_limit))
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Unit-norm complex amplitude vector over a truncated Fock basis."""
-
-    space: SpaceDescriptor
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.space.total_dim,):
-            raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({self.space.total_dim},)")
-        norm = np.linalg.norm(amps)
-        # NaN fails every comparison, so the check is written to fail on it
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise NumericalError(f"ket norm {norm} deviates from 1 by more than {NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 # ---------------------------------------------------------------------------

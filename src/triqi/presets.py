@@ -6,7 +6,7 @@ import math
 
 from . import bounds
 from .overlap_audit import audit_overlap
-from .states import ProtocolParams, evolve_exact, mean_photon_number
+from .states import ProtocolParams, evolve_exact
 from .sweep import SweepSpec, SweepTable
 
 # Small-cutoff point used for dense cross-checks everywhere; the relaxed tail
@@ -96,7 +96,7 @@ def reproduce_evolution_order() -> SweepTable:
         rows.append((theta, ev.support_deviation(),
                      ev.support_deviation() / theta ** 3,
                      ev.full_deviation(), ev.full_deviation() / theta ** 2,
-                     ev.leakage, mean_photon_number(ev.ket, 0)))
+                     ev.leakage, ev.mean_photons))
     return SweepTable(columns, tuple(rows))
 
 

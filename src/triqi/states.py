@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DenseLimitError, TruncationError
-from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, Ket, SpaceDescriptor, build_space
+from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, SpaceDescriptor, build_space
 from .spectral import StructuredPair
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
@@ -29,7 +29,7 @@ ETA_INVN2_FACTOR = 3.0
 
 DEFAULT_TAIL_BOUND = 1e-8
 CHAIN_LEAK_TOL = 1e-9
-MAX_MODE_CUTOFF = 4096
+MAX_MODE_CUTOFF = 10**7
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ class ProtocolParams:
         if self.cutoffs is not None:
             return self.cutoffs
         if self.background == "flat":
-            c1 = max(flat_levels(self.nbar2), 2)
-            c2 = max(flat_levels(self.nbar3), 2)
+            c1 = _capped(max(flat_levels(self.nbar2), 2), self.nbar2, "flat levels")
+            c2 = _capped(max(flat_levels(self.nbar3), 2), self.nbar3, "flat levels")
         else:
             c1 = auto_cutoff(self.nbar2, self.tail_bound)
             c2 = auto_cutoff(self.nbar3, self.tail_bound)
@@ -167,16 +167,10 @@ def params_from_mapping(values: dict[str, str]) -> ProtocolParams:
 # signal states
 # ---------------------------------------------------------------------------
 
-def three_photon_state(theta: float, space: SpaceDescriptor) -> Ket:
-    """Closed-form entangled triplet ``cos(theta)|000> - i sin(theta)|111>``."""
-    if space.modes != 3:
-        raise ValueError("three-photon state needs a 3-mode space")
-    if any(c < 2 for c in space.cutoffs):
-        raise ValueError("all cutoffs must be >= 2 to hold the |111> component")
-    amps = np.zeros(space.total_dim, dtype=complex)
-    amps[space.index_of((0, 0, 0))] = np.cos(theta)
-    amps[space.index_of((1, 1, 1))] = -1j * np.sin(theta)
-    return Ket(space, amps)
+def triplet_amplitudes(theta: float) -> np.ndarray:
+    """Amplitudes of |000> and |111>, the only nonzero entries of the
+    closed-form triplet ``cos(theta)|000> - i sin(theta)|111>``."""
+    return np.array([np.cos(theta), -1j * np.sin(theta)])
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,13 @@ class EvolvedState:
     theta: float
     chain_amplitudes: np.ndarray
     leakage: float
-    ket: Ket
+
+    @property
+    def mean_photons(self) -> float:
+        """Mean photon number of the normalized chain state; |nnn> holds n
+        photons on every mode, so it is the same on all three."""
+        p = np.abs(self.chain_amplitudes) ** 2
+        return float(np.sum(p * np.arange(p.size)) / np.sum(p))
 
     def support_deviation(self) -> float:
         """Amplitude deviation from the closed form on its span {|000>, |111>}."""
@@ -198,8 +198,7 @@ class EvolvedState:
     def full_deviation(self) -> float:
         """Norm deviation over the whole chain, including multi-photon leak."""
         ref = np.zeros_like(self.chain_amplitudes)
-        ref[0] = np.cos(self.theta)
-        ref[1] = -1j * np.sin(self.theta)
+        ref[:2] = triplet_amplitudes(self.theta)
         return float(np.linalg.norm(self.chain_amplitudes - ref))
 
 
@@ -211,17 +210,17 @@ def evolve_exact(theta: float, chain_cutoff: int) -> EvolvedState:
     comes from the eigendecomposition of that small real symmetric matrix.
     The population stranded at the top chain level is reported as leakage and
     must stay below ``CHAIN_LEAK_TOL`` (raise the cutoff otherwise).  The
-    returned ket spans all ``chain_cutoff**3`` Fock states, so that count may
-    not exceed the entries of the largest matrix the dense limit admits.
+    chain matrix is the only dense array, so the chain cutoff may not exceed
+    the dense limit.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if chain_cutoff < 4:
         raise ValueError(f"chain cutoff must be >= 4, got {chain_cutoff}")
-    if chain_cutoff ** 3 > DEFAULT_DENSE_LIMIT ** 2:
+    if chain_cutoff > DEFAULT_DENSE_LIMIT:
         raise DenseLimitError(
-            f"chain cutoff {chain_cutoff} needs a ket of {chain_cutoff ** 3} amplitudes "
-            f"> {DEFAULT_DENSE_LIMIT ** 2}, the entries of the largest dense matrix")
+            f"chain cutoff {chain_cutoff} needs a chain matrix of dimension {chain_cutoff} "
+            f"> dense limit {DEFAULT_DENSE_LIMIT}")
     k = np.arange(1, chain_cutoff)
     h = np.zeros((chain_cutoff, chain_cutoff))
     h[k - 1, k] = h[k, k - 1] = k ** 1.5
@@ -232,19 +231,7 @@ def evolve_exact(theta: float, chain_cutoff: int) -> EvolvedState:
         raise TruncationError(
             f"chain leakage {leakage:.3e} above {CHAIN_LEAK_TOL:.1e} at cutoff {chain_cutoff}; "
             "raise the chain cutoff")
-    space = build_space(3, (chain_cutoff,) * 3)
-    full = np.zeros(space.total_dim, dtype=complex)
-    for n in range(chain_cutoff):
-        full[space.index_of((n, n, n))] = amps[n]
-    norm = np.linalg.norm(full)
-    ket = Ket(space, full / norm)
-    return EvolvedState(theta, amps, leakage, ket)
-
-
-def mean_photon_number(ket: Ket, mode: int) -> float:
-    """Expectation of the number operator on ``mode``."""
-    occ = ket.space.mode_occupations(mode)
-    return float(np.sum(np.abs(ket.amplitudes) ** 2 * occ))
+    return EvolvedState(theta, amps, leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +273,21 @@ def auto_cutoff(nbar: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     if tail_bound >= 1.0:  # inf included
         return 2
     q = nbar / (nbar + 1.0)
+    if q == 1.0:  # log(q) rounds to 0: no finite cutoff bounds the tail
+        raise TruncationError(f"nbar={nbar} needs more levels than the per-mode cap "
+                              f"{MAX_MODE_CUTOFF}")
     k = max(int(math.floor(math.log(tail_bound) / math.log(q))) + 1, 2)
     while thermal_tail_mass(nbar, k) >= tail_bound:  # absorb log rounding
         k += 1
-    if k > MAX_MODE_CUTOFF:
+    return _capped(k, nbar, "auto cutoff")
+
+
+def _capped(cutoff: int, nbar: float, what: str) -> int:
+    """An auto-selected per-mode cutoff, once it is checked against the cap."""
+    if cutoff > MAX_MODE_CUTOFF:
         raise TruncationError(
-            f"auto cutoff {k} for nbar={nbar} exceeds the per-mode cap {MAX_MODE_CUTOFF}")
-    return k
+            f"{what} {cutoff} for nbar={nbar} exceeds the per-mode cap {MAX_MODE_CUTOFF}")
+    return cutoff
 
 
 def flat_levels(nbar: float) -> int:
@@ -378,7 +373,7 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
     """
     space = params.space()
     c0 = space.cutoffs[0]
-    amplitudes = np.array([np.cos(params.theta), -1j * np.sin(params.theta)])
+    amplitudes = triplet_amplitudes(params.theta)
     if params.idler == "paper_pure":
         idler = np.zeros(c0, dtype=complex)
         idler[:2] = amplitudes

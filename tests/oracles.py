@@ -26,6 +26,15 @@ def flat_probs_ref(nbar, cutoff):
     return p
 
 
+def triplet_ket_ref(theta, cutoffs):
+    """Dense ket of ``cos(theta)|000> - i sin(theta)|111>`` over the Fock basis
+    of three modes of ``cutoffs`` (row-major, mode 0 slowest)."""
+    psi = np.zeros(cutoffs, dtype=complex)
+    psi[0, 0, 0] = np.cos(theta)
+    psi[1, 1, 1] = -1j * np.sin(theta)
+    return psi.reshape(-1)
+
+
 def pair_matrices_ref(theta, eta, nbar, cutoff, idler="pure", background="thermal"):
     """Explicit dense hypothesis pair: kron/outer assembly from the formulas."""
     c, s = np.cos(theta), np.sin(theta)
@@ -39,9 +48,7 @@ def pair_matrices_ref(theta, eta, nbar, cutoff, idler="pure", background="therma
     else:
         proj = np.diag([c ** 2, s ** 2]).astype(complex)
     rho0 = np.kron(proj, np.kron(np.diag(b), np.diag(b))).astype(complex)
-    psi = np.zeros(2 * cutoff * cutoff, dtype=complex)
-    psi[0] = c
-    psi[(cutoff + 1) * cutoff + 1] = -1j * s
+    psi = triplet_ket_ref(theta, (2, cutoff, cutoff))
     rho1 = (1 - eta) * rho0 + eta * np.outer(psi, psi.conj())
     return rho0, rho1, psi
 
@@ -234,9 +241,7 @@ def pair_arrays_ref(params):
     e, rot = _idler_eigensystem_ref(params.theta, cutoffs[0], params.idler)
     probs = thermal_probs_ref if params.background == "thermal" else flat_probs_ref
     d0 = np.kron(np.kron(e, probs(params.nbar2, cutoffs[1])), probs(params.nbar3, cutoffs[2]))
-    psi = np.zeros(cutoffs, dtype=complex)
-    psi[0, 0, 0] = np.cos(params.theta)
-    psi[1, 1, 1] = -1j * np.sin(params.theta)
+    psi = triplet_ket_ref(params.theta, cutoffs).reshape(cutoffs)
     v = np.tensordot(rot.conj().T, psi, axes=([1], [0])).reshape(-1)
     return d0, v
 

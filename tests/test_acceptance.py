@@ -17,12 +17,11 @@ from triqi.overlap_audit import audit_overlap, closed_form_overlap, signed_root_
 from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            golden_sweep_spec)
 from triqi.states import (ProtocolParams, auto_cutoff, build_hypothesis_pair,
-                          evolve_exact, mean_photon_number,
-                          thermal_tail_mass, three_photon_state)
+                          evolve_exact, thermal_tail_mass)
 from triqi.sweep import render, run_sweep
 from triqi.textfmt import parse_csv
 
-from oracles import partial_trace_ref
+from oracles import partial_trace_ref, triplet_ket_ref
 
 
 def _criterion(number, ok, detail):
@@ -143,7 +142,7 @@ def test_criterion_7_evolution_order():
     r1 = devs[0.1] / devs[0.2]
     r2 = devs[0.05] / devs[0.1]
     lo, hi = 1 / 8 * 0.8, 1 / 8 * 1.25
-    n_exact = mean_photon_number(evolve_exact(0.1, 16).ket, 0)
+    n_exact = evolve_exact(0.1, 16).mean_photons
     ok = lo <= r1 <= hi and lo <= r2 <= hi and abs(n_exact - 0.01) <= 0.1 ** 3
     _criterion(7, ok, f"support-deviation ratios {r1:.4f}, {r2:.4f} in "
                       f"[{lo:.4f}, {hi:.4f}]; mean photons {n_exact:.6f} within "
@@ -172,7 +171,7 @@ def test_criterion_8_state_invariants():
         checks.append(thermal_tail_mass(nbar, auto_cutoff(nbar)) < 1e-8)
     traced = GOLDEN_POINT.with_updates(idler="traced")
     space = traced.space()
-    amps = three_photon_state(traced.theta, space).amplitudes
+    amps = triplet_ket_ref(traced.theta, space.cutoffs)
     reduced = partial_trace_ref(np.outer(amps, amps.conj()), space.cutoffs, (0,))
     idler = partial_trace_ref(build_hypothesis_pair(traced).rho0.to_dense(), space.cutoffs, (0,))
     checks.append(np.abs(reduced - idler[:2, :2]).max() <= 1e-12)

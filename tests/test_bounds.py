@@ -19,11 +19,11 @@ from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            GOLDEN_POINT_TRACED, golden_sweep_spec)
 from triqi.spectral import rank_one_spectrum
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
-                          build_hypothesis_pair, flat_levels, three_photon_state)
+                          build_hypothesis_pair, flat_levels)
 
 from oracles import (QsGrid, dense_eigenvectors, dense_overlap_ref, helstrom_ref,
                      pair_full_arrays_ref, povm_error_ref, qs_ref, support_powers_ref,
-                     trace_power_ref)
+                     trace_power_ref, triplet_ket_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -46,11 +46,11 @@ def test_qs_equal_states_is_one():
 
 def test_qs_pure_pair_s_independent():
     space = build_space(3, [2, 2, 2])
-    k0 = three_photon_state(0.2, space)
-    k1 = three_photon_state(0.7, space)
-    overlap = abs(np.vdot(k0.amplitudes, k1.amplitudes)) ** 2
-    r0 = DensityOperator.dense(space, np.outer(k0.amplitudes, k0.amplitudes.conj()))
-    r1 = DensityOperator.dense(space, np.outer(k1.amplitudes, k1.amplitudes.conj()))
+    k0 = triplet_ket_ref(0.2, space.cutoffs)
+    k1 = triplet_ket_ref(0.7, space.cutoffs)
+    overlap = abs(np.vdot(k0, k1)) ** 2
+    r0 = DensityOperator.dense(space, np.outer(k0, k0.conj()))
+    r1 = DensityOperator.dense(space, np.outer(k1, k1.conj()))
     for s in (0.1, 0.5, 0.9):
         assert q_s(r0, r1, s) == pytest.approx(overlap, abs=1e-12)
 

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +7,11 @@ from numpy.testing import assert_allclose
 
 from triqi import spectral
 from triqi.errors import DenseLimitError, NumericalError
-from triqi.fock import DensityOperator, Ket, as_diag_plus_low_rank, build_space
-from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
-from triqi.states import IDLER_VARIANTS, build_hypothesis_pair, three_photon_state
+from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
+from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT, GOLDEN_POINT_TRACED
+from triqi.states import IDLER_VARIANTS, build_hypothesis_pair
 
-from oracles import partial_trace_ref, rotated_dense_ref
+from oracles import partial_trace_ref, rotated_dense_ref, triplet_ket_ref
 
 
 @pytest.mark.parametrize("modes,cutoffs,dim", [
@@ -56,40 +55,18 @@ def test_dense_to_dense_returns_the_stored_read_only_matrix():
         mat[0, 0] = 1.0
 
 
-@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
-       st.data())
-def test_index_bijection(cutoffs, data):
-    space = build_space(len(cutoffs), cutoffs)
-    index = data.draw(st.integers(min_value=0, max_value=space.total_dim - 1))
-    occ = space.occupations_of(index)
-    assert all(0 <= n < c for n, c in zip(occ, cutoffs))
-    assert space.index_of(occ) == index
-
-
 def test_index_convention_mode0_slowest():
-    space = build_space(3, [2, 6, 6])
-    assert space.index_of((0, 0, 0)) == 0
-    assert space.index_of((0, 0, 1)) == 1
-    assert space.index_of((0, 1, 0)) == 6
-    assert space.index_of((1, 0, 0)) == 36
-
-
-def test_ket_norm_enforced():
-    space = build_space(1, [2])
-    for bad in ([1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]):
-        with pytest.raises(NumericalError, match="ket norm"):
-            Ket(space, np.array(bad))
-    with pytest.raises(NumericalError, match="ket norm nan"):
-        three_photon_state(math.nan, build_space(3, [2, 2, 2]))
-    k = Ket(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert np.linalg.norm(k.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    # the traced idler is not rotated, so the triplet keeps its Fock indices:
+    # n_0 * 36 + n_1 * 6 + n_2 for cutoffs (2, 6, 6)
+    sp = build_hypothesis_pair(GOLDEN_POINT_TRACED).structured
+    assert sp.v_index.tolist() == [0, 36 + 6 + 1]
+    assert np.array_equal(sp.v_value, triplet_ket_ref(0.1, (2, 6, 6))[sp.v_index])
 
 
 def test_partial_trace_schmidt_form():
-    space = build_space(3, [2, 2, 2])
     theta = 0.31
-    amps = three_photon_state(theta, space).amplitudes
-    red = partial_trace_ref(np.outer(amps, amps.conj()), space.cutoffs, (0,))
+    amps = triplet_ket_ref(theta, (2, 2, 2))
+    red = partial_trace_ref(np.outer(amps, amps.conj()), (2, 2, 2), (0,))
     assert_allclose(red, np.diag([np.cos(theta) ** 2, np.sin(theta) ** 2]), atol=1e-12)
 
 

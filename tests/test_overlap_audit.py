@@ -9,10 +9,9 @@ from triqi.errors import RegimeWarning
 from triqi.overlap_audit import (audit_overlap, closed_form_overlap, gap_leading_order,
                                  principal_overlap, signed_root_overlap)
 from triqi.presets import AUDIT_POINT, AUDIT_POINT_SMALL, DENSE_CHECK_POINTS, GOLDEN_POINT
-from triqi.states import (ProtocolParams, build_hypothesis_pair, flat_probs,
-                          three_photon_state)
+from triqi.states import ProtocolParams, build_hypothesis_pair, flat_probs
 
-from oracles import pair_matrices_ref, qs_ref
+from oracles import pair_matrices_ref, qs_ref, triplet_ket_ref
 
 
 def test_closed_form_examples():
@@ -76,8 +75,7 @@ def test_signed_trace_terms_match_dense_construction():
     sqrt_bg = np.kron(np.diag(np.sqrt(b)), np.diag(np.sqrt(b)))
     rho0_half = np.kron(proj, sqrt_bg)
 
-    space = p.space()
-    psi = three_photon_state(p.theta, space).amplitudes
+    psi = triplet_ket_ref(p.theta, p.resolved_cutoffs())
     p_psi = np.outer(psi, psi.conj())
 
     block = np.sqrt(b).copy()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,15 +10,15 @@ from triqi import states
 from triqi.bounds import q_s
 from triqi.cli import main
 from triqi.errors import DenseLimitError, TruncationError
-from triqi.fock import as_diag_plus_low_rank, build_space
+from triqi.fock import as_diag_plus_low_rank
 from triqi.presets import GOLDEN_POINT, GOLDEN_POINT_TRACED
 from triqi.states import (DEFAULT_TAIL_BOUND, ProtocolParams, auto_cutoff,
                           background_marginals, build_hypothesis_pair, evolve_exact,
-                          flat_levels, mean_photon_number, params_from_mapping,
-                          parse_key_values, thermal_marginal, thermal_probs, thermal_tail_mass,
-                          three_photon_state)
+                          flat_levels, params_from_mapping, parse_key_values, thermal_marginal,
+                          thermal_probs, thermal_tail_mass, triplet_amplitudes)
+from triqi.sweep import SweepSpec, run_sweep
 
-from oracles import chain_amplitudes_ref, pair_matrices_ref, partial_trace_ref
+from oracles import chain_amplitudes_ref, pair_matrices_ref, partial_trace_ref, triplet_ket_ref
 
 # chain amplitudes at theta=0.1, cutoff 8, frozen from the scipy expm oracle
 CHAIN_GOLDEN_01 = np.array([
@@ -65,24 +66,26 @@ def test_regime_flags():
 
 
 def test_three_photon_state_limits():
-    space = build_space(3, [2, 2, 2])
-    k0 = three_photon_state(0.0, space)
-    assert k0.amplitudes[0] == 1.0
-    k90 = three_photon_state(np.pi / 2, space)
-    assert abs(k90.amplitudes[space.index_of((1, 1, 1))] + 1j) < 1e-12
-    assert abs(k90.amplitudes[0]) < 1e-12
+    assert triplet_amplitudes(0.0).tolist() == [1.0, 0.0]
+    c000, c111 = triplet_amplitudes(np.pi / 2)
+    assert abs(c111 + 1j) < 1e-12
+    assert abs(c000) < 1e-12
 
 
 def test_three_photon_state_amplitudes():
-    space = build_space(3, [2, 6, 6])
-    k = three_photon_state(0.1, space)
-    assert k.amplitudes[0] == pytest.approx(0.9950041652780258, abs=1e-15)
-    assert k.amplitudes[space.index_of((1, 1, 1))] == pytest.approx(-0.09983341664682815j, abs=1e-15)
+    c000, c111 = triplet_amplitudes(0.1)
+    assert c000 == pytest.approx(0.9950041652780258, abs=1e-15)
+    assert c111 == pytest.approx(-0.09983341664682815j, abs=1e-15)
+    # the two amplitudes are the dense ket's only nonzero entries, at |000> and |111>
+    ket = triplet_ket_ref(0.1, (2, 6, 6))
+    assert np.flatnonzero(ket).tolist() == [0, 36 + 6 + 1]
+    assert np.array_equal(ket[[0, 43]], triplet_amplitudes(0.1))
 
 
 def test_three_photon_state_needs_two_levels():
-    with pytest.raises(ValueError):
-        three_photon_state(0.1, build_space(3, [1, 2, 2]))
+    # every mode must hold the |111> component
+    with pytest.raises(ValueError, match="cutoffs must be three values >= 2"):
+        GOLDEN_POINT.with_updates(cutoffs=(1, 2, 2))
 
 
 def test_evolve_exact_zero_time():
@@ -129,26 +132,30 @@ def test_evolution_cubic_on_support_quadratic_off_support():
     assert 0.2 <= fulls[0.05] / fulls[0.1] <= 0.3
 
 
+def _chain_mean_photons_ref(ev, mode):
+    """<n_mode> of the chain state spread over the full Fock basis of
+    ``chain_cutoff`` levels per mode, normalized there."""
+    c = len(ev.chain_amplitudes)
+    ket = np.zeros((c, c, c), dtype=complex)
+    ket[np.arange(c), np.arange(c), np.arange(c)] = ev.chain_amplitudes
+    ket /= np.linalg.norm(ket)
+    return float(np.sum(np.abs(ket) ** 2 * np.indices(ket.shape)[mode]))
+
+
 def test_mean_photon_number():
-    space = build_space(3, [2, 4, 4])
-    assert mean_photon_number(three_photon_state(0.0, space), 0) == 0.0
-    theta = 0.37
-    k = three_photon_state(theta, space)
-    for mode in range(3):
-        assert mean_photon_number(k, mode) == pytest.approx(np.sin(theta) ** 2, abs=1e-15)
-    with pytest.raises(ValueError, match="out of range"):
-        mean_photon_number(k, 3)
+    assert evolve_exact(0.0, 8).mean_photons < 1e-30  # rounding of the eigenbasis
     ev = evolve_exact(0.1, 12)
-    n_exact = mean_photon_number(ev.ket, 0)
+    n_exact = ev.mean_photons
     assert abs(n_exact - 0.01) <= 0.1 ** 3
     assert n_exact == pytest.approx(0.010101215656, abs=1e-9)
+    assert n_exact == pytest.approx(_chain_mean_photons_ref(ev, 0), rel=1e-15)
 
 
 def test_mean_photon_symmetric_across_modes():
+    # one value serves all three modes: |nnn> holds n photons on each
     ev = evolve_exact(0.15, 16)
-    values = [mean_photon_number(ev.ket, m) for m in range(3)]
-    assert values[0] == pytest.approx(values[1], abs=1e-14)
-    assert values[0] == pytest.approx(values[2], abs=1e-14)
+    for mode in range(3):
+        assert ev.mean_photons == pytest.approx(_chain_mean_photons_ref(ev, mode), rel=1e-15)
 
 
 def test_thermal_probs_form():
@@ -179,8 +186,26 @@ def test_auto_cutoff_minimal():
 
 
 def test_auto_cutoff_cap():
-    with pytest.raises(TruncationError):
-        auto_cutoff(5000.0)  # would need ~1e5 levels, far over the per-mode cap
+    with pytest.raises(TruncationError, match="per-mode cap 10000000"):
+        auto_cutoff(1e6)  # would need ~1.8e7 levels, over the per-mode cap
+    # nbar / (nbar + 1) rounds to 1 here, so the tail never falls below the bound
+    with pytest.raises(TruncationError, match="nbar=1e\\+17 needs more levels than the "
+                                              "per-mode cap"):
+        auto_cutoff(1e17)
+
+
+def test_flat_levels_capped(monkeypatch):
+    # flat levels obey the same per-mode cap; explicit cutoffs are not auto-selected
+    monkeypatch.setattr(states, "MAX_MODE_CUTOFF", 64)
+    flat = ProtocolParams(theta=0.01, eta=0.01, nbar2=100.0, nbar3=100.0, background="flat")
+    with pytest.raises(TruncationError, match="flat levels 100 for nbar=100.0 exceeds the "
+                                              "per-mode cap 64"):
+        flat.resolved_cutoffs()
+    assert flat.with_updates(cutoffs=(2, 100, 100)).resolved_cutoffs() == (2, 100, 100)
+    spec = SweepSpec(axes=(("nbar", (50.0, 100.0)),), fixed=flat, outputs=("q_half",))
+    ok, capped = run_sweep(spec).rows
+    assert ok[-1] == "" and ok[1] > 0
+    assert capped[-1].startswith("TruncationError: flat levels 100")
 
 
 @pytest.mark.parametrize("tail_bound", [0.0, -1.0, -math.inf, math.nan])
@@ -262,9 +287,9 @@ def test_hypothesis_h1_limits():
     pair0 = build_hypothesis_pair(GOLDEN_POINT.with_updates(eta=0.0))
     assert_allclose(pair0.rho1.to_dense(), pair0.rho0.to_dense(), atol=1e-14)
     p1 = GOLDEN_POINT.with_updates(eta=1.0)
-    psi = three_photon_state(p1.theta, p1.space())
-    assert_allclose(build_hypothesis_pair(p1).rho1.to_dense(),
-                    np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-14)
+    psi = triplet_ket_ref(p1.theta, p1.resolved_cutoffs())
+    assert_allclose(build_hypothesis_pair(p1).rho1.to_dense(), np.outer(psi, psi.conj()),
+                    atol=1e-14)
 
 
 def test_hypothesis_pair_matches_direct_mixture_oracle():
@@ -330,24 +355,39 @@ def test_hypothesis_h1_affine_in_eta():
 
 def test_traced_idler_equals_partial_trace():
     p = GOLDEN_POINT_TRACED
-    space = p.space()
-    amps = three_photon_state(p.theta, space).amplitudes
-    reduced = partial_trace_ref(np.outer(amps, amps.conj()), space.cutoffs, (0,))
+    cutoffs = p.resolved_cutoffs()
+    amps = triplet_ket_ref(p.theta, cutoffs)
+    reduced = partial_trace_ref(np.outer(amps, amps.conj()), cutoffs, (0,))
     rho0 = build_hypothesis_pair(p).rho0.to_dense()
-    idler_factor = partial_trace_ref(rho0, space.cutoffs, (0,))
+    idler_factor = partial_trace_ref(rho0, cutoffs, (0,))
     assert np.abs(reduced - idler_factor[:2, :2]).max() <= 1e-12
 
 
 def test_chain_ket_bounded_by_the_dense_limit(monkeypatch, capsys):
-    # the chain ket holds chain_cutoff**3 amplitudes: the cap is the entry count
-    # of the largest dense matrix, a chain cutoff of 256 at the default limit
-    assert 256 ** 3 == states.DEFAULT_DENSE_LIMIT ** 2
+    # the chain matrix, chain_cutoff x chain_cutoff, is the only dense array
+    # that evolve_exact builds, so the chain cutoff is capped at the dense limit
     monkeypatch.setattr(states, "DEFAULT_DENSE_LIMIT", 8)
-    assert evolve_exact(0.01, 4).ket.space.total_dim == 64
-    with pytest.raises(DenseLimitError, match="chain cutoff 5 needs a ket of 125 amplitudes"):
-        evolve_exact(0.01, 5)
-    assert main(["state", "--theta", "0.01", "--chain-cutoff", "5"]) == 2
-    assert "numeric failure: chain cutoff 5" in capsys.readouterr().err
+    assert evolve_exact(0.01, 8).chain_amplitudes.shape == (8,)
+    with pytest.raises(DenseLimitError, match="chain cutoff 9 needs a chain matrix of "
+                                              "dimension 9 > dense limit 8"):
+        evolve_exact(0.01, 9)
+    assert main(["state", "--theta", "0.01", "--chain-cutoff", "9"]) == 2
+    assert "numeric failure: chain cutoff 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["state", "--cutoff", "1000", "--tail-bound", "1"],
+                                  ["state", "--chain-cutoff", "64"]])
+def test_state_memory_does_not_grow_with_the_space(argv, capsys):
+    # the state holds two closed-form amplitudes and the chain, never a ket
+    # over the 2 * cutoff**2 or chain_cutoff**3 Fock states
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "mean photons mode 2" in capsys.readouterr().out
+    assert peak < 2 ** 20
 
 
 def test_key_values_round_trip():

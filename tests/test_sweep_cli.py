@@ -205,14 +205,18 @@ def test_public_names_resolve_and_removed_names_are_gone():
                (fock, "TensorProduct"), (fock, "factor_eigensystems"),
                (fock.DensityOperator, "product"), (fock.DensityOperator, "trace_normalized"),
                (fock.DensityOperator, "eigensystem"), (spectral, "eigvalsh_difference"),
-               (fock, "tensor_ket"), (fock.Ket, "basis_state"), (fock.Ket, "from_amplitudes"),
+               (fock, "tensor_ket"), (fock, "Ket"), (fock, "NORM_TOL"),
                (fock.DensityOperator, "from_ket"), (fock, "partial_trace"),
                (fock.SpaceDescriptor, "subspace"), (fock, "Diagonal"),
                (fock.DensityOperator, "diagonal"), (states, "thermal_state"),
                (states, "hypothesis_h0"), (states, "hypothesis_h1"), (bounds, "povm_error"),
                (bounds, "eigvalsh")]
+    removed += [(fock.SpaceDescriptor, name) for name in ("index_of", "occupations_of",
+                                                          "mode_occupations", "_check_mode")]
+    removed += [(states, "three_photon_state"), (states, "mean_photon_number")]
     removed += [(triqi, name) for name in ("tensor_ket", "partial_trace", "thermal_state",
-                                           "hypothesis_h0", "hypothesis_h1", "povm_error")]
+                                           "hypothesis_h0", "hypothesis_h1", "povm_error",
+                                           "Ket", "three_photon_state", "mean_photon_number")]
     removed += [(overlap_audit, "SignChoice"), (overlap_audit, "SELECTED_SIGNS"),
                 (overlap_audit.TraceAudit, "signs"), (states, "load_params"),
                 (states.ProtocolParams, "dense_limit"), (sweep, "read_table"),
@@ -224,6 +228,9 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  overlap_audit.gap_leading_order, overlap_audit.audit_overlap):
         assert "signs" not in inspect.signature(func).parameters
     assert "dense_limit" not in {f.name for f in dataclasses.fields(ProtocolParams)}
+    # the evolved state keeps the chain, not a ket over the chain_cutoff**3 Fock states
+    assert [f.name for f in dataclasses.fields(states.EvolvedState)] == [
+        "theta", "chain_amplitudes", "leakage"]
     assert [name for name, f in REPRODUCTIONS.items() if inspect.signature(f).parameters] == []
     assert not (Path(__file__).resolve().parents[1] / "configs" / "golden_point.cfg").exists()
 
@@ -241,14 +248,18 @@ def test_cli_option_surface(capsys, tmp_path):
     assert _options(parser, "state") == point | {"--chain-cutoff"}
     assert _options(parser, "chernoff") == pair | {"--tol", "--M"}
     assert _options(parser, "appendix-audit") == pair | {"--fit-gap"}
+    table = {"-h", "--help", "--out", "--format", "--golden", "--write-golden"}
+    assert _options(parser, "sweep") == table | {"--config", "--workers", "--strict"}
+    assert _options(parser, "reproduce") == table
     # flags a subcommand used to accept without reading them are usage errors now
     removed = {"state": (["--eta", "0.7"], ["--idler", "traced"], ["--tol", "9"], ["--strict"],
                          ["--format", "csv"], ["--dense-limit", "1"]),
                "appendix-audit": (["--tol", "9"], ["--dense-limit", "1"]),
-               "chernoff": (["--dense-limit", "1"],)}
+               "chernoff": (["--dense-limit", "1"],),
+               "reproduce factor100": (["--strict"],)}
     for command, flags in removed.items():
         for flag in flags:
-            assert main([command, *flag]) == 1, (command, flag)
+            assert main([*command.split(), *flag]) == 1, (command, flag)
             assert "unrecognized arguments" in capsys.readouterr().err
     cfg = tmp_path / "dense.cfg"
     cfg.write_text("theta = 0.01\neta = 0.001\nnbar2 = 20\nnbar3 = 20\n"
