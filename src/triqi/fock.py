@@ -43,7 +43,7 @@ class SpaceDescriptor:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.cutoffs))
+        return math.prod(self.cutoffs)
 
     def require_dense(self, what: str = "dense operation") -> None:
         if self.total_dim > self.dense_limit:

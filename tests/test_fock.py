@@ -25,6 +25,11 @@ def test_build_space_dimensions(modes, cutoffs, dim):
     assert space.total_dim == int(np.prod(space.cutoffs))
 
 
+def test_total_dim_is_exact_above_int64():
+    # 2 * (5e9)^2 = 5e19 wraps around in int64; the state command prints it
+    assert build_space(3, [2, 5 * 10**9, 5 * 10**9]).total_dim == 5 * 10**19
+
+
 def test_build_space_rejects_bad_input():
     with pytest.raises(ValueError):
         build_space(2, [2, 0])
