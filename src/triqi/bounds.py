@@ -107,7 +107,7 @@ class _PairContext:
             keep &= x > SUPPORT_TOL * top
         return c[keep], a[keep], b[keep]
 
-    def q(self, s: float) -> float:
+    def q(self, s):
         return diag_rank_one_trace_power(self.terms, s)
 
     def helstrom(self, pi0: float) -> float:
@@ -166,12 +166,16 @@ def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6) ->
 
 
 def _golden_section(q, tol: float) -> ChernoffResult:
-    """The search of :func:`chernoff` over any Q_s evaluator ``q``."""
+    """The search of :func:`chernoff` over any Q_s evaluator ``q``.
+
+    ``q`` maps a float to a float and a 1-D grid to an array: the pre-scan is
+    one grid call, the search steps are float calls.
+    """
     # NaN fails every comparison, so a NaN tolerance must not pass as positive
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     grid_s = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
-    grid_q = np.array([q(float(s)) for s in grid_s])
+    grid_q = q(grid_s)
     second = grid_q[2:] - 2.0 * grid_q[1:-1] + grid_q[:-2]
     if second.size and float(second.min()) < -CONVEXITY_SLACK:
         raise NumericalError(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import evaluate_point
-from .errors import RegimeWarning, TriqiError
+from .errors import RegimeWarning, ResourceError, TriqiError
 from .overlap_audit import audit_overlap
 from .presets import REPRODUCTIONS, golden_sweep_spec
 from .states import ProtocolParams, evolve_exact, thermal_tail_mass, triplet_amplitudes
@@ -244,7 +244,9 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             code = args.func(args)
-        except TriqiError as exc:
+        except (TriqiError, MemoryError) as exc:
+            if isinstance(exc, MemoryError):
+                exc = ResourceError(f"out of memory: {exc}")
             sys.stderr.write(f"numeric failure: {exc}\n")
             return EXIT_NUMERIC
         except OSError as exc:

@@ -587,8 +587,9 @@ class StructuredPair:
             c, a, b = np.append(c, mass), np.append(a, 1.0), np.append(b, self.scale)
         return c, a, b
 
-    def q(self, s: float) -> float:
-        """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], support convention."""
+    def q(self, s):
+        """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], or a grid of such ``s``,
+        support convention."""
         return diag_rank_one_trace_power(self._terms, s)
 
     def helstrom(self, pi0: float) -> float:
@@ -608,7 +609,7 @@ class StructuredPair:
         return 0.5 * (1.0 - local.trace_abs() - off)
 
 
-def diag_rank_one_trace_power(terms, s: float) -> float:
+def diag_rank_one_trace_power(terms, s):
     """``Q_s = sum_k c_k a_k^s b_k^{1-s}`` over the terms ``(c, a, b)`` of a pair.
 
     ``a`` and ``b`` hold eigenvalues of ``rho0`` and ``rho1`` on their
@@ -617,8 +618,21 @@ def diag_rank_one_trace_power(terms, s: float) -> float:
     beforehand, so the sum is exact at ``s = 0`` and ``s = 1`` too.  Both lanes
     evaluate here: the structured pair's :attr:`StructuredPair._terms` and the
     dense overlap table.
+
+    ``s`` is a float, giving a float, or a 1-D grid, giving an array that
+    equals the float values bit for bit.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s={s} outside [0, 1]")
     c, a, b = terms
-    return float(np.sum(c * a ** s * b ** (1.0 - s)))
+    if np.ndim(s) == 0:
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"s={s} outside [0, 1]")
+        return float(np.add.reduce(c * a ** s * b ** (1.0 - s)))
+    s = np.asarray(s, dtype=float)
+    outside = ~((0.0 <= s) & (s <= 1.0))
+    if outside.any():
+        raise ValueError(f"s={s[outside][0]} outside [0, 1]")
+    col = s[:, None]
+    q = np.add.reduce(c * a ** col * b ** (1.0 - col), axis=1)
+    # a float exponent 0.5 takes sqrt, which rounds apart from pow in the last bit
+    q[s == 0.5] = np.add.reduce(c * a ** 0.5 * b ** 0.5)
+    return q

@@ -27,6 +27,8 @@ from oracles import (QsGrid, dense_eigenvectors, dense_overlap_ref, helstrom_ref
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
+# the s values of every reported Q_s curve
+GRID = tuple(np.arange(0.0, 1.0 + bounds.GRID_STEP / 2, bounds.GRID_STEP).tolist())
 
 
 def dense_copy(rho):
@@ -78,6 +80,17 @@ def test_qs_rejects_s_outside_unit_interval_in_both_lanes(s):
         q_s(GOLDEN_PAIR.rho0, GOLDEN_PAIR.rho1, s)
     with pytest.raises(ValueError, match="outside"):
         q_s(dense_copy(GOLDEN_PAIR.rho0), dense_copy(GOLDEN_PAIR.rho1), s)
+
+
+@pytest.mark.parametrize("s", [math.nan, -0.5, 1.5])
+def test_q_grid_rejects_s_outside_unit_interval_as_a_float_does(s):
+    d0, d1 = dense_copy(GOLDEN_PAIR.rho0), dense_copy(GOLDEN_PAIR.rho1)
+    for q in (GOLDEN_PAIR.structured.q, _PairContext(d0, d1).q):
+        with pytest.raises(ValueError) as scalar:
+            q(s)
+        with pytest.raises(ValueError) as grid:
+            q(np.array([0.0, 0.5, s, 1.0]))
+        assert str(grid.value) == str(scalar.value) == f"s={s} outside [0, 1]"
 
 
 def test_qs_symmetry():
@@ -470,6 +483,124 @@ def test_structured_matches_dense_over_the_domain(params):
     for pi0 in (0.2, 0.5):
         assert pair.structured.helstrom(pi0) == \
             pytest.approx(helstrom_ref(m0, m1, pi0), abs=1e-10), pi0
+    # the curve is one grid evaluation, equal to the float calls bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        report = evaluate_point(params, pair=pair)
+    assert report.q_curve == tuple((s, pair.structured.q(s)) for s in GRID)
+
+
+@pytest.mark.parametrize("params", DENSE_CHECK_POINTS,
+                         ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))])
+def test_dense_chernoff_curve_equals_float_calls_bit_for_bit(params):
+    pair = build_hypothesis_pair(params)
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    assert chernoff(d0, d1).grid == tuple((s, q_s(d0, d1, s)) for s in GRID)
+
+
+def _count_trace_power(monkeypatch):
+    """Record the ``s`` of every ``diag_rank_one_trace_power`` call, through
+    both of its bindings."""
+    original = spectral.diag_rank_one_trace_power
+    calls = []
+
+    def counted(terms, s):
+        calls.append(s)
+        return original(terms, s)
+
+    for module in (spectral, bounds):
+        monkeypatch.setattr(module, "diag_rank_one_trace_power", counted)
+    return calls
+
+
+def test_chernoff_search_makes_one_grid_call(monkeypatch):
+    # the golden-section bracket shrinks by 1/phi a step until it is below tol
+    steps = math.ceil(math.log(1e-6) / math.log(bounds._INV_PHI))
+    pair = build_hypothesis_pair(GOLDEN_POINT)
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    calls = _count_trace_power(monkeypatch)
+    # two starts, one per step and one at s*, plus q_half for evaluate_point
+    for run, floats in ((lambda: evaluate_point(GOLDEN_POINT, pair=pair), 2 + steps + 2),
+                        (lambda: chernoff(d0, d1), 2 + steps + 1)):
+        calls.clear()
+        run()
+        grids = [s for s in calls if np.ndim(s) == 1]
+        assert len(grids) == 1 and tuple(grids[0].tolist()) == GRID
+        assert len(calls) - 1 == floats
+        assert all(isinstance(s, float) for s in calls if np.ndim(s) == 0)
+
+
+def test_golden_section_takes_any_evaluator():
+    # Q(s) = A e^{alpha s} + B e^{beta s}, with A = c1 b1, alpha = ln(a1 / b1)
+    # and likewise B and beta, is minimal where e^{(alpha - beta) s} = -B beta / (A alpha)
+    c1, a1, b1, c2, a2, b2 = 0.5, 0.8, 0.2, 0.5, 0.1, 0.7
+    big_a, alpha, big_b, beta = c1 * b1, math.log(a1 / b1), c2 * b2, math.log(a2 / b2)
+    s_exact = math.log(-big_b * beta / (big_a * alpha)) / (alpha - beta)
+    calls = []
+
+    def q(s):
+        calls.append(s)
+        return c1 * a1 ** s * b1 ** (1.0 - s) + c2 * a2 ** s * b2 ** (1.0 - s)
+
+    result = bounds._golden_section(q, 1e-8)
+    assert 0.4 < s_exact < 0.6
+    assert result.s_star == pytest.approx(s_exact, abs=1e-6)
+    assert result.q_star == pytest.approx(big_a * math.exp(alpha * s_exact)
+                                          + big_b * math.exp(beta * s_exact), rel=1e-14)
+    assert result.grid == tuple(zip(GRID, q(np.array(GRID)).tolist()))
+    assert sum(np.ndim(s) == 1 for s in calls) == 2  # the search's one, and the check's
+
+
+def _q0_identity(params):
+    """``Q_0 = Tr(Pi_0 rho1)``: ``1 - eta sin^2(2 theta) / 2`` for the pure
+    idler and 1 for the traced one, wherever the background holds levels 0 and 1."""
+    if params.idler == "traced":
+        return 1.0
+    return 1.0 - params.eta * math.sin(2.0 * params.theta) ** 2 / 2.0
+
+
+@pytest.mark.parametrize("idler", IDLER_VARIANTS)
+@pytest.mark.parametrize("nbar", (2.0, 50.0, 1e3))
+def test_q_endpoint_identities_at_flat_points(nbar, idler):
+    # for eta < 1, rho1 >= (1 - eta) rho0, so Q_1 = Tr rho0 = 1
+    for theta in (0.01, 0.3, 1.2):
+        for eta in (0.01, 0.3, 0.5, 0.9):
+            params = ProtocolParams(theta=theta, eta=eta, nbar2=nbar, nbar3=nbar,
+                                    background="flat", idler=idler)
+            sp = build_hypothesis_pair(params).structured
+            assert sp.q(1.0) == pytest.approx(1.0, abs=1e-13), (theta, eta)
+            assert sp.q(0.0) == pytest.approx(_q0_identity(params), abs=1e-13), (theta, eta)
+
+
+@st.composite
+def identity_points(draw):
+    """The accepted domain with eta < 1 at auto cutoffs, where the background
+    holds levels 0 and 1 (a flat one needs round(nbar) >= 2).  ``nbar`` stops
+    at 1e5 thermal and 1e6 flat (dims near 7e12 and 2e12), short of the
+    per-mode cap of 1e7 levels: every array a point holds has cutoff length,
+    and 60 such draws peak at about 240 MB."""
+    background = draw(st.sampled_from(BACKGROUND_VARIANTS))
+    low, high = (2.0, 1e6) if background == "flat" else (0.01, 1e5)
+    return ProtocolParams(theta=draw(_with_ends(0.0, math.pi / 2)),
+                          eta=draw(st.floats(0.0, 1.0, exclude_max=True)),
+                          nbar2=draw(st.floats(low, high)), nbar3=draw(st.floats(low, high)),
+                          background=background, idler=draw(st.sampled_from(IDLER_VARIANTS)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(identity_points())
+# where the support threshold drops background mass from rho1
+@example(ProtocolParams(theta=0.01, eta=0.5, nbar2=3.0, nbar3=3.0))
+@example(ProtocolParams(theta=0.01, eta=0.5, nbar2=1e4, nbar3=1e4, background="flat",
+                        idler="traced"))
+@example(ProtocolParams(theta=0.01, eta=0.9, nbar2=1e4, nbar3=1e4, background="flat"))
+def test_q_endpoint_identities_over_the_domain(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        sp = build_hypothesis_pair(params).structured
+    assert sp.q(1.0) == pytest.approx(1.0, abs=1e-13)
+    assert sp.q(0.0) == pytest.approx(_q0_identity(params), abs=1e-13)
 
 
 def test_dense_lane_allocates_by_blocks():

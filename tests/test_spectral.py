@@ -495,6 +495,21 @@ def test_flat_pair_matches_closed_form(nbar, idler):
             assert sp.q(s) == pytest.approx(expected, abs=1e-10), (theta, eta, s)
 
 
+def test_trace_power_grid_row_at_one_half_takes_the_float_path():
+    # a float exponent 0.5 takes sqrt and an array exponent takes pow; on these
+    # terms the two round apart, so only the float path keeps the grid exact
+    c, a, b = np.random.default_rng(5).uniform(0.01, 1.0, (3, 64))
+    grid = np.array([0.25, 0.5, 0.75])
+    col = grid[:, None]
+    by_pow = np.add.reduce(c * a ** col * b ** (1.0 - col), axis=1)
+    by_sqrt = float(np.add.reduce(c * a ** 0.5 * b ** 0.5))
+    assert by_pow[1] != by_sqrt
+    q = spectral.diag_rank_one_trace_power((c, a, b), grid)
+    assert q[1] == by_sqrt == spectral.diag_rank_one_trace_power((c, a, b), 0.5)
+    assert q.tolist() == [spectral.diag_rank_one_trace_power((c, a, b), float(s)) for s in grid]
+    assert q[[0, 2]].tolist() == by_pow[[0, 2]].tolist()
+
+
 def test_kron_mass_keeps_the_exact_support():
     # comparable entries, so one entry wrongly in or out of the support moves
     # the sum by about 1/105 of itself; thresholds sit on entries and one ulp

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import triqi
-from triqi import bounds, fock, overlap_audit, spectral, states, sweep
+from triqi import bounds, cli, fock, overlap_audit, spectral, states, sweep
 from triqi.bounds import evaluate_point
 from triqi.cli import build_parser, main
 from triqi.errors import RegimeWarning
@@ -456,6 +456,20 @@ def test_cli_chernoff_text_report(capsys, tmp_path):
     rec = parse_record(out.read_text())
     assert rec["q_half"] == pytest.approx(0.996920494113427, abs=1e-12)
     assert rec["s_star"] == pytest.approx(0.4447, abs=2e-4)
+
+
+@pytest.mark.parametrize("command, name", [("chernoff", "evaluate_point"),
+                                           ("appendix-audit", "audit_overlap")])
+def test_cli_out_of_memory_is_a_numeric_failure(capsys, monkeypatch, command, name):
+    # as a sweep row records it; never allocate for real, since with memory
+    # overcommit a huge allocation can succeed and then be killed
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+    monkeypatch.setattr(cli, name, exhausted)
+    assert main([command, "--cutoff", "6", "--tail-bound", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "numeric failure: out of memory: Unable to allocate 37.3 GiB for an array\n"
 
 
 def test_nan_tolerance_is_a_usage_error(capsys):
