@@ -107,7 +107,7 @@ class _PairContext:
             keep &= x > SUPPORT_TOL * top
         return c[keep], a[keep], b[keep]
 
-    def q(self, s):
+    def q(self, s: float | np.ndarray) -> float | np.ndarray:
         return diag_rank_one_trace_power(self.terms, s)
 
     def helstrom(self, pi0: float) -> float:
@@ -166,11 +166,8 @@ def chernoff(rho0: DensityOperator, rho1: DensityOperator, tol: float = 1e-6) ->
 
 
 def _golden_section(q, tol: float) -> ChernoffResult:
-    """The search of :func:`chernoff` over any Q_s evaluator ``q``.
-
-    ``q`` maps a float to a float and a 1-D grid to an array: the pre-scan is
-    one grid call, the search steps are float calls.
-    """
+    """The search of :func:`chernoff` over any Q_s evaluator ``q``: one call
+    on the 1-D pre-scan grid, then a float call per step."""
     # NaN fails every comparison, so a NaN tolerance must not pass as positive
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

@@ -19,8 +19,7 @@ class NumericalError(TriqiError):
 
 
 class ResourceError(TriqiError):
-    """Raised in place of a MemoryError where one point of a sweep or one CLI
-    call ran out of memory."""
+    """Raised in place of a MemoryError where a sweep row or a CLI call ran out of memory."""
 
 
 class RegimeWarning(UserWarning):

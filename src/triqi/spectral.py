@@ -587,9 +587,8 @@ class StructuredPair:
             c, a, b = np.append(c, mass), np.append(a, 1.0), np.append(b, self.scale)
         return c, a, b
 
-    def q(self, s):
-        """``Tr(rho0^s rho1^{1-s})`` for ``s`` in [0, 1], or a grid of such ``s``,
-        support convention."""
+    def q(self, s: float | np.ndarray) -> float | np.ndarray:
+        """``Tr(rho0^s rho1^{1-s})`` for ``s`` (or a grid) in [0, 1], support convention."""
         return diag_rank_one_trace_power(self._terms, s)
 
     def helstrom(self, pi0: float) -> float:
@@ -609,7 +608,7 @@ class StructuredPair:
         return 0.5 * (1.0 - local.trace_abs() - off)
 
 
-def diag_rank_one_trace_power(terms, s):
+def diag_rank_one_trace_power(terms, s: float | np.ndarray) -> float | np.ndarray:
     """``Q_s = sum_k c_k a_k^s b_k^{1-s}`` over the terms ``(c, a, b)`` of a pair.
 
     ``a`` and ``b`` hold eigenvalues of ``rho0`` and ``rho1`` on their
@@ -617,10 +616,8 @@ def diag_rank_one_trace_power(terms, s):
     either support is zero for every ``s`` under ``0^0 = 0`` and is left out
     beforehand, so the sum is exact at ``s = 0`` and ``s = 1`` too.  Both lanes
     evaluate here: the structured pair's :attr:`StructuredPair._terms` and the
-    dense overlap table.
-
-    ``s`` is a float, giving a float, or a 1-D grid, giving an array that
-    equals the float values bit for bit.
+    dense overlap table.  A 1-D grid of ``s`` gives the float values as an
+    array, bit for bit.
     """
     c, a, b = terms
     if np.ndim(s) == 0:

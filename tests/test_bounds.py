@@ -542,13 +542,13 @@ def test_golden_section_takes_any_evaluator():
         calls.append(s)
         return c1 * a1 ** s * b1 ** (1.0 - s) + c2 * a2 ** s * b2 ** (1.0 - s)
 
-    result = bounds._golden_section(q, 1e-8)
+    result = bounds._golden_section(q, 1e-6)
+    assert sum(np.ndim(s) == 1 for s in calls) == 1
     assert 0.4 < s_exact < 0.6
     assert result.s_star == pytest.approx(s_exact, abs=1e-6)
     assert result.q_star == pytest.approx(big_a * math.exp(alpha * s_exact)
-                                          + big_b * math.exp(beta * s_exact), rel=1e-14)
+                                          + big_b * math.exp(beta * s_exact), abs=1e-12)
     assert result.grid == tuple(zip(GRID, q(np.array(GRID)).tolist()))
-    assert sum(np.ndim(s) == 1 for s in calls) == 2  # the search's one, and the check's
 
 
 def _q0_identity(params):
