@@ -23,7 +23,7 @@ from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
 from .spectral import (SUPPORT_TOL, StructuredPair, diag_rank_one_trace_power, eigh,  # noqa: F401
                        overlap_terms)
 from .states import (HIGH_NOISE_MIN_NBAR, SMALL_ETA_MAX, ETA_INVN2_FACTOR,
-                     HypothesisPair, ProtocolParams, build_hypothesis_pair)
+                     HypothesisPair, ProtocolParams, pair_for)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -335,16 +335,12 @@ def evaluate_point(params: ProtocolParams, m_shots: int = 1,
     from ``params``; every quantity reads its structured form.
     """
     check_shot_count(m_shots)
-    if pair is None:
-        pair = build_hypothesis_pair(params)
-    elif pair.params != params:
-        raise ValueError("pair was built from other parameters than params")
+    structured = pair_for(params, pair).structured
     kappa = math.sqrt(params.eta) if kappa is None else kappa
     n_signal = params.theta ** 2 if n_signal is None else n_signal
 
-    structured = pair.structured
     result = _golden_section(structured.q, tol)
-    q_half = structured.q(0.5)
+    q_half = dict(result.grid)[0.5]  # the pre-scan grid holds s = 1/2
     hel = structured.helstrom(0.5)
     p3g = error_bound_3gamma(params.eta, params.nbar_mean, m_shots)
     p2g = error_bound_2gamma(kappa, n_signal, params.nbar_mean, m_shots)

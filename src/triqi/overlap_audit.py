@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import RegimeWarning, TriqiError
-from .states import (HypothesisPair, ProtocolParams, RegimeFlags, background_marginals,
-                     build_hypothesis_pair, flat_levels)
+from .states import HypothesisPair, ProtocolParams, RegimeFlags, flat_levels, pair_for
 
 MATCH_TOLERANCE_FACTOR = 10.0
 # Half-decade ladder two to four decades below the working reflectivity, deep
@@ -68,14 +67,7 @@ def closed_form_overlap(eta: float, nbar: float) -> float:
     return 1.0 - math.sqrt(eta) / nbar
 
 
-def _background_levels(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """The pair build's background marginals, thermal tail check included."""
-    if params.background == "flat" and min(flat_levels(params.nbar2), flat_levels(params.nbar3)) < 2:
-        raise ValueError("signed-root construction needs at least two flat levels per mode")
-    return background_marginals(params)
-
-
-def signed_root_overlap(params: ProtocolParams) -> SignedTrace:
+def signed_root_overlap(params: ProtocolParams, pair: HypothesisPair | None = None) -> SignedTrace:
     """Evaluate the minus-branch root product term by term.
 
     The product decomposes into three lines: the background identity line
@@ -86,20 +78,28 @@ def signed_root_overlap(params: ProtocolParams) -> SignedTrace:
     discards it before taking the trace.  The plus branch of the triplet term
     would push the total above 1, which is why the minus branch is the one
     taken.  Outside the validity regime the value is still computed, with a
-    warning.
+    warning.  The backgrounds are read from ``pair``, which, if given, must
+    have been built from ``params``; otherwise one is built here.
     """
+    _warn_outside_regime(params)
+    return _signed_root_terms(params, pair_for(params, pair).structured.factors)
+
+
+def _warn_outside_regime(params: ProtocolParams) -> None:
+    """The signed-root regime warning, attributed to the caller's caller."""
     flags = params.regime_flags()
     if not flags.all_hold():
         warnings.warn(
             f"signed-root construction evaluated outside its regime: {flags.as_dict()}",
-            RegimeWarning, stacklevel=2)
-    return _signed_root_terms(params)
+            RegimeWarning, stacklevel=3)
 
 
-def _signed_root_terms(params: ProtocolParams) -> SignedTrace:
+def _signed_root_terms(params: ProtocolParams, factors) -> SignedTrace:
     """:func:`signed_root_overlap` without the regime check, for callers that
-    leave the regime on purpose."""
-    b2, b3 = _background_levels(params)
+    leave the regime on purpose, on the pair's idler and background ``factors``."""
+    if params.background == "flat" and min(flat_levels(params.nbar2), flat_levels(params.nbar3)) < 2:
+        raise ValueError("signed-root construction needs at least two flat levels per mode")
+    _, b2, b3 = factors
     c, s = math.cos(params.theta), math.sin(params.theta)
     gamma = c ** 4 * math.sqrt(b2[0] * b3[0]) + s ** 4 * math.sqrt(b2[1] * b3[1])
     beta = (b2[0] + b2[1]) * (b3[0] + b3[1])
@@ -120,7 +120,7 @@ def match_tolerance(params: ProtocolParams) -> float:
 
 def principal_overlap(params: ProtocolParams) -> float:
     """Tr(rho0^{1/2} rho1^{1/2}) with principal (PSD) roots on both sides."""
-    return build_hypothesis_pair(params).structured.q(0.5)
+    return pair_for(params).structured.q(0.5)
 
 
 @dataclass(frozen=True)
@@ -143,26 +143,21 @@ def gap_leading_order(params: ProtocolParams, pair: HypothesisPair | None = None
     unreliable; the fit is still reported, flagged accordingly.
     """
     etas = tuple(params.eta * f for f in sorted(GAP_FIT_LADDER))
-    if pair is None:
-        pair = build_hypothesis_pair(params)
-    elif pair.params != params:
-        raise ValueError("pair was built from other parameters than params")
-    gaps = []
+    sp = pair_for(params, pair).structured
     # probing the eta -> 0 asymptotics leaves the regime on purpose, so the
     # rungs skip the regime warning (without touching the process-wide
     # warning filters, which concurrent sweep rows share)
-    for e in etas:
-        rung = pair.with_eta(e)
-        gaps.append(rung.structured.q(0.5) - _signed_root_terms(rung.params).value)
-    gaps_arr = np.array(gaps)
+    gaps = np.array([replace(sp, scale=1.0 - e, weight=e).q(0.5)
+                         - _signed_root_terms(replace(params, eta=e), sp.factors).value
+                         for e in etas])
     # eta = 0 rungs have log(eta) = -inf and only rounding noise for a gap
-    nz = (np.array(etas) > 0) & (gaps_arr != 0)
-    sign_change = bool(np.any(gaps_arr[nz] > 0) and np.any(gaps_arr[nz] < 0))
+    nz = (np.array(etas) > 0) & (gaps != 0)
+    sign_change = bool(np.any(gaps[nz] > 0) and np.any(gaps[nz] < 0))
     if nz.sum() >= 2:
-        slope = float(np.polyfit(np.log(np.array(etas)[nz]), np.log(np.abs(gaps_arr[nz])), 1)[0])
+        slope = float(np.polyfit(np.log(np.array(etas)[nz]), np.log(np.abs(gaps[nz])), 1)[0])
     else:
         slope = math.nan
-    return GapFit(etas, tuple(float(g) for g in gaps_arr), slope, sign_change)
+    return GapFit(etas, tuple(float(g) for g in gaps), slope, sign_change)
 
 
 @dataclass(frozen=True)
@@ -214,31 +209,35 @@ def audit_overlap(params: ProtocolParams, fit_gap: bool = False,
     validity flags fail, ``matches_paper_order`` when the signed value agrees
     with the closed form within the stated order tolerance, ``deviates``
     otherwise.  Sub-computations that fail are marked incomplete rather than
-    aborting the audit.  ``pair``, if given, must have been built from
-    ``params``; the principal value then reads it instead of building its own.
+    aborting the audit; a pair that fails to build fails both values.
+    ``pair``, if given, must have been built from ``params``; otherwise one is
+    built here, and every value of the audit reads that one pair.
     """
-    if pair is not None and pair.params != params:
-        raise ValueError("pair was built from other parameters than params")
     flags = params.regime_flags()
     analytic = closed_form_overlap(params.eta, params.nbar_mean)
     incomplete = []
 
-    signed = None
+    signed = principal = None
     terms: tuple[TraceTerm, ...] = ()
     try:
-        st = signed_root_overlap(params)
-        signed, terms = st.value, st.terms
+        pair = pair_for(params, pair)
     except (TriqiError, ValueError) as exc:
-        incomplete.append(f"signed_root: {exc}")
+        if pair is not None:  # built from other parameters: the caller's mistake
+            raise
+        _warn_outside_regime(params)  # the signed root warns before it reads a level
+        incomplete += [f"signed_root: {exc}", f"principal: {exc}"]
+    else:
+        try:
+            st = signed_root_overlap(params, pair)
+            signed, terms = st.value, st.terms
+        except (TriqiError, ValueError) as exc:
+            incomplete.append(f"signed_root: {exc}")
+        try:
+            principal = pair.structured.q(0.5)
+        except (TriqiError, ValueError) as exc:
+            incomplete.append(f"principal: {exc}")
 
-    principal = None
-    try:
-        principal = principal_overlap(params) if pair is None else pair.structured.q(0.5)
-    except (TriqiError, ValueError) as exc:
-        incomplete.append(f"principal: {exc}")
-
-    theta, eta = params.theta, params.eta
-    nbar = params.nbar_mean
+    theta, eta, nbar = params.theta, params.eta, params.nbar_mean
     error_terms = {
         "theta2_sqrt_eta": theta ** 2 * math.sqrt(eta),
         "inv_nbar2": 1.0 / nbar ** 2,
@@ -258,9 +257,8 @@ def audit_overlap(params: ProtocolParams, fit_gap: bool = False,
     else:
         verdict = VERDICT_DEVIATES
 
-    gap = None
-    if fit_gap and signed is not None and principal is not None:
-        gap = gap_leading_order(params, pair)
+    fit = fit_gap and signed is not None and principal is not None
+    gap = gap_leading_order(params, pair) if fit else None
 
     return TraceAudit(params=params, analytic=analytic,
                       signed_root=signed, principal=principal,

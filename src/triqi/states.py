@@ -330,8 +330,8 @@ class HypothesisPair:
     ``factors`` tuple (rho0's per-mode eigenvalues) and one ``mode_rotations``
     tuple.  rho0's pair has scale 1 and no rank-one term; ``structured``, the
     :class:`StructuredPair` that rho1 holds, is the pair of hypotheses in that
-    basis without any array of the full dimension, and every bound and the
-    principal root overlap read it.
+    basis without any array of the full dimension, and every bound and every
+    value of the overlap audit read it.
     """
 
     params: ProtocolParams
@@ -341,22 +341,6 @@ class HypothesisPair:
     @property
     def structured(self) -> StructuredPair:
         return self.rho1.structure.pair
-
-    def with_eta(self, eta: float) -> "HypothesisPair":
-        """The pair at another eta, sharing rho0, its eigenbasis and the rotated triplet."""
-        sp = self.structured
-        return _mix(replace(self.params, eta=eta), self.rho0, sp.factors,
-                    self.rho1.structure.mode_rotations, sp.v_index, sp.v_value)
-
-
-def _mix(params: ProtocolParams, rho0: DensityOperator, factors, rotations,
-         v_index: np.ndarray, v_value: np.ndarray) -> HypothesisPair:
-    """``rho1 = (1 - eta) rho0 + eta |Psi><Psi|`` in rho0's eigenbasis, whose
-    diagonal is ``kron(*factors)`` and whose per-mode ``rotations`` map it
-    back to the Fock basis, with the triplet's nonzero entries there."""
-    sp = StructuredPair(factors, 1.0 - params.eta, params.eta, v_index, v_value)
-    return HypothesisPair(params, rho0,
-                          DensityOperator.diag_plus_low_rank(rho0.space, sp, rotations))
 
 
 def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
@@ -391,4 +375,16 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
     index = np.ravel_multi_index((k, n, n), space.cutoffs).ravel()
     value = (idler_rotation[:2].conj().T * amplitudes).ravel()
     keep = np.flatnonzero(value)
-    return _mix(params, rho0, factors, rho0.structure.mode_rotations, index[keep], value[keep])
+    # rho1 = (1 - eta) rho0 + eta |Psi><Psi|, in rho0's eigenbasis
+    sp = StructuredPair(factors, 1.0 - params.eta, params.eta, index[keep], value[keep])
+    rho1 = DensityOperator.diag_plus_low_rank(space, sp, rho0.structure.mode_rotations)
+    return HypothesisPair(params, rho0, rho1)
+
+
+def pair_for(params: ProtocolParams, pair: HypothesisPair | None = None) -> HypothesisPair:
+    """``pair``, once checked to have been built from ``params``, or a new pair of ``params``."""
+    if pair is None:
+        return build_hypothesis_pair(params)
+    if pair.params != params:
+        raise ValueError("pair was built from other parameters than params")
+    return pair

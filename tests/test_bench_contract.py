@@ -92,3 +92,16 @@ def test_dense_pair_is_decomposed_and_scanned_once_under_the_tracer(harness, mon
     later = tracer.spans[len(first):]
     assert {"bounds.chernoff", "bounds.helstrom"} <= {s.name for s in later}
     assert not [s for s in later if s.name == "spectral.eigh"] and scans == [72, 72]
+
+
+def test_traced_audit_reads_one_pair(harness):
+    run, t = harness
+    tracer = run.spans.Tracer()
+    with run.spans.installed(tracer, run.layer_targets(t)):
+        t.overlap_audit.audit_overlap(t.presets.GOLDEN_POINT)
+    names = [s.name for s in tracer.spans]
+    # the signed root nests under the audit and reads the audit's one pair
+    root, = [s for s in tracer.spans if s.name == "overlap_audit.audit"]
+    signed, = [s for s in tracer.spans if s.name == "overlap_audit.signed_root"]
+    assert signed.parent == root.id
+    assert names.count("states.build_pair") == 1

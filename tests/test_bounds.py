@@ -519,8 +519,8 @@ def test_chernoff_search_makes_one_grid_call(monkeypatch):
     pair = build_hypothesis_pair(GOLDEN_POINT)
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
     calls = _count_trace_power(monkeypatch)
-    # two starts, one per step and one at s*, plus q_half for evaluate_point
-    for run, floats in ((lambda: evaluate_point(GOLDEN_POINT, pair=pair), 2 + steps + 2),
+    # two starts, one per step and one at s*; evaluate_point reads q_half off the grid
+    for run, floats in ((lambda: evaluate_point(GOLDEN_POINT, pair=pair), 2 + steps + 1),
                         (lambda: chernoff(d0, d1), 2 + steps + 1)):
         calls.clear()
         run()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,42 +152,46 @@ def test_gap_fit_leading_order():
     assert len(fit.etas) == len(fit.gaps) == 5
 
 
+def _count_builds(monkeypatch):
+    """Record the params of every pair build and every background build."""
+    calls = {"pair": [], "background": []}
+    for name, key in (("build_hypothesis_pair", "pair"), ("background_marginals", "background")):
+        original = getattr(states, name)
+
+        def counted(params, original=original, key=key):
+            calls[key].append(params)
+            return original(params)
+
+        for module in (states, overlap_audit):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_gap_fit_derives_its_ladder_from_one_pair(monkeypatch):
     original = states.build_hypothesis_pair
-    builds = []
-
-    def counted(params):
-        builds.append(params)
-        return original(params)
-
-    for module in (states, overlap_audit):
-        monkeypatch.setattr(module, "build_hypothesis_pair", counted)
-    fit = audit_overlap(AUDIT_POINT, fit_gap=True).gap_fit
-    # the principal value and the ladder each build once, not once per rung
-    assert len(builds) <= 2
-    pair = original(AUDIT_POINT)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        for eta, gap in zip(fit.etas, fit.gaps):
-            fresh = original(AUDIT_POINT.with_updates(eta=eta))
-            assert pair.with_eta(eta).structured.q(0.5) == fresh.structured.q(0.5), eta
-            assert gap == fresh.structured.q(0.5) - signed_root_overlap(fresh.params).value, eta
+    points = [AUDIT_POINT, AUDIT_POINT.with_updates(background="thermal")]
+    calls = _count_builds(monkeypatch)
+    fits = [audit_overlap(params, fit_gap=True).gap_fit for params in points]
+    # the signed root, the principal value and every rung read one pair per audit
+    assert calls == {"pair": points, "background": points}
+    for params, fit in zip(points, fits):
+        pair = original(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for eta, gap in zip(fit.etas, fit.gaps):
+                fresh = original(params.with_updates(eta=eta))
+                rung = replace(pair.structured, scale=1 - eta, weight=eta)
+                assert rung.q(0.5) == fresh.structured.q(0.5), eta
+                assert gap == fresh.structured.q(0.5) - signed_root_overlap(fresh.params).value, eta
 
 
 def test_audit_gap_fit_reads_the_passed_pair(monkeypatch):
     pair = build_hypothesis_pair(AUDIT_POINT)
     expected = audit_overlap(AUDIT_POINT, fit_gap=True).gap_fit
-    builds = []
-    original = states.build_hypothesis_pair
-
-    def counted(params):
-        builds.append(params)
-        return original(params)
-
-    for module in (states, overlap_audit):
-        monkeypatch.setattr(module, "build_hypothesis_pair", counted)
+    calls = _count_builds(monkeypatch)
     assert audit_overlap(AUDIT_POINT, fit_gap=True, pair=pair).gap_fit == expected
-    assert builds == []
+    assert calls == {"pair": [], "background": []}
     with pytest.raises(ValueError, match="other parameters"):
         gap_leading_order(AUDIT_POINT_SMALL, pair=pair)
 
@@ -196,13 +201,14 @@ def test_gap_fit_leaves_the_warning_filters_alone(monkeypatch):
     # the process-wide filter list, which concurrent sweep rows share
     pair = build_hypothesis_pair(AUDIT_POINT)
     seen = []
-    original = type(pair).with_eta
+    original = overlap_audit.replace
 
-    def spy(self, eta):
-        seen.append(list(warnings.filters))
-        return original(self, eta)
+    def spy(obj, **changes):
+        if "weight" in changes:  # a rung of the ladder
+            seen.append(list(warnings.filters))
+        return original(obj, **changes)
 
-    monkeypatch.setattr(type(pair), "with_eta", spy)
+    monkeypatch.setattr(overlap_audit, "replace", spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         before = list(warnings.filters)
@@ -277,6 +283,16 @@ def test_audit_signed_root_applies_the_thermal_tail_check():
     assert any(item.startswith("signed_root: thermal tail mass") for item in a.incomplete)
     assert any(item.startswith("principal: thermal tail mass") for item in a.incomplete)
     assert a.verdict != overlap_audit.VERDICT_MATCHES
+
+
+def test_audit_warns_outside_the_regime_when_the_build_fails():
+    # nbar = 3 leaves the high-noise regime and cutoff 6 fails its tail check;
+    # the signed root warns before it reads the pair, so a failed build warns too
+    p = ProtocolParams(theta=0.01, eta=0.01, nbar2=3.0, nbar3=3.0, cutoffs=(2, 6, 6))
+    with pytest.warns(RegimeWarning, match="signed-root construction"):
+        a = audit_overlap(p)
+    assert a.signed_root is None and a.principal is None
+    assert [item.split(":")[0] for item in a.incomplete] == ["signed_root", "principal"]
 
 
 def test_audit_reads_a_passed_pair_of_its_params():

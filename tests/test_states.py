@@ -316,12 +316,6 @@ def test_hypothesis_pair_arrays_are_read_only(monkeypatch):
     assert len(sp.factors) == 3
     assert pair.rho1.structure.pair is sp
     assert np.count_nonzero(sp.v_value) == len(sp.v_index)
-    # with_eta keeps rho0, the factors, the rotations and the triplet
-    other = pair.with_eta(0.3)
-    assert other.rho0 is pair.rho0 and other.structured.factors is sp.factors
-    assert other.rho1.structure.mode_rotations is pair.rho1.structure.mode_rotations
-    assert other.structured.v_value is sp.v_value
-    assert (other.structured.scale, other.structured.weight) == (0.7, 0.3)
     # both hypotheses have one shape: rho0 is the pair's own DiagPlusLowRank,
     # with the same factors and rotations, so the operator-level Q_s neither
     # converts nor decomposes anything

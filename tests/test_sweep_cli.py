@@ -220,7 +220,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
     removed += [(overlap_audit, "SignChoice"), (overlap_audit, "SELECTED_SIGNS"),
                 (overlap_audit.TraceAudit, "signs"), (states, "load_params"),
                 (states.ProtocolParams, "dense_limit"), (sweep, "read_table"),
-                (triqi, "SignChoice"), (triqi, "load_params")]
+                (triqi, "SignChoice"), (triqi, "load_params"),
+                (states.HypothesisPair, "with_eta"), (overlap_audit, "_background_levels")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     # the audit's sign choice, the point's dense limit and the presets' knobs
     # went with them
