@@ -296,7 +296,7 @@ def rank_one_spectrum(d, scale: float, weight: float, v,
     absv = np.abs(v)
     av2 = absv ** 2
     norm = math.sqrt(float(av2.sum()))
-    tol = 8.0 * np.finfo(float).eps * max(ref, weight * norm ** 2)
+    tol = 8.0 * sys.float_info.epsilon * max(ref, weight * norm ** 2)
     active = np.nonzero(weight * norm * absv > tol)[0]
     if len(active) == 0:
         return RankOneSpectrum(d, scale, weight, (), np.zeros(0), np.zeros((0, 0)), ())
@@ -584,7 +584,7 @@ class StructuredPair:
         mass = self._inactive_mass
         if mass:
             # nonzero M needs scale > 0, so the power stays real
-            c, a, b = np.append(c, mass), np.append(a, 1.0), np.append(b, self.scale)
+            c, a, b = (np.concatenate((x, [y])) for x, y in ((c, mass), (a, 1.0), (b, self.scale)))
         return c, a, b
 
     def q(self, s: float | np.ndarray) -> float | np.ndarray:
@@ -620,7 +620,8 @@ def diag_rank_one_trace_power(terms, s: float | np.ndarray) -> float | np.ndarra
     array, bit for bit.
     """
     c, a, b = terms
-    if np.ndim(s) == 0:
+    # a Python number is a scalar without the cost of np.ndim
+    if isinstance(s, (float, int)) or np.ndim(s) == 0:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s={s} outside [0, 1]")
         return float(np.add.reduce(c * a ** s * b ** (1.0 - s)))

@@ -95,8 +95,13 @@ class ProtocolParams:
         if self.idler not in IDLER_VARIANTS:
             raise ValueError(f"idler must be one of {IDLER_VARIANTS}")
         if self.cutoffs is not None:
-            cut = tuple(int(c) for c in self.cutoffs)
-            if len(cut) != 3 or any(c < 2 for c in cut):
+            try:
+                raw = tuple(self.cutoffs)
+                cut = tuple(int(c) for c in raw)
+            except (TypeError, ValueError, OverflowError):  # not a sequence, or inf, nan, "x"
+                raw = cut = ()
+            # int() truncates 6.9 and parses "6": each value must equal its int
+            if len(cut) != 3 or any(c < 2 for c in cut) or cut != raw:
                 raise ValueError(f"cutoffs must be three values >= 2, got {self.cutoffs}")
             object.__setattr__(self, "cutoffs", cut)
 
@@ -371,8 +376,9 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
     factors = (idler_eigenvalues, *background_marginals(params))
     empty = StructuredPair(factors, 1.0, 0.0, np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
     rho0 = DensityOperator.diag_plus_low_rank(space, empty, rotations)
-    k, n = np.meshgrid(np.arange(c0), (0, 1), indexing="ij")
-    index = np.ravel_multi_index((k, n, n), space.cutoffs).ravel()
+    # (k, n) for every idler eigenvector k and n in {0, 1}, k slowest
+    k, n = np.arange(c0).repeat(2), np.array((0, 1) * c0)
+    index = np.ravel_multi_index((k, n, n), space.cutoffs)
     value = (idler_rotation[:2].conj().T * amplitudes).ravel()
     keep = np.flatnonzero(value)
     # rho1 = (1 - eta) rho0 + eta |Psi><Psi|, in rho0's eigenbasis

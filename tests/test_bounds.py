@@ -86,11 +86,27 @@ def test_qs_rejects_s_outside_unit_interval_in_both_lanes(s):
 def test_q_grid_rejects_s_outside_unit_interval_as_a_float_does(s):
     d0, d1 = dense_copy(GOLDEN_PAIR.rho0), dense_copy(GOLDEN_PAIR.rho1)
     for q in (GOLDEN_PAIR.structured.q, _PairContext(d0, d1).q):
-        with pytest.raises(ValueError) as scalar:
-            q(s)
         with pytest.raises(ValueError) as grid:
             q(np.array([0.0, 0.5, s, 1.0]))
-        assert str(grid.value) == str(scalar.value) == f"s={s} outside [0, 1]"
+        assert str(grid.value) == f"s={s} outside [0, 1]"
+        # numpy scalars and 0-d arrays are scalars, as a float is
+        for scalar_s in (s, np.float64(s), np.float32(s), np.array(s)):
+            with pytest.raises(ValueError) as scalar:
+                q(scalar_s)
+            assert str(scalar.value) == str(grid.value)
+
+
+def test_q_takes_any_scalar_s_as_a_float_and_a_sequence_as_a_grid():
+    d0, d1 = dense_copy(GOLDEN_PAIR.rho0), dense_copy(GOLDEN_PAIR.rho1)
+    for q in (GOLDEN_PAIR.structured.q, lambda s: q_s(d0, d1, s)):
+        for s in (0, 1, np.float64(0.3), np.float32(0.3), np.array(0.3)):
+            value = q(s)
+            assert type(value) is float
+            assert value == q(float(s)) == q(np.array([float(s)]))[0]
+        for s in ([0.3], np.array([0.0, 0.3, 1.0])):
+            values = q(s)
+            assert isinstance(values, np.ndarray) and values.shape == np.shape(s)
+            assert values.tolist() == [q(float(x)) for x in s]
 
 
 def test_qs_symmetry():

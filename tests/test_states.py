@@ -88,6 +88,39 @@ def test_three_photon_state_needs_two_levels():
         GOLDEN_POINT.with_updates(cutoffs=(1, 2, 2))
 
 
+@pytest.mark.parametrize("bad", [6.9, 2.5, math.inf, -math.inf, math.nan, "6", None])
+def test_cutoffs_must_be_integers(bad):
+    # int() would truncate 6.9, overflow on inf and parse "6"
+    with pytest.raises(ValueError, match="cutoffs must be three values >= 2"):
+        GOLDEN_POINT.with_updates(cutoffs=(2, bad, 6))
+
+
+@pytest.mark.parametrize("good", [6, 6.0, np.int64(6), np.int32(6), np.uint8(6), np.float64(6.0)])
+def test_cutoffs_accept_integral_values_as_ints(good):
+    cutoffs = GOLDEN_POINT.with_updates(cutoffs=(2, good, np.int64(6))).cutoffs
+    assert cutoffs == (2, 6, 6)
+    assert all(type(c) is int for c in cutoffs)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
+@pytest.mark.parametrize("idler", states.IDLER_VARIANTS)
+@pytest.mark.parametrize("cutoffs", [(2, 6, 6), (3, 5, 7), (4, 2, 3)])
+def test_triplet_entries_are_the_rotated_ket_support(cutoffs, idler, theta):
+    params = ProtocolParams(theta=theta, eta=0.3, nbar2=1.0, nbar3=1.0, cutoffs=cutoffs,
+                            idler=idler, tail_bound=math.inf)
+    pair = build_hypothesis_pair(params)
+    # the triplet in rho0's eigenbasis: the idler rotation applied to mode 0
+    psi = triplet_ket_ref(theta, cutoffs).reshape(cutoffs)
+    rotation = pair.rho0.structure.mode_rotations[0]
+    if rotation is not None:
+        psi = np.tensordot(rotation.conj().T, psi, axes=([1], [0]))
+    v = psi.reshape(-1)
+    sp = pair.structured
+    assert sp.v_index.dtype == np.intp
+    assert np.array_equal(sp.v_index, np.flatnonzero(v))
+    assert_allclose(sp.v_value, v[sp.v_index], rtol=1e-14, atol=0)
+
+
 def test_evolve_exact_zero_time():
     ev = evolve_exact(0.0, 6)
     assert_allclose(ev.chain_amplitudes, np.eye(6)[0], atol=1e-15)
