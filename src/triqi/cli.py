@@ -8,7 +8,6 @@ under --strict.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -19,15 +18,13 @@ from .errors import RegimeWarning, ResourceError, TriqiError
 from .overlap_audit import audit_overlap
 from .presets import REPRODUCTIONS, golden_sweep_spec
 from .states import ProtocolParams, evolve_exact, thermal_tail_mass, triplet_amplitudes
-from .sweep import SweepSpec, SweepTable, emit, render, run_sweep
+from .sweep import SweepSpec, render, run_sweep
 from .textfmt import format_csv, format_record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_REGIME = 3
-
-GOLDEN_DIR_ENV = "TRIQI_GOLDEN_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,33 +131,6 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _resolve_golden(name: str) -> Path:
-    directory = os.environ.get(GOLDEN_DIR_ENV)
-    if not directory:
-        raise TriqiError(f"--golden requires the {GOLDEN_DIR_ENV} environment variable")
-    return Path(directory) / name
-
-
-def _finish_table(table: SweepTable, args) -> int:
-    fmt = args.format
-    if getattr(args, "golden", None):
-        path = _resolve_golden(args.golden)
-        text = render(table, fmt)
-        if args.write_golden:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        else:
-            stored = path.read_text() if path.exists() else None
-            if stored != text:
-                sys.stderr.write(f"golden mismatch against {path}\n")
-                return EXIT_NUMERIC
-    if args.out is not None:
-        emit(table, fmt, args.out)
-    else:
-        sys.stdout.write(render(table, fmt))
-    return EXIT_OK
-
-
 def _cmd_sweep(args) -> int:
     overrides = {}
     if args.workers:
@@ -169,17 +139,15 @@ def _cmd_sweep(args) -> int:
         spec = golden_sweep_spec(**overrides)
     else:
         spec = SweepSpec.from_file(args.config, **overrides)
-    if args.format_override:
-        args.format = args.format_override
-    else:
-        args.format = spec.fmt
     table = run_sweep(spec)
-    return _finish_table(table, args)
+    _write_output(render(table, args.format or spec.fmt), args.out)
+    return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
     table = REPRODUCTIONS[args.preset]()
-    return _finish_table(table, args)
+    _write_output(render(table, args.format), args.out)
+    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -214,21 +182,16 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--config", required=True,
                          help="sweep config path, or the built-in name 'golden'")
     p_sweep.add_argument("--out", type=str, default=None)
-    p_sweep.add_argument("--format", dest="format_override", choices=["csv", "text"], default=None)
+    p_sweep.add_argument("--format", choices=["csv", "text"], default=None)
     p_sweep.add_argument("--workers", type=int, default=0)
-    p_sweep.add_argument("--golden", type=str, default=None,
-                         help=f"compare output against this file under ${GOLDEN_DIR_ENV}")
-    p_sweep.add_argument("--write-golden", action="store_true")
     p_sweep.add_argument("--strict", action="store_true")
-    p_sweep.set_defaults(func=_cmd_sweep, format="csv")
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_rep = sub.add_parser("reproduce",
                            help="run a built-in reproduction preset")
     p_rep.add_argument("preset", choices=sorted(REPRODUCTIONS))
     p_rep.add_argument("--out", type=str, default=None)
     p_rep.add_argument("--format", choices=["csv", "text"], default="csv")
-    p_rep.add_argument("--golden", type=str, default=None)
-    p_rep.add_argument("--write-golden", action="store_true")
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -458,10 +458,10 @@ def _kron_mass(factors, t0: float, scale: float, t1: float) -> float:
     rows = rows[rows > 0]
     z, counts = np.unique(factors[-1], return_counts=True)
     # tails[k]: the last factor's entries summed from its k-th distinct value on
-    tails = np.append(np.cumsum((z * counts)[::-1])[::-1], 0.0)
+    tails = np.concatenate((np.cumsum((z * counts)[::-1])[::-1], [0.0]))
 
     def supported(k):
-        x = rows * z[np.clip(k, 0, len(z) - 1)]
+        x = rows * z.take(k, mode="clip")
         return (k >= 0) & (k < len(z)) & (x > t0) & (scale * x > t1)
 
     k = np.searchsorted(z, max(t0, t1 / scale) / rows)

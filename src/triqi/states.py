@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DenseLimitError, TruncationError
 from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, SpaceDescriptor, build_space
 from .spectral import StructuredPair
+from .textfmt import parse_key_values  # noqa: F401 (re-exported for configs)
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
 IDLER_VARIANTS = ("paper_pure", "traced")
@@ -135,19 +136,6 @@ class ProtocolParams:
 
     def with_updates(self, **kwargs) -> "ProtocolParams":
         return replace(self, **kwargs)
-
-
-def parse_key_values(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def params_from_mapping(values: dict[str, str]) -> ProtocolParams:

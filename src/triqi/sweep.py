@@ -11,14 +11,14 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, overlap_audit, textfmt
 from .errors import NumericalError, ResourceError, TriqiError
-from .states import (ProtocolParams, build_hypothesis_pair, params_from_mapping,
-                     parse_key_values)
+from .states import ProtocolParams, build_hypothesis_pair, params_from_mapping
 
 MAX_POINTS = 100_000
 
@@ -53,9 +53,15 @@ class SweepSpec:
                 raise ValueError(f"unknown axis {name!r}; valid axes: {AXIS_NAMES}")
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
-            if name == "M":
-                for value in values:
+            for value in values:
+                # a parsed config cell is typed by its text: "" is None, "true" is True
+                if name == "M":
                     bounds.check_shot_count(value)
+                elif name in ("background", "idler"):
+                    if not isinstance(value, str):
+                        raise ValueError(f"axis {name!r} takes names, got {value!r}")
+                elif isinstance(value, bool) or not isinstance(value, Real):
+                    raise ValueError(f"axis {name!r} takes numbers, got {value!r}")
         n_points = self.n_points
         if n_points > MAX_POINTS:
             raise ValueError(f"sweep has {n_points} points, above the cap {MAX_POINTS}")
@@ -75,7 +81,7 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "SweepSpec":
-        return cls.from_mapping(parse_key_values(Path(path).read_text()), **overrides)
+        return cls.from_mapping(textfmt.parse_key_values(Path(path).read_text()), **overrides)
 
     @classmethod
     def from_mapping(cls, values: dict[str, str], **overrides) -> "SweepSpec":
@@ -187,13 +193,10 @@ def render(table: SweepTable, fmt: str) -> str:
 
 
 def emit(table: SweepTable, fmt: str, destination) -> None:
-    """Write the table; I/O failures carry the destination path in the message."""
-    text = render(table, fmt)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
+    """Write the table to the file ``destination``; I/O failures carry its
+    path in the message."""
     path = Path(destination)
     try:
-        path.write_text(text)
+        path.write_text(render(table, fmt))
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc

@@ -50,15 +50,24 @@ def format_record(record: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_record(text: str) -> dict:
-    out: dict = {}
-    for raw in text.splitlines():
+def parse_key_values(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of ``text`` as raw strings; blank lines and
+    ``#`` comments are skipped."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = parse_value(value.strip())
+        out[key.strip()] = value.strip()
     return out
+
+
+def parse_record(text: str) -> dict:
+    """:func:`parse_key_values` with every value typed by :func:`parse_value`."""
+    return {key: parse_value(value) for key, value in parse_key_values(text).items()}
 
 
 def format_csv(columns, rows) -> str:

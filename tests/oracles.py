@@ -5,9 +5,10 @@ formulas, separately from the package's own evaluation paths.
 """
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
+from mpmath import mp
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -20,7 +21,7 @@ def thermal_probs_ref(nbar, cutoff):
 
 
 def flat_probs_ref(nbar, cutoff):
-    k = int(math.floor(nbar + 0.5))
+    k = max(int(math.floor(nbar + 0.5)), 1)
     p = np.zeros(cutoff)
     p[:k] = 1.0 / k
     return p
@@ -287,3 +288,57 @@ def q_flat_closed_form(theta, eta, k, idler, s):
     block = float(_support_pow(lam, 1.0 - s, ref1) @ (np.abs(vecs) ** 2).T @ p0)
     bulk = float(np.sum(p0 * _support_pow((1.0 - eta) * p, 1.0 - s, ref1)))
     return block + (k ** 2 - 1) * bulk
+
+
+@lru_cache(maxsize=64)
+def _q_reference_terms(params):
+    """The 40-digit eigensystems of both hypotheses on the block
+    span{|m,n,n>: m, n in {0, 1}}, and the mass of rho0 off the block."""
+    _, c1, c2 = params.resolved_cutoffs()
+    probs = thermal_probs_ref if params.background == "thermal" else flat_probs_ref
+    b2, b3 = probs(params.nbar2, c1), probs(params.nbar3, c2)
+    with mp.workdps(40):
+        c, sn = mp.cos(params.theta), mp.sin(params.theta)
+        if params.idler == "paper_pure":
+            ket = (c, mp.mpc(0, -sn))
+            idler = [[ket[m] * mp.conj(ket[k]) for k in range(2)] for m in range(2)]
+        else:
+            idler = [[c ** 2, 0], [0, sn ** 2]]
+        # block coordinate 2 m + n is |m, n, n>; the signal modes hold b2[n] b3[n] there
+        rho0 = mp.matrix(4, 4)
+        for m in range(2):
+            for k in range(2):
+                for n in range(2):
+                    rho0[2 * m + n, 2 * k + n] = idler[m][k] * mp.mpf(b2[n]) * mp.mpf(b3[n])
+        psi = mp.matrix([c, 0, 0, mp.mpc(0, -sn)])
+        eta = mp.mpf(params.eta)
+        rho1 = (1 - eta) * rho0 + eta * psi * psi.H
+        e0, u0 = mp.eighe(rho0)
+        e1, u1 = mp.eighe(rho1)
+        overlap = [[abs((u0[:, i].H * u1[:, j])[0]) ** 2 for j in range(4)] for i in range(4)]
+        mass = mp.mpf(math.fsum(b2)) * mp.mpf(math.fsum(b3)) * (idler[0][0] + idler[1][1]) \
+            - sum(rho0[i, i] for i in range(4))
+        return e0, e1, overlap, mp.re(mass), 1 - eta
+
+
+def q_reference(params, s):
+    """``Q_s`` of the hypothesis pair of ``params`` to 40 digits, with no
+    array of the full dimension and none of the lanes' support thresholds.
+
+    ``rho1 - (1 - eta) rho0`` lives on the 4 coordinates ``|m,n,n>``, m and n
+    in {0, 1}, which rho0 leaves invariant: the block is an ``mp.eighe``
+    eigenproblem, with eigenvalues below 1e-30 taken as zero (``0^0 = 0``).
+    Off the block rho1 is ``(1 - eta) rho0``, which adds ``M (1 - eta)^(1-s)``
+    for the mass ``M`` of rho0 there.
+    """
+    e0, e1, overlap, mass, rest = _q_reference_terms(params)
+    with mp.workdps(40):
+        s = mp.mpf(s)
+
+        def power(x, p):
+            x = mp.re(x)
+            return mp.zero if x < mp.mpf("1e-30") else mp.one if p == 0 else x ** p
+
+        block = sum(power(e0[i], s) * power(e1[j], 1 - s) * overlap[i][j]
+                    for i in range(4) for j in range(4))
+        return float(block + mass * power(rest, 1 - s))

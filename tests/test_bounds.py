@@ -22,8 +22,8 @@ from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
                           build_hypothesis_pair, flat_levels)
 
 from oracles import (QsGrid, dense_eigenvectors, dense_overlap_ref, helstrom_ref,
-                     pair_full_arrays_ref, povm_error_ref, qs_ref, support_powers_ref,
-                     trace_power_ref, triplet_ket_ref)
+                     pair_full_arrays_ref, povm_error_ref, q_reference, qs_ref,
+                     support_powers_ref, trace_power_ref, triplet_ket_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -496,6 +496,7 @@ def test_structured_matches_dense_over_the_domain(params):
     m0, m1 = pair.rho0.to_dense(), pair.rho1.to_dense()
     for s in (0.0, 0.25, 0.5, 1.0):
         assert pair.structured.q(s) == pytest.approx(qs_ref(m0, m1, s), abs=1e-10), s
+        assert pair.structured.q(s) == pytest.approx(q_reference(params, s), abs=1e-10), s
     for pi0 in (0.2, 0.5):
         assert pair.structured.helstrom(pi0) == \
             pytest.approx(helstrom_ref(m0, m1, pi0), abs=1e-10), pi0
@@ -617,6 +618,8 @@ def test_q_endpoint_identities_over_the_domain(params):
         sp = build_hypothesis_pair(params).structured
     assert sp.q(1.0) == pytest.approx(1.0, abs=1e-13)
     assert sp.q(0.0) == pytest.approx(_q0_identity(params), abs=1e-13)
+    for s in (0.0, 0.25, 0.5, 1.0):
+        assert sp.q(s) == pytest.approx(q_reference(params, s), abs=1e-10), s
 
 
 def test_dense_lane_allocates_by_blocks():

@@ -1,5 +1,6 @@
 """The CLI output contract: fixed commands whose stdout, stderr and exit code
-are frozen byte for byte under ``tests/golden/cli/``.
+are frozen byte for byte under ``tests/golden/cli/``, and the stdout of every
+``reproduce`` preset, frozen as its CSV.
 
 A change that means to move these bytes regenerates the files with
 ``PYTHONPATH=src python tests/test_cli_golden.py``; the diff then shows every
@@ -8,12 +9,11 @@ byte it moved.
 
 import contextlib
 import io
-import os
 from pathlib import Path
 
 import pytest
 
-from triqi.cli import GOLDEN_DIR_ENV, main
+from triqi.cli import main
 from triqi.presets import REPRODUCTIONS
 
 GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
@@ -47,10 +47,16 @@ def test_cli_output_is_frozen(name):
     assert transcript(COMMANDS[name]) == (GOLDEN_CLI / f"{name}.txt").read_text()
 
 
+def reproduce_stdout(preset):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["reproduce", preset]) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("preset", sorted(REPRODUCTIONS))
-def test_reproduce_matches_its_golden(preset, monkeypatch, capsys):
-    monkeypatch.setenv(GOLDEN_DIR_ENV, str(GOLDEN_CLI))
-    assert main(["reproduce", preset, "--golden", f"reproduce_{preset}.csv"]) == 0
+def test_reproduce_matches_its_golden(preset, capsys):
+    assert reproduce_stdout(preset) == (GOLDEN_CLI / f"reproduce_{preset}.csv").read_text()
     assert capsys.readouterr().err == ""
 
 
@@ -58,7 +64,5 @@ if __name__ == "__main__":
     GOLDEN_CLI.mkdir(parents=True, exist_ok=True)
     for name, argv in COMMANDS.items():
         (GOLDEN_CLI / f"{name}.txt").write_text(transcript(argv))
-    os.environ[GOLDEN_DIR_ENV] = str(GOLDEN_CLI)
-    with contextlib.redirect_stdout(io.StringIO()):
-        for preset in REPRODUCTIONS:
-            main(["reproduce", preset, "--golden", f"reproduce_{preset}.csv", "--write-golden"])
+    for preset in REPRODUCTIONS:
+        (GOLDEN_CLI / f"reproduce_{preset}.csv").write_text(reproduce_stdout(preset))

@@ -58,6 +58,10 @@ def test_spec_validation():
                         ("theta", tuple(np.linspace(0.01, 0.09, 400)))), fixed=FIXED)
     with pytest.raises(ValueError):
         small_spec(outputs=("nonsense",))
+    for axis in (("eta", (1e-3, None)), ("theta", (0.1, True)), ("nbar", ("20",)),
+                 ("background", ("flat", 1.0)), ("idler", (None,))):
+        with pytest.raises(ValueError, match=f"axis '{axis[0]}' takes"):
+            small_spec(axes=(axis,))
 
 
 def test_spec_from_mapping():
@@ -197,6 +201,20 @@ def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
     assert "scipy" in test
 
 
+def test_no_module_reads_an_environment_variable():
+    # the command line and the config files are the program's whole input
+    names = {"environ", "getenv", "putenv"}
+    for path in sorted(Path(triqi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                found = isinstance(node.value, ast.Name) and node.value.id == "os" \
+                    and node.attr in names
+            else:
+                found = isinstance(node, ast.ImportFrom) \
+                    and any(alias.name in names for alias in node.names)
+            assert not found, f"{path.name}:{node.lineno}"
+
+
 def test_public_names_resolve_and_removed_names_are_gone():
     missing = [name for name in triqi.__all__ if not hasattr(triqi, name)]
     assert missing == [] and len(set(triqi.__all__)) == len(triqi.__all__)
@@ -221,7 +239,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 (overlap_audit.TraceAudit, "signs"), (states, "load_params"),
                 (states.ProtocolParams, "dense_limit"), (sweep, "read_table"),
                 (triqi, "SignChoice"), (triqi, "load_params"),
-                (states.HypothesisPair, "with_eta"), (overlap_audit, "_background_levels")]
+                (states.HypothesisPair, "with_eta"), (overlap_audit, "_background_levels"),
+                (cli, "GOLDEN_DIR_ENV")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     # the audit's sign choice, the point's dense limit and the presets' knobs
     # went with them
@@ -249,7 +268,7 @@ def test_cli_option_surface(capsys, tmp_path):
     assert _options(parser, "state") == point | {"--chain-cutoff"}
     assert _options(parser, "chernoff") == pair | {"--tol", "--M"}
     assert _options(parser, "appendix-audit") == pair | {"--fit-gap"}
-    table = {"-h", "--help", "--out", "--format", "--golden", "--write-golden"}
+    table = {"-h", "--help", "--out", "--format"}
     assert _options(parser, "sweep") == table | {"--config", "--workers", "--strict"}
     assert _options(parser, "reproduce") == table
     # flags a subcommand used to accept without reading them are usage errors now
@@ -257,7 +276,8 @@ def test_cli_option_surface(capsys, tmp_path):
                          ["--format", "csv"], ["--dense-limit", "1"]),
                "appendix-audit": (["--tol", "9"], ["--dense-limit", "1"]),
                "chernoff": (["--dense-limit", "1"],),
-               "reproduce factor100": (["--strict"],)}
+               "sweep --config golden": (["--golden", "x"],),
+               "reproduce factor100": (["--strict"], ["--write-golden"])}
     for command, flags in removed.items():
         for flag in flags:
             assert main([*command.split(), *flag]) == 1, (command, flag)
@@ -518,34 +538,38 @@ def test_cli_reproduce_factor100(capsys):
     assert float(first["ratio"]) == pytest.approx(100.0, abs=1e-12)
 
 
-def test_cli_sweep_config_and_golden(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("""
+def test_cli_sweep_config_and_golden(tmp_path, capsys):
+    base = """
 theta = 0.01
 eta = 0.001
 nbar2 = 20
 nbar3 = 20
 background = flat
-axis.eta = 0.001,0.01
-outputs = exponent,q_half,ratio
-format = csv
-""")
-    golden_dir = tmp_path / "golden"
-    monkeypatch.setenv("TRIQI_GOLDEN_DIR", str(golden_dir))
+"""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(base + "axis.eta = 0.001,0.01\noutputs = exponent,q_half,ratio\n"
+                   "format = csv\n")
     out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--config", str(cfg), "--out", str(out),
-                 "--golden", "sweep.csv", "--write-golden"])
-    assert code == 0
-    stored = (golden_dir / "sweep.csv").read_bytes()
-    assert stored == out.read_bytes()
-    # comparison run against the stored golden file succeeds
-    assert main(["sweep", "--config", str(cfg), "--golden", "sweep.csv",
-                 "--out", str(tmp_path / "again.csv")]) == 0
-    capsys.readouterr()
-    # a corrupted golden file is detected
-    (golden_dir / "sweep.csv").write_text("tampered\n")
-    assert main(["sweep", "--config", str(cfg), "--golden", "sweep.csv",
-                 "--out", str(tmp_path / "third.csv")]) == 2
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    # the file holds the bytes stdout shows, which the golden tests compare
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    # --format overrides the config's format key
+    assert main(["sweep", "--config", str(cfg), "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("columns = eta,exponent,")
+    # float(None) and float(True) would fail the row with a traceback or
+    # evaluate theta = 1 under the label true
+    for name, cell, value in (("eta", "0.001,", "None"), ("theta", "0.1,true", "True")):
+        cfg.write_text(base + f"axis.{name} = {cell}\n")
+        with pytest.raises(ValueError, match=f"axis '{name}' takes numbers, got {value}"):
+            SweepSpec.from_file(cfg)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"invalid arguments: axis '{name}' takes numbers, got {value}\n"
+    # an unknown name is a per-row error
+    cfg.write_text(base + "axis.background = bogus\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert "ValueError: background must be one of" in capsys.readouterr().out
 
 
 def test_cli_subprocess_entry_point(tmp_path):
