@@ -19,7 +19,7 @@ from .overlap_audit import (TraceAudit, audit_overlap, closed_form_overlap, prin
 from .spectral import EigenSystem, eigh
 from .states import (HypothesisPair, ProtocolParams, background_marginals,
                      build_hypothesis_pair, evolve_exact)
-from .sweep import SweepSpec, SweepTable, emit, run_sweep
+from .sweep import SweepSpec, SweepTable, run_sweep
 
 __all__ = [
     "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem", "HypothesisPair",
@@ -27,7 +27,7 @@ __all__ = [
     "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit", "TriqiError",
     "TruncationError", "advantage_ratio", "audit_overlap", "background_marginals",
     "bhattacharyya_bound", "build_hypothesis_pair", "build_space", "chernoff",
-    "closed_form_overlap", "eigh", "emit", "error_bound_2gamma", "error_bound_3gamma",
+    "closed_form_overlap", "eigh", "error_bound_2gamma", "error_bound_3gamma",
     "evaluate_point", "evolve_exact", "helstrom_optimum", "principal_overlap", "q_s",
     "run_sweep", "signed_root_overlap",
 ]

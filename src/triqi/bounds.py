@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, RegimeWarning
 from . import spectral
-from .fock import DensityOperator, as_diag_plus_low_rank, same_rotations
+from .fock import DensityOperator, as_diag_plus_low_rank
 # eigh is called as spectral.eigh; it stays bound for callers that reach it as bounds.eigh
 from .spectral import (SUPPORT_TOL, StructuredPair, diag_rank_one_trace_power, eigh,  # noqa: F401
                        overlap_terms)
@@ -41,13 +41,13 @@ GAUSSIAN_REGIME_NOTE = (
 
 
 def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[StructuredPair | None, bool]:
-    """Detect whether a user-supplied pair shares one structured basis.
+    """Detect the two operators of one :func:`states.build_hypothesis_pair`.
 
     Returns the :class:`StructuredPair` held by the operator with the rank-one
     term and whether it had to swap the arguments, which happens when that
-    term sits on ``rho0``.  The other operator must have no rank-one term,
-    scale 1, the same per-mode rotations and factors equal to the pair's,
-    array for array; otherwise ``(None, False)``.
+    term sits on ``rho0``.  The other must have no rank-one term, scale 1 and
+    the build's own ``factors`` and ``mode_rotations`` tuples; any other pair,
+    even one of equal arrays, gets ``(None, False)``: the dense lane.
     """
     try:
         s0 = as_diag_plus_low_rank(rho0).structure
@@ -58,9 +58,8 @@ def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[Structu
     if swapped:
         s0, s1 = s1, s0
     p0, p1 = s0.pair, s1.pair
-    if (p0.v_index.size > 0 or p0.scale != 1.0 or len(p0.factors) != len(p1.factors)
-            or not all(np.array_equal(a, b) for a, b in zip(p0.factors, p1.factors))
-            or not same_rotations(s0, s1)):
+    if (p0.v_index.size > 0 or p0.scale != 1.0 or p0.factors is not p1.factors
+            or s0.mode_rotations is not s1.mode_rotations):
         return None, False
     return p1, swapped
 
@@ -73,7 +72,7 @@ def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
 class _PairContext:
     """What every quantity of one user-supplied pair reads, built once.
 
-    A pair that shares one structured basis reads its :class:`StructuredPair`
+    The two operators of one build read its :class:`StructuredPair`
     (roles swapped when the rank-one term sits on ``rho0``).  Any other pair
     splits once on the :func:`spectral.components` of both operators' joined
     nonzero patterns: ``Q_s`` decomposes each operator there, so both

@@ -22,7 +22,6 @@ DEFAULT_DENSE_LIMIT = 4096
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
-ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,16 +224,3 @@ def as_diag_plus_low_rank(rho: DensityOperator) -> DensityOperator:
     if not isinstance(s, DiagPlusLowRank):
         raise NumericalError(f"cannot convert structure {type(s).__name__} to DiagPlusLowRank")
     return rho
-
-
-def same_rotations(a, b) -> bool:
-    """True when two DiagPlusLowRank structures share the same basis rotations."""
-    if len(a.mode_rotations) != len(b.mode_rotations):
-        return False
-    for x, y in zip(a.mode_rotations, b.mode_rotations):
-        if x is None or y is None:
-            if x is not y:
-                return False
-        elif x.shape != y.shape or np.max(np.abs(x - y)) > ROTATION_TOL:
-            return False
-    return True

@@ -144,6 +144,9 @@ def params_from_mapping(values: dict[str, str]) -> ProtocolParams:
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    missing = [key for key in ("theta", "eta", "nbar2", "nbar3") if key not in values]
+    if missing:
+        raise ValueError(f"missing parameter keys: {missing}")
     kwargs: dict = {}
     for key in ("theta", "eta", "nbar2", "nbar3", "tail_bound"):
         if key in values:

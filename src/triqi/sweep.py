@@ -190,13 +190,3 @@ def render(table: SweepTable, fmt: str) -> str:
                 record[f"row.{i}.{col}"] = val
         return textfmt.format_record(record)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit(table: SweepTable, fmt: str, destination) -> None:
-    """Write the table to the file ``destination``; I/O failures carry its
-    path in the message."""
-    path = Path(destination)
-    try:
-        path.write_text(render(table, fmt))
-    except OSError as exc:
-        raise OSError(f"cannot write sweep output to {path}: {exc}") from exc

@@ -52,8 +52,8 @@ def format_record(record: dict) -> str:
 
 def parse_key_values(text: str) -> dict[str, str]:
     """The ``key = value`` lines of ``text`` as raw strings; blank lines and
-    ``#`` comments are skipped."""
-    out: dict[str, str] = {}
+    ``#`` comments are skipped, and a key may appear once."""
+    seen: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -61,8 +61,11 @@ def parse_key_values(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {seen[key][0]}")
+        seen[key] = lineno, value.strip()
+    return {key: value for key, (_, value) in seen.items()}
 
 
 def parse_record(text: str) -> dict:

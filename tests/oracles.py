@@ -291,9 +291,9 @@ def q_flat_closed_form(theta, eta, k, idler, s):
 
 
 @lru_cache(maxsize=64)
-def _q_reference_terms(params):
-    """The 40-digit eigensystems of both hypotheses on the block
-    span{|m,n,n>: m, n in {0, 1}}, and the mass of rho0 off the block."""
+def _block_reference(params):
+    """Both hypotheses on the block span{|m,n,n>: m, n in {0, 1}} to 40
+    digits, the mass of rho0 off the block, and eta."""
     _, c1, c2 = params.resolved_cutoffs()
     probs = thermal_probs_ref if params.background == "thermal" else flat_probs_ref
     b2, b3 = probs(params.nbar2, c1), probs(params.nbar3, c2)
@@ -313,12 +313,21 @@ def _q_reference_terms(params):
         psi = mp.matrix([c, 0, 0, mp.mpc(0, -sn)])
         eta = mp.mpf(params.eta)
         rho1 = (1 - eta) * rho0 + eta * psi * psi.H
+        mass = mp.mpf(math.fsum(b2)) * mp.mpf(math.fsum(b3)) * (idler[0][0] + idler[1][1]) \
+            - sum(rho0[i, i] for i in range(4))
+        return rho0, rho1, mp.re(mass), eta
+
+
+@lru_cache(maxsize=64)
+def _q_reference_terms(params):
+    """The 40-digit eigensystems of both hypotheses on the block of
+    :func:`_block_reference`, and the mass of rho0 off the block."""
+    rho0, rho1, mass, eta = _block_reference(params)
+    with mp.workdps(40):
         e0, u0 = mp.eighe(rho0)
         e1, u1 = mp.eighe(rho1)
         overlap = [[abs((u0[:, i].H * u1[:, j])[0]) ** 2 for j in range(4)] for i in range(4)]
-        mass = mp.mpf(math.fsum(b2)) * mp.mpf(math.fsum(b3)) * (idler[0][0] + idler[1][1]) \
-            - sum(rho0[i, i] for i in range(4))
-        return e0, e1, overlap, mp.re(mass), 1 - eta
+        return e0, e1, overlap, mass, 1 - eta
 
 
 def q_reference(params, s):
@@ -342,3 +351,60 @@ def q_reference(params, s):
         block = sum(power(e0[i], s) * power(e1[j], 1 - s) * overlap[i][j]
                     for i in range(4) for j in range(4))
         return float(block + mass * power(rest, 1 - s))
+
+
+def exponent_reference(params):
+    """The Chernoff exponent ``-log min_s Q_s``, with :func:`q_reference`
+    minimized over ``s`` in [0, 1] by a float golden-section search (``Q_s``
+    is convex in ``s`` and flat at its minimum)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    while b - a > 1e-9:
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        if q_reference(params, c) < q_reference(params, d):
+            b = d
+        else:
+            a = c
+    return -math.log(min(q_reference(params, s) for s in (0.0, 0.5 * (a + b), 1.0)))
+
+
+def helstrom_reference(params, pi0=0.5):
+    """The Helstrom error ``(1/2)(1 - ||pi1 rho1 - pi0 rho0||_1)`` of the pair
+    of ``params`` to 40 digits, with no array of the full dimension.
+
+    On the block of :func:`q_reference` the trace norm is the sum of the
+    block difference's ``|eigenvalues|``.  Off it ``rho1 = (1 - eta) rho0``,
+    so the difference is ``(pi1 (1 - eta) - pi0) rho0`` there, whose trace norm
+    is ``|pi1 (1 - eta) - pi0| M`` for the mass ``M`` of rho0 off the block.
+    """
+    rho0, rho1, mass, eta = _block_reference(params)
+    with mp.workdps(40):
+        pi0 = mp.mpf(pi0)
+        pi1 = 1 - pi0
+        eigs = mp.eighe(pi1 * rho1 - pi0 * rho0, eigvals_only=True)
+        norm = sum(abs(mp.re(e)) for e in eigs) + abs(pi1 * (1 - eta) - pi0) * mass
+        return float((1 - norm) / 2)
+
+
+def _low_levels_reference(nbar, cutoff, background):
+    """Levels 0 and 1 of a truncated, renormalized background mode, in mpmath:
+    thermal ``(1 - q) q^n / (1 - q^cutoff)`` with ``q = nbar/(nbar + 1)``,
+    flat ``1/k`` on its ``k = round(nbar)`` levels."""
+    if background == "flat":
+        k = max(int(math.floor(nbar + 0.5)), 1)
+        return [mp.one / k if n < k else mp.zero for n in range(2)]
+    q = mp.mpf(nbar) / (mp.mpf(nbar) + 1)
+    return [(1 - q) * q ** n / (1 - q ** cutoff) for n in range(2)]
+
+
+def papersign_reference(params):
+    """The audit's signed-root value ``1 - sqrt(eta) (cos^4 theta
+    sqrt(b2[0] b3[0]) + sin^4 theta sqrt(b2[1] b3[1]))`` in closed form, with
+    the background levels of :func:`_low_levels_reference` (40 digits)."""
+    _, c1, c2 = params.resolved_cutoffs()
+    with mp.workdps(40):
+        b2 = _low_levels_reference(params.nbar2, c1, params.background)
+        b3 = _low_levels_reference(params.nbar3, c2, params.background)
+        c, sn = mp.cos(params.theta), mp.sin(params.theta)
+        gamma = c ** 4 * mp.sqrt(b2[0] * b3[0]) + sn ** 4 * mp.sqrt(b2[1] * b3[1])
+        return float(1 - mp.sqrt(params.eta) * gamma)

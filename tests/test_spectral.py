@@ -10,7 +10,7 @@ from pathlib import Path
 
 from triqi import spectral
 from triqi.errors import DenseLimitError, NumericalError
-from triqi.bounds import _shared_basis, helstrom_optimum, q_s
+from triqi.bounds import _shared_basis, chernoff, evaluate_point, helstrom_optimum, q_s
 from triqi.fock import DensityOperator, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secular_roots, eigh,
@@ -458,6 +458,30 @@ def test_structured_vs_dense_distinct_diagonals():
             q_s(a, b, 0.5)
         with pytest.raises(DenseLimitError):
             helstrom_optimum(a, b)
+
+
+def test_lookalike_of_a_built_pair_takes_the_dense_lane():
+    # rho1 of equal but copied factor and rotation arrays: only the operators
+    # of one build are detected, so this pair is the dense lane's, with the
+    # structured lane's numbers
+    pair = build_hypothesis_pair(GOLDEN_POINT)
+    sp, rho0 = pair.structured, pair.rho0
+    rotations = [None if r is None else r.copy() for r in rho0.structure.mode_rotations]
+    copied = replace(sp, factors=tuple(f.copy() for f in sp.factors))
+    rho1 = DensityOperator.diag_plus_low_rank(rho0.space, copied, rotations)
+    assert _shared_basis(rho0, rho1) == (None, False)
+    assert _shared_basis(rho1, rho0) == (None, False)
+    for s in STRUCTURED_CHECK_S:
+        assert q_s(rho0, rho1, s) == pytest.approx(sp.q(s), abs=1e-10), s
+        assert q_s(rho1, rho0, 1.0 - s) == pytest.approx(sp.q(s), abs=1e-10), s
+    report = evaluate_point(GOLDEN_POINT, pair=pair)
+    result = chernoff(rho0, rho1)
+    assert result.q_star == pytest.approx(report.q_star, abs=1e-10)
+    assert result.exponent == pytest.approx(report.chernoff_exponent, abs=1e-10)
+    for pi0 in (0.5, 0.2):
+        assert helstrom_optimum(rho0, rho1, pi0) == pytest.approx(sp.helstrom(pi0), abs=1e-10)
+        assert helstrom_optimum(rho1, rho0, 1.0 - pi0) == \
+            pytest.approx(sp.helstrom(pi0), abs=1e-10)
 
 
 @pytest.mark.parametrize("idler", IDLER_VARIANTS)

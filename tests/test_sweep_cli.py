@@ -22,7 +22,7 @@ from triqi.errors import RegimeWarning
 from triqi.overlap_audit import audit_overlap
 from triqi.presets import GOLDEN_POINT, REPRODUCTIONS, golden_sweep_spec
 from triqi.states import ProtocolParams
-from triqi.sweep import (SweepSpec, SweepTable, emit, render, run_sweep)
+from triqi.sweep import SweepSpec, SweepTable, render, run_sweep
 from triqi.textfmt import format_float, format_record, parse_csv, parse_record
 
 FIXED = ProtocolParams(theta=0.01, eta=1e-3, nbar2=20.0, nbar3=20.0, background="flat")
@@ -240,7 +240,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 (states.ProtocolParams, "dense_limit"), (sweep, "read_table"),
                 (triqi, "SignChoice"), (triqi, "load_params"),
                 (states.HypothesisPair, "with_eta"), (overlap_audit, "_background_levels"),
-                (cli, "GOLDEN_DIR_ENV")]
+                (cli, "GOLDEN_DIR_ENV"), (fock, "same_rotations"), (fock, "ROTATION_TOL"),
+                (sweep, "emit"), (triqi, "emit")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     # the audit's sign choice, the point's dense limit and the presets' knobs
     # went with them
@@ -377,11 +378,11 @@ def test_sweep_worker_pool_preserves_order():
 def test_emit_empty_and_single_row(tmp_path):
     empty = SweepTable(("a", "b"), ())
     path = tmp_path / "empty.csv"
-    emit(empty, "csv", path)
+    path.write_text(render(empty, "csv"))
     assert path.read_text() == "a,b\n"
     one = SweepTable(("a", "b"), ((1.0, "x"),))
     path2 = tmp_path / "one.csv"
-    emit(one, "csv", path2)
+    path2.write_text(render(one, "csv"))
     assert len(path2.read_text().splitlines()) == 2
 
 
@@ -390,7 +391,7 @@ def test_emit_round_trip_exact(tmp_path):
                                "t_papersign", "t_principal", "ratio"))
     table = run_sweep(spec)
     path = tmp_path / "sweep.csv"
-    emit(table, "csv", path)
+    path.write_text(render(table, "csv"))
     columns, rows = parse_csv(path.read_text())
     assert tuple(columns) == table.columns
     for row, orig in zip(rows, table.rows):
@@ -401,10 +402,10 @@ def test_emit_round_trip_exact(tmp_path):
                 assert cell == ocell
 
 
-def test_emit_io_error_carries_path():
-    table = SweepTable(("a",), ((1.0,),))
-    with pytest.raises(OSError, match="no/such/dir"):
-        emit(table, "csv", "/no/such/dir/out.csv")
+def test_cli_sweep_out_io_error_names_path(capsys):
+    assert main(["sweep", "--config", "golden", "--out", "/no/such/dir/out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and "/no/such/dir/out.csv" in err
 
 
 def test_sweep_deterministic_bytes():
@@ -566,6 +567,17 @@ background = flat
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == \
             f"invalid arguments: axis '{name}' takes numbers, got {value}\n"
+    # a key appears once, and the fixed block names theta, eta, nbar2 and nbar3
+    # even where an axis sweeps one of them
+    for text, message in ((base + "axis.eta = 0.001\naxis.eta = 0.01\n",
+                           "line 8: key 'axis.eta' repeats line 7"),
+                          (base.replace("eta = 0.001\n", "") + "axis.eta = 0.001,0.01\n",
+                           "missing parameter keys: ['eta']")):
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec.from_file(cfg)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"invalid arguments: {message}\n"
     # an unknown name is a per-row error
     cfg.write_text(base + "axis.background = bogus\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
