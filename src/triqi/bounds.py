@@ -40,28 +40,25 @@ GAUSSIAN_REGIME_NOTE = (
 )
 
 
-def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> tuple[StructuredPair | None, bool]:
-    """Detect the two operators of one :func:`states.build_hypothesis_pair`.
+def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> StructuredPair | None:
+    """Detect the two operators of one :func:`states.build_hypothesis_pair`,
+    in build order.
 
-    Returns the :class:`StructuredPair` held by the operator with the rank-one
-    term and whether it had to swap the arguments, which happens when that
-    term sits on ``rho0``.  The other must have no rank-one term, scale 1 and
-    the build's own ``factors`` and ``mode_rotations`` tuples; any other pair,
-    even one of equal arrays, gets ``(None, False)``: the dense lane.
+    Returns the :class:`StructuredPair` held by ``rho1``, which has the
+    rank-one term.  ``rho0`` must have none, scale 1 and the build's own
+    ``factors`` and ``mode_rotations`` tuples; any other pair, even one of
+    equal arrays or the reversed order, gets ``None``: the dense lane.
     """
     try:
         s0 = as_diag_plus_low_rank(rho0).structure
         s1 = as_diag_plus_low_rank(rho1).structure
     except NumericalError:
-        return None, False
-    swapped = s0.pair.v_index.size > 0 and s1.pair.v_index.size == 0
-    if swapped:
-        s0, s1 = s1, s0
+        return None
     p0, p1 = s0.pair, s1.pair
     if (p0.v_index.size > 0 or p0.scale != 1.0 or p0.factors is not p1.factors
             or s0.mode_rotations is not s1.mode_rotations):
-        return None, False
-    return p1, swapped
+        return None
+    return p1
 
 
 def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
@@ -72,18 +69,18 @@ def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
 class _PairContext:
     """What every quantity of one user-supplied pair reads, built once.
 
-    The two operators of one build read its :class:`StructuredPair`
-    (roles swapped when the rank-one term sits on ``rho0``).  Any other pair
-    splits once on the :func:`spectral.components` of both operators' joined
-    nonzero patterns: ``Q_s`` decomposes each operator there, so both
-    eigensystems share their rows, and Helstrom forms ``pi1 rho1 - pi0 rho0``
-    block by block there.  The operators are held by weak reference only.
+    The two operators of one build, in build order, read its
+    :class:`StructuredPair`.  Any other pair splits once on the
+    :func:`spectral.components` of both operators' joined nonzero patterns:
+    ``Q_s`` decomposes each operator there, so both eigensystems share their
+    rows, and Helstrom forms ``pi1 rho1 - pi0 rho0`` block by block there.
+    The operators are held by weak reference only.
     """
 
     def __init__(self, rho0: DensityOperator, rho1: DensityOperator):
         _check_space(rho0, rho1)
         self.refs = (weakref.ref(rho0, _forget), weakref.ref(rho1, _forget))
-        self.structured, self.swapped = _shared_basis(rho0, rho1)
+        self.structured = _shared_basis(rho0, rho1)
         if self.structured is None:
             self.groups = spectral.components(rho0.space.total_dim,
                                               [rho0.nonzero_pattern, rho1.nonzero_pattern])
@@ -92,9 +89,7 @@ class _PairContext:
     def terms(self) -> tuple[np.ndarray, ...]:
         """The terms ``(c, a, b)`` of ``Q_s``."""
         if self.structured is not None:
-            c, a, b = self.structured._terms
-            # Tr(rho0^s rho1^{1-s}) = Tr(rho1^{1-s} rho0^s)
-            return (c, b, a) if self.swapped else (c, a, b)
+            return self.structured._terms
         es0, es1 = (spectral.eigh(ref().to_dense(), self.groups) for ref in self.refs)
         i, j, c = overlap_terms(es0, es1)
         a, b = es0.eigenvalues[i], es1.eigenvalues[j]
@@ -111,8 +106,7 @@ class _PairContext:
 
     def helstrom(self, pi0: float) -> float:
         if self.structured is not None:
-            # the trace norm is even under negation, so swapped roles swap the priors
-            return self.structured.helstrom(1.0 - pi0 if self.swapped else pi0)
+            return self.structured.helstrom(pi0)
         m0, m1 = (spectral.blocks(ref().to_dense(), self.groups) for ref in self.refs)
         eigs = spectral.block_eigvalsh((1.0 - pi0) * s1 - pi0 * s0 for s0, s1 in zip(m0, m1))
         return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))

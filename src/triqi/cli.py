@@ -8,6 +8,8 @@ under --strict.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -206,6 +208,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            if args.out is not None and not Path(args.out).parent.is_dir():
+                # fail as the write would, before anything is evaluated
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
             code = args.func(args)
         except (TriqiError, MemoryError) as exc:
             if isinstance(exc, MemoryError):

@@ -19,10 +19,6 @@ from .errors import DenseLimitError, NumericalError
 
 DEFAULT_DENSE_LIMIT = 4096
 
-HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -124,16 +120,6 @@ class DensityOperator:
 
     # -- basic queries -------------------------------------------------------
 
-    def trace(self) -> float:
-        s = self.structure
-        if isinstance(s, Dense):
-            return float(np.real(np.trace(s.matrix)))
-        if isinstance(s, DiagPlusLowRank):
-            p = s.pair
-            return p.scale * math.prod(float(f.sum()) for f in p.factors) \
-                + p.weight * float(np.sum(np.abs(p.v_value) ** 2))
-        raise TypeError(f"unknown structure {type(s)}")
-
     def to_dense(self) -> np.ndarray:
         """Materialize the full matrix in the Fock basis (dense-limit guarded).
 
@@ -157,35 +143,6 @@ class DensityOperator:
         for arr in pattern:
             arr.setflags(write=False)
         return pattern
-
-    def validate(self) -> None:
-        """Check the Hermitian / PSD / trace invariants at the standard tolerances."""
-        s = self.structure
-        if isinstance(s, DiagPlusLowRank):
-            # the kron's least entry over its largest is its worst factor's
-            for f in s.pair.factors:
-                self._check_diag_psd(s.pair.scale * f)
-            if s.pair.weight < 0:
-                raise NumericalError("negative low-rank weight breaks positive semidefiniteness")
-        else:
-            mat = self.to_dense()
-            rows, cols = self.nonzero_pattern
-            # every other entry of mat and of its adjoint is zero
-            herm = np.max(np.abs(mat[rows, cols] - mat[cols, rows].conj()), initial=0.0)
-            if herm > HERMITIAN_TOL:
-                raise NumericalError(f"Hermiticity violation {herm} > {HERMITIAN_TOL}")
-            eigs = spectral.eigvalsh(mat, self.nonzero_pattern)
-            top = max(eigs.max(), 0.0)
-            if eigs.min() < -PSD_TOL * max(top, 1e-300):
-                raise NumericalError(f"negative eigenvalue {eigs.min()} below PSD tolerance")
-        if abs(self.trace() - 1.0) > TRACE_TOL:
-            raise NumericalError(f"trace {self.trace()} deviates from 1 beyond {TRACE_TOL}")
-
-    @staticmethod
-    def _check_diag_psd(diag: np.ndarray) -> None:
-        top = max(float(np.max(diag, initial=0.0)), 0.0)
-        if float(np.min(diag, initial=0.0)) < -PSD_TOL * max(top, 1e-300):
-            raise NumericalError("negative diagonal entry below PSD tolerance")
 
 
 def _diag_plus_low_rank_dense(s: DiagPlusLowRank, cutoffs: tuple[int, ...]) -> np.ndarray:

@@ -140,13 +140,6 @@ def eigh(matrix: np.ndarray, groups=None) -> EigenSystem:
                                        for (rows, _, pv), c in zip(parts, cols)))
 
 
-def eigvalsh(matrix: np.ndarray, pattern=None) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part ``(M + M^dag) / 2``, split
-    into the components of its nonzero ``pattern`` (scanned if not given)."""
-    mat = np.asarray(matrix)
-    return block_eigvalsh(blocks(mat, components(len(mat), [pattern or nonzero_pattern(mat)])))
-
-
 def block_eigvalsh(stacks) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian parts of all ``(m, k, k)``
     blocks in ``stacks``, together."""

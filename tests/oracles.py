@@ -172,6 +172,32 @@ def rotated_dense_ref(structure, cutoffs):
     return rot @ mat @ rot.conj().T
 
 
+def assert_density_invariants(rho):
+    """Assert that a DiagPlusLowRank operator is a density operator.
+
+    Unit trace within 1e-12, from its pair's factors and rank-one term; every
+    factor times the scale at least ``-1e-10`` times its largest entry and a
+    nonnegative rank-one weight; and, up to the dense limit, the dense matrix
+    Hermitian within 1e-12 and PSD within 1e-10 of its largest eigenvalue.
+    """
+    pair = rho.structure.pair
+    trace = pair.scale * math.prod(float(f.sum()) for f in pair.factors) \
+        + pair.weight * float(np.sum(np.abs(pair.v_value) ** 2))
+    assert abs(trace - 1.0) <= 1e-12, f"trace {trace!r}"
+    for f in pair.factors:
+        diag = pair.scale * f
+        top = max(float(diag.max()), 0.0)
+        assert float(diag.min()) >= -1e-10 * max(top, 1e-300), f"factor entry {diag.min()!r}"
+    assert pair.weight >= 0, f"rank-one weight {pair.weight!r}"
+    if rho.space.total_dim <= rho.space.dense_limit:
+        mat = rho.to_dense()
+        herm = float(np.abs(mat - mat.conj().T).max())
+        assert herm <= 1e-12, f"Hermiticity violation {herm!r}"
+        eigs = np.linalg.eigvalsh(mat)
+        top = max(float(eigs.max()), 0.0)
+        assert eigs.min() >= -1e-10 * max(top, 1e-300), f"eigenvalue {eigs.min()!r}"
+
+
 def trace_power_ref(d0, v, spectrum, s, support_tol=1e-12):
     """``Tr( diag(d0)^s * A^{1-s} )`` with one full pass per call, for the
     spectrum of ``A = scale * diag(d) + weight * v v^dag`` over every coordinate.

@@ -21,7 +21,7 @@ from triqi.states import (ProtocolParams, auto_cutoff, build_hypothesis_pair,
 from triqi.sweep import render, run_sweep
 from triqi.textfmt import parse_csv
 
-from oracles import partial_trace_ref, triplet_ket_ref
+from oracles import assert_density_invariants, partial_trace_ref, triplet_ket_ref
 
 
 def _criterion(number, ok, detail):
@@ -163,10 +163,8 @@ def test_criterion_8_state_invariants():
     ]
     for params in grid:
         pair = build_hypothesis_pair(params)
-        pair.rho0.validate()
-        pair.rho1.validate()
-        checks.append(abs(pair.rho0.trace() - 1.0) <= 1e-12)
-        checks.append(abs(pair.rho1.trace() - 1.0) <= 1e-12)
+        assert_density_invariants(pair.rho0)
+        assert_density_invariants(pair.rho1)
     for nbar in (1.0, 5.0, 20.0, 50.0):
         checks.append(thermal_tail_mass(nbar, auto_cutoff(nbar)) < 1e-8)
     traced = GOLDEN_POINT.with_updates(idler="traced")

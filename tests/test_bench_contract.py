@@ -53,8 +53,15 @@ def test_every_traced_layer_resolves(harness):
     pair = t.states.build_hypothesis_pair(t.presets.GOLDEN_POINT)
     with run.spans.installed(tracer, targets):
         t.bounds.q_s(pair.rho0, pair.rho1, 0.5)
+        # the structured references of point-grid's and dense-lane's checks
+        t.bounds.q_s(pair.rho0, pair.rho1, 0.25)
+        t.bounds.chernoff(pair.rho0, pair.rho1)
+        t.bounds.helstrom_optimum(pair.rho0, pair.rho1)
     names = [s.name for s in tracer.spans]
-    assert names.count("bounds.q_s") == 1 and "fock.as_diag_plus_low_rank" in names
+    assert names.count("bounds.q_s") == 2 and "fock.as_diag_plus_low_rank" in names
+    assert {"bounds.chernoff", "bounds.helstrom"} <= set(names)
+    # a built pair never reaches the dense lane, which would check it against itself
+    assert "spectral.eigh" not in names and "fock.to_dense" not in names
     assert not hasattr(t.bounds.q_s, "__wrapped__")  # unwrapped again
 
 

@@ -18,7 +18,8 @@ from triqi.states import (DEFAULT_TAIL_BOUND, ProtocolParams, auto_cutoff,
                           thermal_probs, thermal_tail_mass, triplet_amplitudes)
 from triqi.sweep import SweepSpec, run_sweep
 
-from oracles import chain_amplitudes_ref, pair_matrices_ref, partial_trace_ref, triplet_ket_ref
+from oracles import (assert_density_invariants, chain_amplitudes_ref, pair_matrices_ref,
+                     partial_trace_ref, triplet_ket_ref)
 
 # chain amplitudes at theta=0.1, cutoff 8, frozen from the scipy expm oracle
 CHAIN_GOLDEN_01 = np.array([
@@ -309,11 +310,8 @@ def test_hypothesis_states_normalized(background, idler, theta, eta):
                        cutoffs=(2, 8, 8), background=background, idler=idler,
                        tail_bound=math.inf)
     pair = build_hypothesis_pair(p)
-    h0, h1 = pair.rho0, pair.rho1
-    assert h0.trace() == pytest.approx(1.0, abs=1e-12)
-    assert h1.trace() == pytest.approx(1.0, abs=1e-12)
-    h0.validate()
-    h1.validate()
+    assert_density_invariants(pair.rho0)
+    assert_density_invariants(pair.rho1)
 
 
 def test_hypothesis_h1_limits():

@@ -241,7 +241,10 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 (triqi, "SignChoice"), (triqi, "load_params"),
                 (states.HypothesisPair, "with_eta"), (overlap_audit, "_background_levels"),
                 (cli, "GOLDEN_DIR_ENV"), (fock, "same_rotations"), (fock, "ROTATION_TOL"),
-                (sweep, "emit"), (triqi, "emit")]
+                (sweep, "emit"), (triqi, "emit"), (fock.DensityOperator, "trace"),
+                (fock.DensityOperator, "validate"), (fock.DensityOperator, "_check_diag_psd"),
+                (fock, "HERMITIAN_TOL"), (fock, "PSD_TOL"), (fock, "TRACE_TOL"),
+                (spectral, "eigvalsh")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     # the audit's sign choice, the point's dense limit and the presets' knobs
     # went with them
@@ -402,10 +405,33 @@ def test_emit_round_trip_exact(tmp_path):
                 assert cell == ocell
 
 
-def test_cli_sweep_out_io_error_names_path(capsys):
+def test_cli_sweep_out_io_error_names_path(capsys, tmp_path):
     assert main(["sweep", "--config", "golden", "--out", "/no/such/dir/out.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: ") and "/no/such/dir/out.csv" in err
+    # a write error other than a missing directory surfaces at the write
+    assert main(["state", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--config", "golden"], ["chernoff"],
+                                  ["appendix-audit"], ["state"], ["reproduce", "factor100"]],
+                         ids=lambda argv: argv[0])
+def test_cli_out_into_missing_directory_fails_before_evaluating(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    builds = []
+    original = states.build_hypothesis_pair
+
+    def counting(params):
+        builds.append(params)
+        return original(params)
+
+    for module in (states, sweep):
+        monkeypatch.setattr(module, "build_hypothesis_pair", counting)
+    out = tmp_path / "missing" / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"i/o failure: [Errno 2] No such file or directory: '{out}'\n"
+    assert builds == [] and not out.parent.exists()
 
 
 def test_sweep_deterministic_bytes():
