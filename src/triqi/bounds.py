@@ -9,6 +9,7 @@ two-mode Gaussian benchmark protocols.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -98,6 +99,8 @@ class _PairContext:
             top = max(float(w.max()), 1e-300)
             if w.min() < -1e-10 * top:
                 raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
+            if abs(float(w.sum()) - 1.0) > 1e-10:
+                raise NumericalError(f"{name} has trace {float(w.sum())}, not 1 within 1e-10")
             keep &= x > SUPPORT_TOL * top
         return c[keep], a[keep], b[keep]
 
@@ -107,6 +110,7 @@ class _PairContext:
     def helstrom(self, pi0: float) -> float:
         if self.structured is not None:
             return self.structured.helstrom(pi0)
+        self.terms  # the checks of Q_s: Hermitian, PSD, unit trace
         m0, m1 = (spectral.blocks(ref().to_dense(), self.groups) for ref in self.refs)
         eigs = spectral.block_eigvalsh((1.0 - pi0) * s1 - pi0 * s0 for s0, s1 in zip(m0, m1))
         return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
@@ -200,9 +204,12 @@ def _golden_section(q, tol: float) -> ChernoffResult:
 
 
 def check_shot_count(m_shots) -> None:
-    """Reject a shot count that is not an integer >= 1; a bool is not one."""
+    """Reject a shot count that is not an integer in [1, largest float]; a bool is not one."""
     if isinstance(m_shots, bool) or not isinstance(m_shots, (int, np.integer)) or m_shots < 1:
         raise ValueError(f"shot count must be >= 1 (an integer), got {m_shots!r}")
+    if m_shots > sys.float_info.max:
+        raise ValueError(f"shot count must be at most {sys.float_info.max!r} (the largest float), "
+                         f"got {len(str(m_shots))} digits")
 
 
 def bhattacharyya_bound(rho0: DensityOperator, rho1: DensityOperator, m_shots: int) -> float:

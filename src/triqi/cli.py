@@ -134,13 +134,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.workers:
-        overrides["workers"] = args.workers
-    if args.config == "golden":
-        spec = golden_sweep_spec(**overrides)
-    else:
-        spec = SweepSpec.from_file(args.config, **overrides)
+    spec = golden_sweep_spec() if args.config == "golden" else SweepSpec.from_file(args.config)
     table = run_sweep(spec)
     _write_output(render(table, args.format or spec.fmt), args.out)
     return EXIT_OK
@@ -185,7 +179,6 @@ def build_parser() -> _Parser:
                          help="sweep config path, or the built-in name 'golden'")
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.add_argument("--format", choices=["csv", "text"], default=None)
-    p_sweep.add_argument("--workers", type=int, default=0)
     p_sweep.add_argument("--strict", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -208,9 +201,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            # fail as the write would, before anything is evaluated
             if args.out is not None and not Path(args.out).parent.is_dir():
-                # fail as the write would, before anything is evaluated
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+            if args.out is not None and Path(args.out).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
             code = args.func(args)
         except (TriqiError, MemoryError) as exc:
             if isinstance(exc, MemoryError):

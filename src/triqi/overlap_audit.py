@@ -175,9 +175,6 @@ class TraceAudit:
     terms: tuple[TraceTerm, ...]
     incomplete: tuple[str, ...] = ()
 
-    def match_tolerance(self) -> float:
-        return match_tolerance(self.params)
-
     def as_record(self) -> dict:
         rec = {
             "t_paper": self.analytic,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from . import bounds
-from .overlap_audit import audit_overlap
+from .overlap_audit import audit_overlap, match_tolerance
 from .states import ProtocolParams, evolve_exact
 from .sweep import SweepSpec, SweepTable
 
@@ -77,7 +77,7 @@ def reproduce_appendix_regime() -> SweepTable:
                                     background="flat")
             a = audit_overlap(params)
             rows.append((eta, nbar, a.analytic, a.signed_root, a.principal,
-                         a.match_tolerance(), a.verdict))
+                         match_tolerance(params), a.verdict))
     return SweepTable(columns, tuple(rows))
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DenseLimitError, TruncationError
 from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, SpaceDescriptor, build_space
 from .spectral import StructuredPair
-from .textfmt import parse_key_values  # noqa: F401 (re-exported for configs)
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
 IDLER_VARIANTS = ("paper_pure", "traced")
@@ -139,7 +138,7 @@ class ProtocolParams:
 
 
 def params_from_mapping(values: dict[str, str]) -> ProtocolParams:
-    """Parameters from :func:`parse_key_values` text; ``cutoffs`` is comma separated."""
+    """Parameters from :func:`textfmt.parse_key_values` text; ``cutoffs`` is comma separated."""
     known = {"theta", "eta", "nbar2", "nbar3", "cutoffs", "background", "idler", "tail_bound"}
     unknown = set(values) - known
     if unknown:

@@ -37,7 +37,8 @@ FLAG_COLUMNS = ("flags.high_noise", "flags.small_theta", "flags.small_eta",
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes, fixed parameters and requested outputs of one sweep."""
+    """Axes, fixed parameters and requested outputs of one sweep.  ``workers``
+    is set from Python only, for the pool probe of ``bench/run.py --trace 1``."""
 
     axes: tuple[tuple[str, tuple], ...]
     fixed: ProtocolParams
@@ -80,11 +81,11 @@ class SweepSpec:
         return n
 
     @classmethod
-    def from_file(cls, path, **overrides) -> "SweepSpec":
-        return cls.from_mapping(textfmt.parse_key_values(Path(path).read_text()), **overrides)
+    def from_file(cls, path) -> "SweepSpec":
+        return cls.from_mapping(textfmt.parse_key_values(Path(path).read_text()))
 
     @classmethod
-    def from_mapping(cls, values: dict[str, str], **overrides) -> "SweepSpec":
+    def from_mapping(cls, values: dict[str, str]) -> "SweepSpec":
         """Build a spec from ``key=value`` text with ``axis.<name>=v1,v2,...`` lines."""
         values = dict(values)
         axes = []
@@ -101,10 +102,7 @@ class SweepSpec:
             spec_kwargs["fmt"] = values.pop("format")
         if "M" in values:
             spec_kwargs["m_shots"] = textfmt.parse_value(values.pop("M"))
-        if "workers" in values:
-            spec_kwargs["workers"] = int(values.pop("workers"))
         fixed = params_from_mapping(values)
-        spec_kwargs.update(overrides)
         return cls(axes=tuple(axes), fixed=fixed, **spec_kwargs)
 
 

@@ -412,25 +412,53 @@ def helstrom_reference(params, pi0=0.5):
         return float((1 - norm) / 2)
 
 
-def _low_levels_reference(nbar, cutoff, background):
-    """Levels 0 and 1 of a truncated, renormalized background mode, in mpmath:
-    thermal ``(1 - q) q^n / (1 - q^cutoff)`` with ``q = nbar/(nbar + 1)``,
+def _levels_reference(nbar, cutoff, background):
+    """The ``cutoff`` levels of a truncated, renormalized background mode, in
+    mpmath: thermal ``(1 - q) q^n / (1 - q^cutoff)`` with ``q = nbar/(nbar + 1)``,
     flat ``1/k`` on its ``k = round(nbar)`` levels."""
     if background == "flat":
         k = max(int(math.floor(nbar + 0.5)), 1)
-        return [mp.one / k if n < k else mp.zero for n in range(2)]
+        return [mp.one / k if n < k else mp.zero for n in range(cutoff)]
     q = mp.mpf(nbar) / (mp.mpf(nbar) + 1)
-    return [(1 - q) * q ** n / (1 - q ** cutoff) for n in range(2)]
+    return [(1 - q) * q ** n / (1 - q ** cutoff) for n in range(cutoff)]
 
 
 def papersign_reference(params):
     """The audit's signed-root value ``1 - sqrt(eta) (cos^4 theta
     sqrt(b2[0] b3[0]) + sin^4 theta sqrt(b2[1] b3[1]))`` in closed form, with
-    the background levels of :func:`_low_levels_reference` (40 digits)."""
+    the background levels of :func:`_levels_reference` (40 digits)."""
     _, c1, c2 = params.resolved_cutoffs()
     with mp.workdps(40):
-        b2 = _low_levels_reference(params.nbar2, c1, params.background)
-        b3 = _low_levels_reference(params.nbar3, c2, params.background)
+        b2 = _levels_reference(params.nbar2, c1, params.background)
+        b3 = _levels_reference(params.nbar3, c2, params.background)
         c, sn = mp.cos(params.theta), mp.sin(params.theta)
         gamma = c ** 4 * mp.sqrt(b2[0] * b3[0]) + sn ** 4 * mp.sqrt(b2[1] * b3[1])
         return float(1 - mp.sqrt(params.eta) * gamma)
+
+
+@lru_cache(maxsize=8)
+def spectra_reference(params):
+    """The ascending spectra of both hypotheses of ``params``, in mpmath,
+    rounded to floats.
+
+    rho0 is the idler's state, eigenvalues {0, 1} for the pure idler and
+    {cos^2, sin^2} for the traced one, times the two background marginals of
+    :func:`_levels_reference`: its spectrum is every product of the three.
+    Off the block of :func:`_block_reference`, span{|m,n,n>: m, n in {0, 1}},
+    rho1 is ``(1 - eta) rho0``, so it has ``1 - eta`` times those products
+    there, and on the block the ``mp.eighe`` eigenvalues of the block's rho1.
+    """
+    _, c1, c2 = params.resolved_cutoffs()
+    with mp.workdps(40):
+        b2 = _levels_reference(params.nbar2, c1, params.background)
+        b3 = _levels_reference(params.nbar3, c2, params.background)
+        idler = (0, 1) if params.idler == "paper_pure" \
+            else (mp.cos(params.theta) ** 2, mp.sin(params.theta) ** 2)
+        # the block is n2 = n3 < 2, for both idler eigenvalues
+        products = [(i * b2[n2] * b3[n3], n2 == n3 < 2)
+                    for i in idler for n2 in range(c1) for n3 in range(c2)]
+        _, rho1, _, eta = _block_reference(params)
+        h0 = [value for value, _ in products]
+        h1 = [(1 - eta) * value for value, on_block in products if not on_block]
+        h1 += [mp.re(e) for e in mp.eighe(rho1, eigvals_only=True)]
+        return tuple(sorted(float(v) for v in h0)), tuple(sorted(float(v) for v in h1))

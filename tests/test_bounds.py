@@ -129,6 +129,16 @@ def test_qs_rejects_indefinite_input():
     good = DensityOperator.dense(space, np.diag([0.5, 0.5]))
     with pytest.raises(NumericalError):
         q_s(bad, good, 0.5)
+    # Helstrom checks what Q_s checks; it returned -0.0154 for the first pair
+    skew = DensityOperator.dense(space, np.array([[0.5, 0.5], [0.0, 0.5]]))
+    indefinite = DensityOperator.dense(space, np.diag([1.5, -0.5]))
+    heavy = DensityOperator.dense(space, np.diag([3.0, 1.0]))
+    for rho0, rho1, match in ((skew, indefinite, "Hermitian"), (good, indefinite, "negative"),
+                              (heavy, heavy, "trace 4.0")):
+        with pytest.raises(NumericalError, match=match):
+            q_s(rho0, rho1, 0.5)
+        with pytest.raises(NumericalError, match=match):
+            helstrom_optimum(rho0, rho1)
 
 
 def test_qs_space_mismatch():

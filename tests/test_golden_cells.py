@@ -1,28 +1,33 @@
 """Every numeric cell of the program's frozen outputs against mathematics.
 
-``bench/golden_reference.csv`` and the CLI transcripts under
-``tests/golden/cli`` were written by the program, so their byte compares prove
+``bench/golden_reference.csv``, the CLI transcripts under ``tests/golden/cli``
+and the golden spectra under ``tests/golden`` were written by the program, so their byte compares prove
 only that the program did not change.  Here each number is recomputed by an
 oracle of ``tests/oracles.py`` or a closed form in ``mpmath``, neither of which
 shares a code path with either lane, and compared as ``bench/check.py``
-compares: within 1e-10, relative above magnitude 1.
+compares: within 1e-10, relative above magnitude 1.  The spectra are compared
+as ``tests/test_spectral.py`` compares them: within 1e-13 absolute.
 """
 
 import csv
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 from mpmath import mp
 
-from triqi.presets import golden_sweep_spec
+from triqi.presets import GOLDEN_POINT, golden_sweep_spec
 from triqi.states import ProtocolParams
 
-from oracles import exponent_reference, helstrom_reference, papersign_reference, q_reference
+from oracles import (exponent_reference, helstrom_reference, papersign_reference, q_reference,
+                     spectra_reference)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "golden_reference.csv"
-GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_CLI = GOLDEN_DIR / "cli"
 TOL = 1e-10
+SPECTRUM_TOL = 1e-13
 
 ORACLES = {
     "exponent": exponent_reference,
@@ -134,3 +139,24 @@ def _cli_cases():
 @pytest.mark.parametrize("column, value, reference", list(_cli_cases()))
 def test_cli_golden_cell_matches_oracle(column, value, reference):
     _assert_agrees(column, value, reference())
+
+
+# ---------------------------------------------------------------------------
+# the golden spectra of GOLDEN_POINT
+# ---------------------------------------------------------------------------
+
+def _spectrum_cases():
+    for k, name in enumerate(("h0", "h1")):
+        golden = np.loadtxt(GOLDEN_DIR / f"{name}_spectrum_golden.txt")
+        for i, value in enumerate(golden):
+            yield pytest.param(k, i, float(value), id=f"{name}[{i}]")
+
+
+@pytest.mark.parametrize("hypothesis, index, value", list(_spectrum_cases()))
+def test_golden_spectrum_entry_matches_oracle(hypothesis, index, value):
+    spectrum = spectra_reference(GOLDEN_POINT)[hypothesis]
+    assert len(spectrum) == 72
+    reference = spectrum[index]
+    assert abs(value - reference) <= SPECTRUM_TOL, \
+        f"h{hypothesis}[{index}] = {value!r}, reference {reference!r}, " \
+        f"off by {value - reference:.3e}"

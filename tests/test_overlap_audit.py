@@ -8,7 +8,7 @@ from triqi import overlap_audit, states
 from triqi.cli import main
 from triqi.errors import RegimeWarning
 from triqi.overlap_audit import (audit_overlap, closed_form_overlap, gap_leading_order,
-                                 principal_overlap, signed_root_overlap)
+                                 match_tolerance, principal_overlap, signed_root_overlap)
 from triqi.presets import AUDIT_POINT, AUDIT_POINT_SMALL, DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.states import ProtocolParams, build_hypothesis_pair, flat_probs
 
@@ -251,7 +251,7 @@ def test_audit_at_working_point():
     a = audit_overlap(AUDIT_POINT, fit_gap=True)
     assert a.verdict == "matches_paper_order"
     assert a.flags.all_hold()
-    assert abs(a.signed_root - a.analytic) <= a.match_tolerance()
+    assert abs(a.signed_root - a.analytic) <= match_tolerance(a.params)
     rec = a.as_record()
     for key in ("t_paper", "t_papersign", "t_principal", "verdict",
                 "flags.high_noise", "flags.eta_vs_invn2",

@@ -14,9 +14,10 @@ from triqi.fock import as_diag_plus_low_rank
 from triqi.presets import GOLDEN_POINT, GOLDEN_POINT_TRACED
 from triqi.states import (DEFAULT_TAIL_BOUND, ProtocolParams, auto_cutoff,
                           background_marginals, build_hypothesis_pair, evolve_exact,
-                          flat_levels, params_from_mapping, parse_key_values, thermal_marginal,
+                          flat_levels, params_from_mapping, thermal_marginal,
                           thermal_probs, thermal_tail_mass, triplet_amplitudes)
 from triqi.sweep import SweepSpec, run_sweep
+from triqi.textfmt import parse_key_values
 
 from oracles import (assert_density_invariants, chain_amplitudes_ref, pair_matrices_ref,
                      partial_trace_ref, triplet_ket_ref)

@@ -273,14 +273,14 @@ def test_cli_option_surface(capsys, tmp_path):
     assert _options(parser, "chernoff") == pair | {"--tol", "--M"}
     assert _options(parser, "appendix-audit") == pair | {"--fit-gap"}
     table = {"-h", "--help", "--out", "--format"}
-    assert _options(parser, "sweep") == table | {"--config", "--workers", "--strict"}
+    assert _options(parser, "sweep") == table | {"--config", "--strict"}
     assert _options(parser, "reproduce") == table
     # flags a subcommand used to accept without reading them are usage errors now
     removed = {"state": (["--eta", "0.7"], ["--idler", "traced"], ["--tol", "9"], ["--strict"],
                          ["--format", "csv"], ["--dense-limit", "1"]),
                "appendix-audit": (["--tol", "9"], ["--dense-limit", "1"]),
                "chernoff": (["--dense-limit", "1"],),
-               "sweep --config golden": (["--golden", "x"],),
+               "sweep --config golden": (["--golden", "x"], ["--workers", "2"]),
                "reproduce factor100": (["--strict"], ["--write-golden"])}
     for command, flags in removed.items():
         for flag in flags:
@@ -291,6 +291,20 @@ def test_cli_option_surface(capsys, tmp_path):
                    "background = flat\ndense_limit = 1\naxis.eta = 0.001\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "unknown parameter keys: ['dense_limit']" in capsys.readouterr().err
+
+
+def test_worker_count_and_duplicate_names_have_one_way_in(capsys, tmp_path):
+    # the pool is chosen from Python only, SweepSpec(..., workers=N); the
+    # --workers flag is in test_cli_option_surface's removed flags
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("theta = 0.01\neta = 0.001\nnbar2 = 20\nnbar3 = 20\n"
+                   "background = flat\nworkers = 2\naxis.eta = 0.001\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "invalid arguments: unknown parameter keys: ['workers']\n"
+    for build in (SweepSpec.from_file, SweepSpec.from_mapping):
+        assert list(inspect.signature(build).parameters) in (["path"], ["values"])
+    assert not hasattr(overlap_audit.TraceAudit, "match_tolerance")
+    assert not hasattr(states, "parse_key_values")
 
 
 def test_nan_and_infinite_closed_form_inputs_fail_the_sweep_row():
@@ -328,6 +342,19 @@ def test_shot_count_must_be_an_integer_of_at_least_one(capsys, tmp_path):
             SweepSpec.from_file(cfg)
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "shot count must be >= 1" in capsys.readouterr().err
+    # a count above the largest float overflowed M * sqrt(eta) in the 3-photon bound
+    huge = str(2 * 10 ** 308)
+    assert len(huge) == 309 and int(huge) > sys.float_info.max
+    assert main(["chernoff", "--M", huge]) == 1
+    assert "shot count must be at most 1.7976931348623157e+308" in capsys.readouterr().err
+    for line in (f"M = {huge}", f"axis.M = 1,{huge}"):
+        cfg = tmp_path / "shots.cfg"
+        cfg.write_text("theta = 0.01\neta = 0.001\nnbar2 = 20\nnbar3 = 20\n"
+                       f"background = flat\n{line}\n")
+        with pytest.raises(ValueError, match="shot count must be at most"):
+            SweepSpec.from_file(cfg)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "shot count must be at most" in capsys.readouterr().err
 
 
 def test_sweep_row_types_linalg_and_memory_failures(monkeypatch):
@@ -409,9 +436,16 @@ def test_cli_sweep_out_io_error_names_path(capsys, tmp_path):
     assert main(["sweep", "--config", "golden", "--out", "/no/such/dir/out.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: ") and "/no/such/dir/out.csv" in err
-    # a write error other than a missing directory surfaces at the write
+    # so does a directory given as the output file
     assert main(["state", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
+def test_cli_out_naming_a_directory_fails_before_evaluating(capsys, monkeypatch, tmp_path):
+    builds = _count_calls(monkeypatch, states, "build_hypothesis_pair")
+    assert main(["sweep", "--config", "golden", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"i/o failure: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert builds == []
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--config", "golden"], ["chernoff"],
