@@ -42,24 +42,20 @@ GAUSSIAN_REGIME_NOTE = (
 
 
 def _shared_basis(rho0: DensityOperator, rho1: DensityOperator) -> StructuredPair | None:
-    """Detect the two operators of one :func:`states.build_hypothesis_pair`,
-    in build order.
-
-    Returns the :class:`StructuredPair` held by ``rho1``, which has the
-    rank-one term.  ``rho0`` must have none, scale 1 and the build's own
-    ``factors`` and ``mode_rotations`` tuples; any other pair, even one of
-    equal arrays or the reversed order, gets ``None``: the dense lane.
+    """The :class:`StructuredPair` of the two operators of one
+    :func:`states.build_hypothesis_pair`, in build order: both hold that very
+    pair and idler rotation.  Any other pair, even one of equal arrays or the
+    reversed order, gets ``None``: the dense lane.
     """
     try:
         s0 = as_diag_plus_low_rank(rho0).structure
         s1 = as_diag_plus_low_rank(rho1).structure
     except NumericalError:
         return None
-    p0, p1 = s0.pair, s1.pair
-    if (p0.v_index.size > 0 or p0.scale != 1.0 or p0.factors is not p1.factors
-            or s0.mode_rotations is not s1.mode_rotations):
+    if (s0.pair is not s1.pair or s0.idler_rotation is not s1.idler_rotation
+            or (s0.hypothesis, s1.hypothesis) != (0, 1)):
         return None
-    return p1
+    return s1.pair
 
 
 def _check_space(rho0: DensityOperator, rho1: DensityOperator) -> None:
@@ -72,9 +68,10 @@ class _PairContext:
 
     The two operators of one build, in build order, read its
     :class:`StructuredPair`.  Any other pair splits once on the
-    :func:`spectral.components` of both operators' joined nonzero patterns:
-    ``Q_s`` decomposes each operator there, so both eigensystems share their
-    rows, and Helstrom forms ``pi1 rho1 - pi0 rho0`` block by block there.
+    :func:`spectral.components` of both operators' joined nonzero patterns,
+    each scanned once here: ``Q_s`` decomposes each operator there, so both
+    eigensystems share their rows, and Helstrom forms ``pi1 rho1 - pi0 rho0``
+    block by block there.
     The operators are held by weak reference only.
     """
 
@@ -83,8 +80,8 @@ class _PairContext:
         self.refs = (weakref.ref(rho0, _forget), weakref.ref(rho1, _forget))
         self.structured = _shared_basis(rho0, rho1)
         if self.structured is None:
-            self.groups = spectral.components(rho0.space.total_dim,
-                                              [rho0.nonzero_pattern, rho1.nonzero_pattern])
+            patterns = [spectral.nonzero_pattern(rho.to_dense()) for rho in (rho0, rho1)]
+            self.groups = spectral.components(rho0.space.total_dim, patterns)
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -192,6 +193,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Raise what ``open(out, "w")`` would raise when a directory on the path
+    is missing or is a file, or ``out`` is a directory, so that such a write
+    fails before anything is evaluated."""
+    try:
+        parent = os.stat(Path(out).parent).st_mode
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    if not stat.S_ISDIR(parent):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+    if Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -201,11 +216,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            # fail as the write would, before anything is evaluated
-            if args.out is not None and not Path(args.out).parent.is_dir():
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-            if args.out is not None and Path(args.out).is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+            if args.out is not None:
+                _check_out(args.out)
             code = args.func(args)
         except (TriqiError, MemoryError) as exc:
             if isinstance(exc, MemoryError):

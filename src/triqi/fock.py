@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class SpaceDescriptor:
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     @property
-    def modes(self) -> int:
-        return len(self.cutoffs)
-
-    @property
     def total_dim(self) -> int:
         return math.prod(self.cutoffs)
 
@@ -52,11 +48,16 @@ def build_space(modes: int, cutoffs, dense_limit: int = DEFAULT_DENSE_LIMIT) -> 
     """Validated construction of a SpaceDescriptor."""
     if modes < 1:
         raise ValueError("need at least one mode")
-    cutoffs = tuple(int(c) for c in cutoffs)
-    if len(cutoffs) != modes:
-        raise ValueError(f"expected {modes} cutoffs, got {len(cutoffs)}")
-    if any(c < 1 for c in cutoffs):
-        raise ValueError(f"all cutoffs must be >= 1, got {cutoffs}")
+    raw = tuple(cutoffs)
+    if len(raw) != modes:
+        raise ValueError(f"expected {modes} cutoffs, got {len(raw)}")
+    try:
+        cutoffs = tuple(int(c) for c in raw)
+    except (TypeError, ValueError, OverflowError):  # inf, nan, "x"
+        cutoffs = ()
+    # int() truncates 6.9 and parses "3": each value must equal its int
+    if cutoffs != raw or any(c < 1 for c in cutoffs):
+        raise ValueError(f"all cutoffs must be integers >= 1, got {raw}")
     return SpaceDescriptor(cutoffs, int(dense_limit))
 
 
@@ -72,18 +73,20 @@ class Dense:
 
 @dataclass(frozen=True)
 class DiagPlusLowRank:
-    """Operator ``R (scale diag(d0) + weight v v^dag) R^dag`` of a structured
-    pair ``pair``: its diagonal ``d0 = kron(*pair.factors)``, ``scale``,
-    ``weight`` and sparse ``v`` (see :class:`spectral.StructuredPair`), held
-    without any array of the full dimension.
+    """One hypothesis of a :func:`states.build_hypothesis_pair`, held without
+    any array of the full dimension.
 
-    ``mode_rotations`` maps the structure's own basis back to the Fock basis,
-    one unitary per mode (None meaning identity on that mode); ``R`` is their
-    kron.
+    The operator is ``R rho R^dag``: ``rho`` is ``diag(d0)`` for
+    ``hypothesis`` 0 and ``scale diag(d0) + weight v v^dag`` for 1, from the
+    build's structured ``pair`` (see :class:`spectral.StructuredPair`), and
+    ``R`` is ``idler_rotation`` on mode 0 and the identity on every other
+    mode.  Both hypotheses of one build hold the same ``pair`` and
+    ``idler_rotation`` objects.
     """
 
     pair: spectral.StructuredPair
-    mode_rotations: tuple
+    idler_rotation: np.ndarray
+    hypothesis: int
 
 
 @dataclass(frozen=True)
@@ -104,20 +107,6 @@ class DensityOperator:
         mat.setflags(write=False)
         return cls(space, Dense(mat))
 
-    @classmethod
-    def diag_plus_low_rank(cls, space: SpaceDescriptor, pair: spectral.StructuredPair,
-                           mode_rotations=None) -> "DensityOperator":
-        if pair.dim != space.total_dim:
-            raise ValueError(f"pair dimension {pair.dim} does not match the space "
-                             f"({space.total_dim})")
-        rotations = (None,) * space.modes if mode_rotations is None else tuple(mode_rotations)
-        if len(rotations) != space.modes:
-            raise ValueError(f"expected {space.modes} mode rotations, got {len(rotations)}")
-        for rot in rotations:
-            if rot is not None:
-                rot.setflags(write=False)
-        return cls(space, DiagPlusLowRank(pair, rotations))
-
     # -- basic queries -------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
@@ -134,43 +123,30 @@ class DensityOperator:
             return _diag_plus_low_rank_dense(s, self.space.cutoffs)
         raise TypeError(f"unknown structure {type(s)}")
 
-    @cached_property
-    def nonzero_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """``spectral.nonzero_pattern`` of the dense matrix, scanned once per
-        operator and read-only; every dense split of the operator reads it.
-        It holds O(nonzero entries) indices, not dim^2."""
-        pattern = spectral.nonzero_pattern(self.to_dense())
-        for arr in pattern:
-            arr.setflags(write=False)
-        return pattern
-
 
 def _diag_plus_low_rank_dense(s: DiagPlusLowRank, cutoffs: tuple[int, ...]) -> np.ndarray:
-    """Dense ``R (scale diag(d0) + weight v v^dag) R^dag``, written block by
-    block.
+    """Dense ``R rho R^dag``, written block by block.
 
-    ``R`` acts only on the rotated modes, so the indices that share their
-    coordinates on the other modes form one block of size ``C``, the product
-    of the rotated cutoffs: ``Rr diag(d) Rr^dag`` with ``Rr`` the kron of the
-    rotated modes' unitaries.  The rank-one term adds ``weight (R v)(R v)^dag``
-    on the blocks that ``v`` touches.  O(dim C^2) past the zeroed matrix.
+    ``R`` acts on mode 0 only, so the indices that share their coordinates on
+    the other modes form one block of size ``c0``: ``R diag(d) R^dag``.
+    rho1's rank-one term adds ``weight (R v)(R v)^dag`` on the blocks that
+    ``v`` touches.  O(dim c0^2) past the zeroed matrix.
     """
-    p = s.pair
+    p, r = s.pair, s.idler_rotation
     dim = math.prod(cutoffs)
-    rotated = [m for m, rot in enumerate(s.mode_rotations) if rot is not None]
-    fixed = [m for m, rot in enumerate(s.mode_rotations) if rot is None]
-    rr = reduce(np.kron, [s.mode_rotations[m] for m in rotated], np.eye(1))
-    # block[g, c]: the basis index at position c of block g
-    block = np.arange(dim).reshape(cutoffs).transpose(fixed + rotated).reshape(-1, len(rr))
-    d = (p.scale * reduce(np.kron, p.factors))[block]
+    # block[g, c]: the basis index of idler level c in block g
+    block = np.arange(dim).reshape(cutoffs[0], -1).T
+    scale = p.scale if s.hypothesis else 1.0
+    d = (scale * reduce(np.kron, p.factors))[block]
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[block[:, :, None], block[:, None, :]] = (rr * d[:, None, :]) @ rr.conj().T
-    v = np.zeros(dim, dtype=complex)
-    v[p.v_index] = p.v_value
-    touched = np.flatnonzero(v[block].any(axis=1))
-    rv = (v[block[touched]] @ rr.T).ravel()
-    support = block[touched].ravel()
-    mat[np.ix_(support, support)] += p.weight * np.outer(rv, rv.conj())
+    mat[block[:, :, None], block[:, None, :]] = (r * d[:, None, :]) @ r.conj().T
+    if s.hypothesis:
+        v = np.zeros(dim, dtype=complex)
+        v[p.v_index] = p.v_value
+        touched = np.flatnonzero(v[block].any(axis=1))
+        rv = (v[block[touched]] @ r.T).ravel()
+        support = block[touched].ravel()
+        mat[np.ix_(support, support)] += p.weight * np.outer(rv, rv.conj())
     return mat
 
 

@@ -493,10 +493,6 @@ class StructuredPair:
         for arr in (*self.factors, self.v_index, self.v_value):
             arr.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return math.prod(len(f) for f in self.factors)
-
     @cached_property
     def _local(self) -> np.ndarray:
         """``d0`` on the support of ``v``, rounded as ``np.kron`` rounds it."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DenseLimitError, TruncationError
-from .fock import DEFAULT_DENSE_LIMIT, DensityOperator, SpaceDescriptor, build_space
+from .fock import (DEFAULT_DENSE_LIMIT, DensityOperator, DiagPlusLowRank, SpaceDescriptor,
+                   build_space)
 from .spectral import StructuredPair
 
 BACKGROUND_VARIANTS = ("thermal", "flat")
@@ -321,12 +322,11 @@ def background_marginals(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray
 class HypothesisPair:
     """The two discrimination hypotheses plus the parameters that built them.
 
-    Both are DiagPlusLowRank operators over rho0's eigenbasis that share one
-    ``factors`` tuple (rho0's per-mode eigenvalues) and one ``mode_rotations``
-    tuple.  rho0's pair has scale 1 and no rank-one term; ``structured``, the
-    :class:`StructuredPair` that rho1 holds, is the pair of hypotheses in that
-    basis without any array of the full dimension, and every bound and every
-    value of the overlap audit read it.
+    Both are DiagPlusLowRank operators over rho0's eigenbasis that hold one
+    :class:`StructuredPair` and one idler rotation.  ``structured``, that
+    pair, is the pair of hypotheses in that basis without any array of the
+    full dimension, and every bound and every value of the overlap audit
+    read it.
     """
 
     params: ProtocolParams
@@ -344,7 +344,8 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
 
     rho0 is the idler times the two background marginals.  The pure idler's
     eigensystem is that of its ``c0 x c0`` projector; the traced idler and the
-    backgrounds are diagonal already, so only a pure idler is rotated.  The
+    backgrounds are diagonal already, so the traced idler's rotation is the
+    identity.  The
     triplet ``cos(theta)|000> - i sin(theta)|111>`` has the entry
     ``conj(R[n, k]) * amplitude(|nnn>)`` at ``(k, n, n)`` in the rotated basis,
     for every idler eigenvector ``k`` and ``n`` in {0, 1}; in that order the
@@ -357,15 +358,12 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
         idler = np.zeros(c0, dtype=complex)
         idler[:2] = amplitudes
         idler_eigenvalues, idler_rotation = np.linalg.eigh(np.outer(idler, idler.conj()))
-        rotations = (idler_rotation, None, None)
     else:
         idler_eigenvalues = np.zeros(c0)
         idler_eigenvalues[:2] = np.cos(params.theta) ** 2, np.sin(params.theta) ** 2
         idler_rotation = np.eye(c0)
-        rotations = (None, None, None)
+    idler_rotation.setflags(write=False)
     factors = (idler_eigenvalues, *background_marginals(params))
-    empty = StructuredPair(factors, 1.0, 0.0, np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
-    rho0 = DensityOperator.diag_plus_low_rank(space, empty, rotations)
     # (k, n) for every idler eigenvector k and n in {0, 1}, k slowest
     k, n = np.arange(c0).repeat(2), np.array((0, 1) * c0)
     index = np.ravel_multi_index((k, n, n), space.cutoffs)
@@ -373,7 +371,8 @@ def build_hypothesis_pair(params: ProtocolParams) -> HypothesisPair:
     keep = np.flatnonzero(value)
     # rho1 = (1 - eta) rho0 + eta |Psi><Psi|, in rho0's eigenbasis
     sp = StructuredPair(factors, 1.0 - params.eta, params.eta, index[keep], value[keep])
-    rho1 = DensityOperator.diag_plus_low_rank(space, sp, rho0.structure.mode_rotations)
+    rho0, rho1 = (DensityOperator(space, DiagPlusLowRank(sp, idler_rotation, hypothesis))
+                  for hypothesis in (0, 1))
     return HypothesisPair(params, rho0, rho1)
 
 

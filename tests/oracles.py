@@ -159,36 +159,44 @@ def pair_full_arrays_ref(pair):
     return d0, v
 
 
+def scale_weight_ref(structure):
+    """``(scale, weight)`` of a DiagPlusLowRank hypothesis: ``(1, 0)`` for
+    rho0 = ``diag(d0)``, its pair's own for rho1."""
+    pair = structure.pair
+    return (pair.scale, pair.weight) if structure.hypothesis else (1.0, 0.0)
+
+
 def rotated_dense_ref(structure, cutoffs):
     """Dense ``R (scale diag(d0) + weight v v^dag) R^dag`` of a DiagPlusLowRank
-    structure, with its pair's full arrays and ``R`` the full Kronecker
-    product of its mode rotations (identity where None)."""
-    pair = structure.pair
-    d0, v = pair_full_arrays_ref(pair)
-    mat = np.diag(pair.scale * d0).astype(complex) + pair.weight * np.outer(v, v.conj())
-    rot = np.eye(1)
-    for c, r in zip(cutoffs, structure.mode_rotations):
-        rot = np.kron(rot, np.eye(c) if r is None else r)
+    hypothesis, with its pair's full arrays, the scale and weight of
+    :func:`scale_weight_ref` and ``R`` the full Kronecker product of its idler
+    rotation on mode 0 and the identity on the other modes."""
+    scale, weight = scale_weight_ref(structure)
+    d0, v = pair_full_arrays_ref(structure.pair)
+    mat = np.diag(scale * d0).astype(complex) + weight * np.outer(v, v.conj())
+    rot = np.kron(structure.idler_rotation, np.eye(math.prod(cutoffs[1:])))
     return rot @ mat @ rot.conj().T
 
 
 def assert_density_invariants(rho):
-    """Assert that a DiagPlusLowRank operator is a density operator.
+    """Assert that a DiagPlusLowRank hypothesis is a density operator.
 
-    Unit trace within 1e-12, from its pair's factors and rank-one term; every
-    factor times the scale at least ``-1e-10`` times its largest entry and a
-    nonnegative rank-one weight; and, up to the dense limit, the dense matrix
-    Hermitian within 1e-12 and PSD within 1e-10 of its largest eigenvalue.
+    Unit trace within 1e-12, from its pair's factors and its scale and
+    rank-one weight (:func:`scale_weight_ref`); every factor times the scale at
+    least ``-1e-10`` times its largest entry and a nonnegative rank-one weight;
+    and, up to the dense limit, the dense matrix Hermitian within 1e-12 and
+    PSD within 1e-10 of its largest eigenvalue.
     """
     pair = rho.structure.pair
-    trace = pair.scale * math.prod(float(f.sum()) for f in pair.factors) \
-        + pair.weight * float(np.sum(np.abs(pair.v_value) ** 2))
+    scale, weight = scale_weight_ref(rho.structure)
+    trace = scale * math.prod(float(f.sum()) for f in pair.factors) \
+        + weight * float(np.sum(np.abs(pair.v_value) ** 2))
     assert abs(trace - 1.0) <= 1e-12, f"trace {trace!r}"
     for f in pair.factors:
-        diag = pair.scale * f
+        diag = scale * f
         top = max(float(diag.max()), 0.0)
         assert float(diag.min()) >= -1e-10 * max(top, 1e-300), f"factor entry {diag.min()!r}"
-    assert pair.weight >= 0, f"rank-one weight {pair.weight!r}"
+    assert weight >= 0, f"rank-one weight {weight!r}"
     if rho.space.total_dim <= rho.space.dense_limit:
         mat = rho.to_dense()
         herm = float(np.abs(mat - mat.conj().T).max())

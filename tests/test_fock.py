@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from triqi import spectral
 from triqi.errors import DenseLimitError, NumericalError
-from triqi.fock import DensityOperator, as_diag_plus_low_rank, build_space
+from triqi.fock import DensityOperator, DiagPlusLowRank, as_diag_plus_low_rank, build_space
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT, GOLDEN_POINT_TRACED
 from triqi.states import IDLER_VARIANTS, build_hypothesis_pair
 
@@ -37,13 +37,26 @@ def test_build_space_rejects_bad_input():
         build_space(2, [2])
 
 
+@pytest.mark.parametrize("cutoffs", [[6.9], ["3"], [float("inf")], [float("nan")], [None],
+                                     [np.float64(2.5)], [0], [-1]])
+def test_build_space_rejects_non_integral_cutoffs(cutoffs):
+    with pytest.raises(ValueError, match="all cutoffs must be integers >= 1"):
+        build_space(1, cutoffs)
+
+
+@pytest.mark.parametrize("cutoff", [6, 6.0, np.int64(6), np.float64(6.0)])
+def test_build_space_takes_integral_values_as_ints(cutoff):
+    assert build_space(2, [2, cutoff]).cutoffs == (2, 6)
+    assert all(type(c) is int for c in build_space(2, [2, cutoff]).cutoffs)
+
+
 def test_dense_limit_guard():
     space = build_space(2, [40, 40], dense_limit=1000)
     with pytest.raises(DenseLimitError):
         space.require_dense()
     flat = spectral.StructuredPair((np.full(1600, 1 / 1600),), 1.0, 0.0, np.zeros(0, dtype=int),
                                    np.zeros(0, dtype=complex))
-    rho = DensityOperator.diag_plus_low_rank(space, flat)
+    rho = DensityOperator(space, DiagPlusLowRank(flat, np.eye(40), 0))
     with pytest.raises(DenseLimitError):
         rho.to_dense()
 
@@ -84,38 +97,20 @@ def test_partial_trace_golden_against_contraction_oracle():
 @pytest.mark.parametrize("idler", IDLER_VARIANTS)
 @pytest.mark.parametrize("point", range(len(DENSE_CHECK_POINTS)))
 def test_rotated_to_dense_matches_kron_oracle(point, idler):
-    rho1 = build_hypothesis_pair(DENSE_CHECK_POINTS[point].with_updates(idler=idler)).rho1
+    pair = build_hypothesis_pair(DENSE_CHECK_POINTS[point].with_updates(idler=idler))
     # the traced idler is diagonal already; the pure one rotates mode 0
-    assert (rho1.structure.mode_rotations[0] is None) == (idler == "traced")
-    expected = rotated_dense_ref(rho1.structure, rho1.space.cutoffs)
-    assert_allclose(rho1.to_dense(), expected, rtol=0, atol=1e-14)
-
-
-def test_rotated_to_dense_two_rotated_modes_rank_one():
-    rng = np.random.default_rng(7)
-    cutoffs = (3, 2, 4)
-    space = build_space(3, cutoffs)
-
-    def unitary(n):
-        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    factors = tuple(rng.uniform(size=c) for c in cutoffs)
-    index = np.array([0, 5, 11, 23])
-    pair = spectral.StructuredPair(factors, 0.7, 0.2, index,
-                                   rng.normal(size=4) + 1j * rng.normal(size=4))
-    rho = DensityOperator.diag_plus_low_rank(
-        space, pair, mode_rotations=(unitary(3), None, unitary(4)))
-    assert rho.structure.pair is pair
-    expected = rotated_dense_ref(rho.structure, cutoffs)
-    assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
+    rotation = pair.rho1.structure.idler_rotation
+    assert np.array_equal(rotation, np.eye(len(rotation))) == (idler == "traced")
+    for rho in (pair.rho0, pair.rho1):
+        expected = rotated_dense_ref(rho.structure, rho.space.cutoffs)
+        assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
 
 
 @st.composite
 def diag_plus_low_rank_operators(draw):
-    """DiagPlusLowRank operators on 1-3 modes of cutoffs 1-4: per-mode factors
-    or one flat factor, a random unitary on any subset of the modes and 0-4
-    nonzero entries of ``v``."""
+    """DiagPlusLowRank hypotheses on 1-3 modes of cutoffs 1-4: per-mode
+    factors or one flat factor, a random unitary or the identity on mode 0
+    and 0-4 nonzero entries of ``v``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     cutoffs = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     dim = int(np.prod(cutoffs))
@@ -127,12 +122,13 @@ def diag_plus_low_rank_operators(draw):
     index = np.sort(rng.choice(dim, size=count, replace=False))
     pair = spectral.StructuredPair(factors, rng.uniform(0.1, 1.0), rng.uniform(0.0, 1.0), index,
                                    rng.normal(size=count) + 1j * rng.normal(size=count))
-    rotations = []
-    for c in cutoffs:
-        q, r = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
-        rotations.append(q * (np.diag(r) / np.abs(np.diag(r))) if draw(st.booleans()) else None)
-    return DensityOperator.diag_plus_low_rank(build_space(len(cutoffs), cutoffs), pair,
-                                              rotations)
+    c0 = cutoffs[0]
+    rotation = np.eye(c0)
+    if draw(st.booleans()):
+        q, r = np.linalg.qr(rng.normal(size=(c0, c0)) + 1j * rng.normal(size=(c0, c0)))
+        rotation = q * (np.diag(r) / np.abs(np.diag(r)))
+    return DensityOperator(build_space(len(cutoffs), cutoffs),
+                           DiagPlusLowRank(pair, rotation, draw(st.integers(0, 1))))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -140,21 +136,6 @@ def diag_plus_low_rank_operators(draw):
 def test_block_to_dense_matches_kron_oracle(rho):
     expected = rotated_dense_ref(rho.structure, rho.space.cutoffs)
     assert_allclose(rho.to_dense(), expected, rtol=0, atol=1e-14)
-
-
-def test_diag_plus_low_rank_one_rotation_per_mode():
-    space = build_space(3, (2, 2, 2))
-    pair = spectral.StructuredPair((np.full(2, 0.5),) * 3, 1.0, 0.0, np.zeros(0, dtype=int),
-                                   np.zeros(0, dtype=complex))
-    # no rotations means the identity on every mode
-    rho = DensityOperator.diag_plus_low_rank(space, pair)
-    assert rho.structure.mode_rotations == (None, None, None)
-    assert_allclose(rho.to_dense(), np.eye(8) / 8, rtol=0, atol=0)
-    for rotations in ((None, None), (np.eye(2),) * 4):
-        with pytest.raises(ValueError, match="expected 3 mode rotations"):
-            DensityOperator.diag_plus_low_rank(space, pair, mode_rotations=rotations)
-    with pytest.raises(ValueError, match="pair dimension 8"):
-        DensityOperator.diag_plus_low_rank(build_space(2, (2, 2)), pair)
 
 
 def test_as_diag_plus_low_rank_rejects_plain_dense():

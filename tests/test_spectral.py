@@ -11,7 +11,7 @@ from pathlib import Path
 from triqi import spectral
 from triqi.errors import DenseLimitError, NumericalError
 from triqi.bounds import _shared_basis, chernoff, evaluate_point, helstrom_optimum, q_s
-from triqi.fock import DensityOperator, as_diag_plus_low_rank
+from triqi.fock import DensityOperator, DiagPlusLowRank, as_diag_plus_low_rank
 from triqi.presets import DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secular_roots, eigh,
                             rank_one_spectrum)
@@ -429,10 +429,10 @@ def test_structured_vs_dense_distinct_diagonals():
         space = replace(pair.rho1.space, dense_limit=dense_limit)
         rho0 = DensityOperator(space, pair.rho0.structure)
         flat = StructuredPair((np.roll(d0, shift),), sp.scale, sp.weight, sp.v_index, sp.v_value)
-        return rho0, DensityOperator.diag_plus_low_rank(space, flat, s1.mode_rotations)
+        return rho0, DensityOperator(space, DiagPlusLowRank(flat, s1.idler_rotation, 1))
 
-    # rho0's own diagonal held as one flat factor is not rho0's per-mode
-    # factors either: the dense lane answers, with the same numbers
+    # rho0's own diagonal held as one flat factor is not the build's pair
+    # either: the dense lane answers, with the same numbers
     rho0, flat = rolled(pair.rho1.space.dense_limit, shift=0)
     assert _shared_basis(rho0, flat) is None
     assert np.array_equal(flat.to_dense(), pair.rho1.to_dense())
@@ -465,11 +465,15 @@ def test_lookalike_of_a_built_pair_takes_the_dense_lane():
     # structured lane's numbers
     pair = build_hypothesis_pair(GOLDEN_POINT)
     sp, rho0 = pair.structured, pair.rho0
-    rotations = [None if r is None else r.copy() for r in rho0.structure.mode_rotations]
+    rotation = rho0.structure.idler_rotation
     copied = replace(sp, factors=tuple(f.copy() for f in sp.factors))
-    rho1 = DensityOperator.diag_plus_low_rank(rho0.space, copied, rotations)
+    rho1 = DensityOperator(rho0.space, DiagPlusLowRank(copied, rotation.copy(), 1))
     assert _shared_basis(rho0, rho1) is None
     assert _shared_basis(rho1, rho0) is None
+    # the build's own pair with a copied rotation is no build's either, nor
+    # is its own rotation with a copied pair
+    for lookalike in (DiagPlusLowRank(sp, rotation.copy(), 1), DiagPlusLowRank(copied, rotation, 1)):
+        assert _shared_basis(rho0, DensityOperator(rho0.space, lookalike)) is None
     for s in STRUCTURED_CHECK_S:
         assert q_s(rho0, rho1, s) == pytest.approx(sp.q(s), abs=1e-10), s
         assert q_s(rho1, rho0, 1.0 - s) == pytest.approx(sp.q(s), abs=1e-10), s
@@ -490,7 +494,7 @@ def test_factored_pair_matches_kron_oracle(nbar, idler):
     params = ProtocolParams(theta=0.01, eta=0.01, nbar2=nbar, nbar3=nbar, idler=idler)
     sp = build_hypothesis_pair(params).structured
     d0, v = pair_arrays_ref(params)
-    assert sp.dim == len(d0) > 250_000
+    assert params.space().total_dim == len(d0) > 250_000
     assert sp._d0max == d0.max()
     active = np.flatnonzero(v)
     assert np.array_equal(sp.v_index, active)

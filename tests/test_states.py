@@ -113,9 +113,8 @@ def test_triplet_entries_are_the_rotated_ket_support(cutoffs, idler, theta):
     pair = build_hypothesis_pair(params)
     # the triplet in rho0's eigenbasis: the idler rotation applied to mode 0
     psi = triplet_ket_ref(theta, cutoffs).reshape(cutoffs)
-    rotation = pair.rho0.structure.mode_rotations[0]
-    if rotation is not None:
-        psi = np.tensordot(rotation.conj().T, psi, axes=([1], [0]))
+    rotation = pair.rho0.structure.idler_rotation
+    psi = np.tensordot(rotation.conj().T, psi, axes=([1], [0]))
     v = psi.reshape(-1)
     sp = pair.structured
     assert sp.v_index.dtype == np.intp
@@ -336,7 +335,7 @@ def test_hypothesis_pair_matches_direct_mixture_oracle():
 
 def test_hypothesis_pair_arrays_are_read_only(monkeypatch):
     pair = build_hypothesis_pair(GOLDEN_POINT)
-    rotation = pair.rho1.structure.mode_rotations[0]
+    rotation = pair.rho1.structure.idler_rotation
     sp = pair.structured
     for arr in (rotation, *sp.factors, sp.v_index, sp.v_value):
         with pytest.raises(ValueError):
@@ -348,9 +347,9 @@ def test_hypothesis_pair_arrays_are_read_only(monkeypatch):
     assert len(sp.factors) == 3
     assert pair.rho1.structure.pair is sp
     assert np.count_nonzero(sp.v_value) == len(sp.v_index)
-    # both hypotheses have one shape: rho0 is the pair's own DiagPlusLowRank,
-    # with the same factors and rotations, so the operator-level Q_s neither
-    # converts nor decomposes anything
+    # both hypotheses have one shape: rho0 and rho1 hold the same pair and
+    # idler rotation, so the operator-level Q_s neither converts nor
+    # decomposes anything
     eigh_calls = []
     original_eigh = np.linalg.eigh
 
@@ -363,9 +362,9 @@ def test_hypothesis_pair_arrays_are_read_only(monkeypatch):
     for pair in pairs:
         s0, s1 = pair.rho0.structure, pair.rho1.structure
         assert as_diag_plus_low_rank(pair.rho0) is pair.rho0
-        assert s0.pair.factors is pair.structured.factors
-        assert s0.mode_rotations is s1.mode_rotations
-        assert (s0.pair.scale, s0.pair.weight, s0.pair.v_index.size) == (1.0, 0.0, 0)
+        assert s0.pair is s1.pair is pair.structured
+        assert s0.idler_rotation is s1.idler_rotation
+        assert (s0.hypothesis, s1.hypothesis) == (0, 1)
         for s in (0.25, 0.5):
             assert q_s(pair.rho0, pair.rho1, s) == pair.structured.q(s)
     assert eigh_calls == []

@@ -185,6 +185,24 @@ def test_import_and_golden_sweep_load_no_scipy(tmp_path):
     assert (tmp_path / "g.csv").read_text().startswith("eta,")
 
 
+def test_golden_sweep_runs_without_the_test_extras():
+    # pyproject.toml's runtime dependencies are numpy only; the test extras
+    # are installed next to it, so block them as an install without them
+    # would have them (a None entry in sys.modules fails the import)
+    code = ("import sys\n"
+            "for name in ('scipy', 'mpmath', 'hypothesis'):\n"
+            "    sys.modules[name] = None\n"
+            "from triqi.cli import main\n"
+            "raise SystemExit(main(['sweep', '--config', 'golden']))\n")
+    src = str(Path(triqi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    columns, rows = parse_csv(proc.stdout)
+    assert len(rows) == 8 and columns[0] == "eta"
+
+
 def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
     for path in sorted(Path(triqi.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -244,8 +262,14 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 (sweep, "emit"), (triqi, "emit"), (fock.DensityOperator, "trace"),
                 (fock.DensityOperator, "validate"), (fock.DensityOperator, "_check_diag_psd"),
                 (fock, "HERMITIAN_TOL"), (fock, "PSD_TOL"), (fock, "TRACE_TOL"),
-                (spectral, "eigvalsh")]
+                (spectral, "eigvalsh"), (fock.DensityOperator, "diag_plus_low_rank"),
+                (fock.DensityOperator, "nonzero_pattern"), (fock.SpaceDescriptor, "modes"),
+                (spectral.StructuredPair, "dim")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
+    # a structured operator is one hypothesis of a build: one pair, one idler
+    # rotation, no rotation per mode
+    assert [f.name for f in dataclasses.fields(fock.DiagPlusLowRank)] == [
+        "pair", "idler_rotation", "hypothesis"]
     # the audit's sign choice, the point's dense limit and the presets' knobs
     # went with them
     for func in (overlap_audit.signed_root_overlap, overlap_audit._signed_root_terms,
@@ -445,6 +469,20 @@ def test_cli_out_naming_a_directory_fails_before_evaluating(capsys, monkeypatch,
     builds = _count_calls(monkeypatch, states, "build_hypothesis_pair")
     assert main(["sweep", "--config", "golden", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"i/o failure: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert builds == []
+
+
+@pytest.mark.parametrize("below", [["out.csv"], ["sub", "out.csv"]], ids=["parent", "ancestor"])
+def test_cli_out_under_a_file_fails_as_the_write_would(below, capsys, monkeypatch, tmp_path):
+    # a file where --out needs a directory: the write raises ENOTDIR, and so
+    # does the check before anything is evaluated
+    builds = _count_calls(monkeypatch, states, "build_hypothesis_pair")
+    (tmp_path / "file").write_text("")
+    out = tmp_path.joinpath("file", *below)
+    with pytest.raises(NotADirectoryError) as write:
+        open(out, "w")
+    assert main(["sweep", "--config", "golden", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"i/o failure: {write.value}\n"
     assert builds == []
 
 
