@@ -16,18 +16,17 @@ from .errors import (DenseLimitError, NumericalError, RegimeWarning, ResourceErr
 from .fock import DensityOperator, SpaceDescriptor, build_space
 from .overlap_audit import (TraceAudit, audit_overlap, closed_form_overlap, principal_overlap,
                             signed_root_overlap)
-from .spectral import EigenSystem, eigh
 from .states import (HypothesisPair, ProtocolParams, background_marginals,
                      build_hypothesis_pair, evolve_exact)
 from .sweep import SweepSpec, SweepTable, run_sweep
 
 __all__ = [
-    "BoundReport", "DenseLimitError", "DensityOperator", "EigenSystem", "HypothesisPair",
+    "BoundReport", "DenseLimitError", "DensityOperator", "HypothesisPair",
     "NumericalError", "ProtocolParams", "RegimeWarning", "ResourceError",
     "SpaceDescriptor", "SweepSpec", "SweepTable", "TraceAudit", "TriqiError",
     "TruncationError", "advantage_ratio", "audit_overlap", "background_marginals",
     "bhattacharyya_bound", "build_hypothesis_pair", "build_space", "chernoff",
-    "closed_form_overlap", "eigh", "error_bound_2gamma", "error_bound_3gamma",
+    "closed_form_overlap", "error_bound_2gamma", "error_bound_3gamma",
     "evaluate_point", "evolve_exact", "helstrom_optimum", "principal_overlap", "q_s",
     "run_sweep", "signed_root_overlap",
 ]

@@ -122,7 +122,7 @@ def _cmd_state(args) -> int:
 
 def _cmd_chernoff(args) -> int:
     params = _params_from_args(args, args.eta, args.idler)
-    report = evaluate_point(params, m_shots=args.M, tol=args.tol)
+    report = evaluate_point(params, m_shots=args.M)
     _emit_record(report.as_record(), args)
     return EXIT_OK
 
@@ -163,7 +163,6 @@ def build_parser() -> _Parser:
     p_chernoff = sub.add_parser("chernoff",
                                 help="full bound report for one parameter point")
     _add_pair_options(p_chernoff)
-    p_chernoff.add_argument("--tol", type=float, default=1e-6, help="minimizer tolerance on s")
     p_chernoff.add_argument("--M", type=int, default=1, help="shot count for the M-copy bounds")
     p_chernoff.set_defaults(func=_cmd_chernoff)
 
@@ -194,9 +193,11 @@ def build_parser() -> _Parser:
 
 
 def _check_out(out: str) -> None:
-    """Raise what ``open(out, "w")`` would raise when a directory on the path
-    is missing or is a file, or ``out`` is a directory, so that such a write
-    fails before anything is evaluated."""
+    """Raise what ``open(out, "w")`` would raise when ``out`` is empty, a
+    directory on the path is missing or is a file, or ``out`` is a directory,
+    so that such a write fails before anything is evaluated."""
+    if not out:  # Path("") is Path("."), but open("") finds no file
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     try:
         parent = os.stat(Path(out).parent).st_mode
     except OSError as exc:

@@ -387,6 +387,30 @@ def q_reference(params, s):
         return float(block + mass * power(rest, 1 - s))
 
 
+def s_star_reference(params):
+    """The ``s`` in [0, 1] minimizing :func:`q_reference`: 120 bisection steps
+    on its 40-digit derivative ``dQ/ds = sum c a^s b^{1-s} ln(a/b)``, which
+    rises with ``s``; 0 if it is ``>= 0`` at 0 and 1 if it is ``<= 0`` at 1."""
+    e0, e1, overlap, mass, rest = _q_reference_terms(params)
+    with mp.workdps(40):
+        terms = [(overlap[i][j], mp.re(e0[i]), mp.re(e1[j])) for i in range(4) for j in range(4)]
+        terms.append((mass, mp.one, rest))
+        terms = [(c * b, mp.log(a / b)) for c, a, b in terms if min(a, b) >= mp.mpf("1e-30")]
+
+        def slope(s):
+            return sum(cb * r * mp.exp(s * r) for cb, r in terms)
+
+        if slope(0) >= 0:
+            return 0.0
+        if slope(1) <= 0:
+            return 1.0
+        lo, hi = mp.zero, mp.one
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
 def exponent_reference(params):
     """The Chernoff exponent ``-log min_s Q_s``, with :func:`q_reference`
     minimized over ``s`` in [0, 1] by a float golden-section search (``Q_s``
@@ -420,25 +444,27 @@ def helstrom_reference(params, pi0=0.5):
         return float((1 - norm) / 2)
 
 
-def _levels_reference(nbar, cutoff, background):
-    """The ``cutoff`` levels of a truncated, renormalized background mode, in
-    mpmath: thermal ``(1 - q) q^n / (1 - q^cutoff)`` with ``q = nbar/(nbar + 1)``,
-    flat ``1/k`` on its ``k = round(nbar)`` levels."""
+def _levels_reference(nbar, cutoff, background, count=None):
+    """The first ``count`` (by default all ``cutoff``) levels of a truncated,
+    renormalized background mode, in mpmath: thermal
+    ``(1 - q) q^n / (1 - q^cutoff)`` with ``q = nbar/(nbar + 1)``, flat ``1/k``
+    on its ``k = round(nbar)`` levels."""
+    levels = range(cutoff if count is None else min(count, cutoff))
     if background == "flat":
         k = max(int(math.floor(nbar + 0.5)), 1)
-        return [mp.one / k if n < k else mp.zero for n in range(cutoff)]
+        return [mp.one / k if n < k else mp.zero for n in levels]
     q = mp.mpf(nbar) / (mp.mpf(nbar) + 1)
-    return [(1 - q) * q ** n / (1 - q ** cutoff) for n in range(cutoff)]
+    return [(1 - q) * q ** n / (1 - q ** cutoff) for n in levels]
 
 
 def papersign_reference(params):
     """The audit's signed-root value ``1 - sqrt(eta) (cos^4 theta
     sqrt(b2[0] b3[0]) + sin^4 theta sqrt(b2[1] b3[1]))`` in closed form, with
-    the background levels of :func:`_levels_reference` (40 digits)."""
+    levels 0 and 1 of :func:`_levels_reference` (40 digits)."""
     _, c1, c2 = params.resolved_cutoffs()
     with mp.workdps(40):
-        b2 = _levels_reference(params.nbar2, c1, params.background)
-        b3 = _levels_reference(params.nbar3, c2, params.background)
+        b2 = _levels_reference(params.nbar2, c1, params.background, 2)
+        b3 = _levels_reference(params.nbar3, c2, params.background, 2)
         c, sn = mp.cos(params.theta), mp.sin(params.theta)
         gamma = c ** 4 * mp.sqrt(b2[0] * b3[0]) + sn ** 4 * mp.sqrt(b2[1] * b3[1])
         return float(1 - mp.sqrt(params.eta) * gamma)

@@ -15,14 +15,14 @@ from triqi.bounds import (_PairContext, _pair_context, advantage_ratio, bhattach
 from triqi.errors import DenseLimitError, NumericalError, RegimeWarning
 from triqi.fock import DensityOperator, build_space
 from triqi.overlap_audit import audit_overlap
-from triqi.presets import (AUDIT_POINT, DENSE_CHECK_POINTS, GOLDEN_POINT,
+from triqi.presets import (AUDIT_POINT, AUDIT_POINT_SMALL, DENSE_CHECK_POINTS, GOLDEN_POINT,
                            GOLDEN_POINT_TRACED, golden_sweep_spec)
 from triqi.spectral import rank_one_spectrum
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
                           build_hypothesis_pair, flat_levels)
 
 from oracles import (QsGrid, dense_eigenvectors, dense_overlap_ref, helstrom_ref,
-                     pair_full_arrays_ref, povm_error_ref, q_reference, qs_ref,
+                     pair_full_arrays_ref, povm_error_ref, q_reference, qs_ref, s_star_reference,
                      support_powers_ref, trace_power_ref, triplet_ket_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
@@ -85,7 +85,7 @@ def test_qs_rejects_s_outside_unit_interval_in_both_lanes(s):
 @pytest.mark.parametrize("s", [math.nan, -0.5, 1.5])
 def test_q_grid_rejects_s_outside_unit_interval_as_a_float_does(s):
     d0, d1 = dense_copy(GOLDEN_PAIR.rho0), dense_copy(GOLDEN_PAIR.rho1)
-    for q in (GOLDEN_PAIR.structured.q, _PairContext(d0, d1).q):
+    for q in (GOLDEN_PAIR.structured.q, lambda s: q_s(d0, d1, s)):
         with pytest.raises(ValueError) as grid:
             q(np.array([0.0, 0.5, s, 1.0]))
         assert str(grid.value) == f"s={s} outside [0, 1]"
@@ -447,11 +447,10 @@ def test_dense_overlap_blocks_match_dense_product(params):
     blocks[i, j] = entries
     assert np.abs(blocks - table).max() <= 1e-14
     # the dense lane's support mask, applied once, gives the per-call powers
-    q = _PairContext(d0, d1).q
     for s in (0.0, 0.25, 0.5, 1.0):
         ref = float(support_powers_ref(es0.eigenvalues, s) @ table
                     @ support_powers_ref(es1.eigenvalues, 1.0 - s))
-        assert q(s) == pytest.approx(ref, abs=1e-14), s
+        assert q_s(d0, d1, s) == pytest.approx(ref, abs=1e-14), s
 
 
 @pytest.mark.parametrize(
@@ -472,7 +471,8 @@ def test_pair_context_matches_full_pass_oracle(params):
     direct = _PairContext(pair.rho0, pair.rho1)
     for s in np.linspace(0.0, 1.0, 21):
         s = float(s)
-        assert direct.q(s) == pytest.approx(trace_power_ref(d0, v, spectrum, s), rel=1e-13), s
+        assert spectral.diag_rank_one_trace_power(direct.terms, s) == \
+            pytest.approx(trace_power_ref(d0, v, spectrum, s), rel=1e-13), s
 
 
 def _with_ends(lo, hi):
@@ -537,42 +537,97 @@ def _count_trace_power(monkeypatch):
     return calls
 
 
+def _count_slopes(monkeypatch):
+    """Record the ``s`` of every ``dQ/ds`` evaluation of the search."""
+    original = bounds._slopes
+    calls = []
+
+    def counted(terms, ln_ratio, s):
+        calls.append(s)
+        return original(terms, ln_ratio, s)
+
+    monkeypatch.setattr(bounds, "_slopes", counted)
+    return calls
+
+
 def test_chernoff_search_makes_one_grid_call(monkeypatch):
-    # the golden-section bracket shrinks by 1/phi a step until it is below tol
-    steps = math.ceil(math.log(1e-6) / math.log(bounds._INV_PHI))
     pair = build_hypothesis_pair(GOLDEN_POINT)
     d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
     calls = _count_trace_power(monkeypatch)
-    # two starts, one per step and one at s*; evaluate_point reads q_half off the grid
-    for run, floats in ((lambda: evaluate_point(GOLDEN_POINT, pair=pair), 2 + steps + 1),
-                        (lambda: chernoff(d0, d1), 2 + steps + 1)):
+    slopes = _count_slopes(monkeypatch)
+    # one grid call for the curve and one float call at s*; evaluate_point
+    # reads q_half off the grid.  dQ/ds at both ends, then at most 6 Newton steps
+    for run in (lambda: evaluate_point(GOLDEN_POINT, pair=pair), lambda: chernoff(d0, d1)):
         calls.clear()
-        run()
+        slopes.clear()
+        result = run()
         grids = [s for s in calls if np.ndim(s) == 1]
         assert len(grids) == 1 and tuple(grids[0].tolist()) == GRID
-        assert len(calls) - 1 == floats
-        assert all(isinstance(s, float) for s in calls if np.ndim(s) == 0)
+        assert [s for s in calls if np.ndim(s) == 0] == [result.s_star]
+        assert slopes[:2] == [0.0, 1.0] and len(slopes) <= 8
+        assert all(type(s) is float for s in slopes + [result.s_star])
 
 
-def test_golden_section_takes_any_evaluator():
-    # Q(s) = A e^{alpha s} + B e^{beta s}, with A = c1 b1, alpha = ln(a1 / b1)
-    # and likewise B and beta, is minimal where e^{(alpha - beta) s} = -B beta / (A alpha)
-    c1, a1, b1, c2, a2, b2 = 0.5, 0.8, 0.2, 0.5, 0.1, 0.7
+def _two_exponentials(c1, a1, b1, c2, a2, b2):
+    """The terms of ``Q(s) = A e^{alpha s} + B e^{beta s}``, with ``A = c1 b1``,
+    ``alpha = ln(a1 / b1)`` and likewise ``B`` and ``beta``, and the ``s``
+    where ``dQ/ds = 0``: ``e^{(alpha - beta) s} = -B beta / (A alpha)``."""
     big_a, alpha, big_b, beta = c1 * b1, math.log(a1 / b1), c2 * b2, math.log(a2 / b2)
     s_exact = math.log(-big_b * beta / (big_a * alpha)) / (alpha - beta)
-    calls = []
+    return (np.array([c1, c2]), np.array([a1, a2]), np.array([b1, b2])), s_exact
 
-    def q(s):
-        calls.append(s)
-        return c1 * a1 ** s * b1 ** (1.0 - s) + c2 * a2 ** s * b2 ** (1.0 - s)
 
-    result = bounds._golden_section(q, 1e-6)
+def test_minimize_matches_a_two_exponential_closed_form(monkeypatch):
+    terms, s_exact = _two_exponentials(0.5, 0.8, 0.2, 0.5, 0.1, 0.7)
+    calls = _count_trace_power(monkeypatch)
+    result = bounds._minimize(terms)
     assert sum(np.ndim(s) == 1 for s in calls) == 1
     assert 0.4 < s_exact < 0.6
-    assert result.s_star == pytest.approx(s_exact, abs=1e-6)
-    assert result.q_star == pytest.approx(big_a * math.exp(alpha * s_exact)
-                                          + big_b * math.exp(beta * s_exact), abs=1e-12)
-    assert result.grid == tuple(zip(GRID, q(np.array(GRID)).tolist()))
+    assert result.s_star == pytest.approx(s_exact, abs=1e-15)
+    c, a, b = terms
+    assert result.q_star == pytest.approx(float(np.sum(c * a ** s_exact * b ** (1.0 - s_exact))),
+                                          abs=1e-15)
+    assert result.grid == tuple(zip(GRID, spectral.diag_rank_one_trace_power(
+        terms, np.array(GRID)).tolist()))
+
+
+def test_minimize_bisects_when_a_newton_step_leaves_the_bracket(monkeypatch):
+    # Q(s) = 0.8 e^{-s} + e^{200 s - 100}: the grid minimum is s = 0.45, and
+    # the first Newton step from it lands near 0.66, outside [0.4, 0.5]
+    terms, s_exact = _two_exponentials(1.0, 0.8 / math.e, 0.8, 1.0, math.exp(100.0),
+                                       math.exp(-100.0))
+    slopes = _count_slopes(monkeypatch)
+    result = bounds._minimize(terms)
+    assert result.s_star == pytest.approx(s_exact, abs=1e-15)
+    assert slopes[2:4] == [0.45, 0.475]  # the grid minimum, then its bracket's midpoint
+    assert all(0.4 <= s <= 0.5 for s in slopes[2:]) and len(slopes) <= 10
+
+
+@pytest.mark.parametrize("bad, value", [("c", -1e-300), ("c", math.nan), ("c", math.inf),
+                                        ("a", 0.0), ("a", -0.1), ("a", math.nan),
+                                        ("b", 0.0), ("b", -0.1), ("b", math.nan)])
+def test_minimize_certifies_log_convexity_exactly(bad, value):
+    # Q_s is log-convex when every c is finite and >= 0 and every a, b > 0;
+    # any other term raises, however small its effect on the curve
+    terms = {"c": [0.5, 0.5], "a": [0.8, 0.1], "b": [0.2, 0.7]}
+    terms[bad][1] = value
+    with pytest.raises(NumericalError, match="not certified convex"):
+        bounds._minimize(tuple(np.array(terms[name]) for name in "cab"))
+
+
+@pytest.mark.parametrize("params", [
+    GOLDEN_POINT, GOLDEN_POINT_TRACED, AUDIT_POINT, AUDIT_POINT_SMALL,
+    ProtocolParams(theta=0.3, eta=0.5, nbar2=20.0, nbar3=20.0, background="flat"),
+    AUDIT_POINT_SMALL.with_updates(background="thermal"),
+    pytest.param(AUDIT_POINT_SMALL.with_updates(eta=1e-5), marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 15: dQ/ds cancels at eta = 1e-5, 9.6e-10 off")),
+], ids=["golden", "golden_traced", "audit", "audit_small", "flat20", "thermal20",
+        "flat20_eta1e-5"])
+def test_s_star_matches_the_40_digit_root_of_dq(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        report = evaluate_point(params)
+    assert abs(report.s_star - s_star_reference(params)) <= 1e-10
 
 
 def _q0_identity(params):

@@ -21,7 +21,7 @@ from triqi.presets import GOLDEN_POINT, golden_sweep_spec
 from triqi.states import ProtocolParams
 
 from oracles import (exponent_reference, helstrom_reference, papersign_reference, q_reference,
-                     spectra_reference)
+                     s_star_reference, spectra_reference)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "golden_reference.csv"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -102,6 +102,7 @@ def _chernoff_cases():
     cell = _record("chernoff_csv")
     p = CHERNOFF
     eta, theta, nbar = mp.mpf(p.eta), mp.mpf(p.theta), mp.mpf(p.nbar_mean)
+    yield "s_star", cell["s_star"], lambda: s_star_reference(p)
     yield "q_star", cell["q_star"], lambda: q_reference(p, float(cell["s_star"]))
     yield "exponent", cell["exponent"], lambda: exponent_reference(p)
     yield "q_half", cell["q_half"], lambda: q_reference(p, 0.5)

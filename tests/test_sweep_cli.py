@@ -264,7 +264,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 (fock, "HERMITIAN_TOL"), (fock, "PSD_TOL"), (fock, "TRACE_TOL"),
                 (spectral, "eigvalsh"), (fock.DensityOperator, "diag_plus_low_rank"),
                 (fock.DensityOperator, "nonzero_pattern"), (fock.SpaceDescriptor, "modes"),
-                (spectral.StructuredPair, "dim")]
+                (spectral.StructuredPair, "dim"), (triqi, "EigenSystem"), (triqi, "eigh"),
+                (bounds, "CONVEXITY_SLACK"), (bounds, "_INV_PHI"), (bounds, "_golden_section")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     # a structured operator is one hypothesis of a build: one pair, one idler
     # rotation, no rotation per mode
@@ -276,6 +277,9 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  overlap_audit.gap_leading_order, overlap_audit.audit_overlap):
         assert "signs" not in inspect.signature(func).parameters
     assert "dense_limit" not in {f.name for f in dataclasses.fields(ProtocolParams)}
+    # the minimizer has no tolerance to set: it places s* to a few ulps
+    for func in (bounds.chernoff, bounds.evaluate_point):
+        assert "tol" not in inspect.signature(func).parameters
     # the evolved state keeps the chain, not a ket over the chain_cutoff**3 Fock states
     assert [f.name for f in dataclasses.fields(states.EvolvedState)] == [
         "theta", "chain_amplitudes", "leakage"]
@@ -294,7 +298,7 @@ def test_cli_option_surface(capsys, tmp_path):
     pair = point | {"--eta", "--idler", "--strict", "--format"}
     parser = build_parser()
     assert _options(parser, "state") == point | {"--chain-cutoff"}
-    assert _options(parser, "chernoff") == pair | {"--tol", "--M"}
+    assert _options(parser, "chernoff") == pair | {"--M"}
     assert _options(parser, "appendix-audit") == pair | {"--fit-gap"}
     table = {"-h", "--help", "--out", "--format"}
     assert _options(parser, "sweep") == table | {"--config", "--strict"}
@@ -303,7 +307,7 @@ def test_cli_option_surface(capsys, tmp_path):
     removed = {"state": (["--eta", "0.7"], ["--idler", "traced"], ["--tol", "9"], ["--strict"],
                          ["--format", "csv"], ["--dense-limit", "1"]),
                "appendix-audit": (["--tol", "9"], ["--dense-limit", "1"]),
-               "chernoff": (["--dense-limit", "1"],),
+               "chernoff": (["--dense-limit", "1"], ["--tol", "1e-6"]),
                "sweep --config golden": (["--golden", "x"], ["--workers", "2"]),
                "reproduce factor100": (["--strict"], ["--write-golden"])}
     for command, flags in removed.items():
@@ -486,6 +490,17 @@ def test_cli_out_under_a_file_fails_as_the_write_would(below, capsys, monkeypatc
     assert builds == []
 
 
+def test_cli_out_empty_fails_as_the_write_would(capsys, monkeypatch):
+    # Path("") is Path("."), a directory, but the write finds no file ''
+    builds = _count_calls(monkeypatch, states, "build_hypothesis_pair")
+    with pytest.raises(FileNotFoundError) as write:
+        open("", "w")
+    for argv in (["state"], ["sweep", "--config", "golden"]):
+        assert main([*argv, "--out", ""]) == 2
+        assert capsys.readouterr().err == f"i/o failure: {write.value}\n"
+    assert str(write.value) == "[Errno 2] No such file or directory: ''" and builds == []
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--config", "golden"], ["chernoff"],
                                   ["appendix-audit"], ["state"], ["reproduce", "factor100"]],
                          ids=lambda argv: argv[0])
@@ -590,17 +605,6 @@ def test_cli_out_of_memory_is_a_numeric_failure(capsys, monkeypatch, command, na
     assert main([command, "--cutoff", "6", "--tail-bound", "1"]) == 2
     assert capsys.readouterr().err == \
         "numeric failure: out of memory: Unable to allocate 37.3 GiB for an array\n"
-
-
-def test_nan_tolerance_is_a_usage_error(capsys):
-    # NaN fails every comparison: it must not pass as a positive tolerance and
-    # end the search at its first bracket midpoint
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        evaluate_point(GOLDEN_POINT, tol=math.nan)
-    code = main(["chernoff", "--theta", "0.1", "--eta", "0.05", "--nbar2", "3",
-                 "--nbar3", "3", "--cutoff", "6", "--tail-bound", "1", "--tol", "nan"])
-    assert code == 1
-    assert "tolerance must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tail_bound", ["0", "-1"])
