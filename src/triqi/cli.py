@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import stat
 import sys
@@ -192,6 +193,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``main``'s parser, built once per process: parsing never changes it."""
+    return build_parser()
+
+
 def _check_out(out: str) -> None:
     """Raise what ``open(out, "w")`` would raise when ``out`` is empty, a
     directory on the path is missing or is a file, or ``out`` is a directory,
@@ -209,9 +216,8 @@ def _check_out(out: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings(record=True) as caught:

@@ -8,7 +8,6 @@ aborting the sweep.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from numbers import Real
@@ -171,6 +170,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         + FLAG_COLUMNS + ("error",)
     points = list(product(*[values for _, values in spec.axes]))
     if spec.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only pooled sweeps pay its import
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
             rows = list(pool.map(lambda pt: _evaluate_row(spec, pt), points))
     else:

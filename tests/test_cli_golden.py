@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from triqi import cli
 from triqi.cli import main
 from triqi.presets import REPRODUCTIONS
 
@@ -45,6 +46,31 @@ def transcript(argv):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_is_frozen(name):
     assert transcript(COMMANDS[name]) == (GOLDEN_CLI / f"{name}.txt").read_text()
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    # one parser serves every in-process call; neither parsing nor a usage
+    # error changes what it prints
+    build, builds = cli.build_parser, []
+
+    def counted():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        first = {name: transcript(argv) for name, argv in COMMANDS.items()}
+        usage = transcript(["chernoff", "--tol", "1"])
+        second = {name: transcript(argv) for name, argv in COMMANDS.items()}
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert "--- exit 1\n" in usage and "unrecognized arguments: --tol 1" in usage
+    for name in COMMANDS:
+        golden = (GOLDEN_CLI / f"{name}.txt").read_text()
+        assert first[name] == golden and second[name] == golden, name
+    assert build() is not build()
 
 
 def reproduce_stdout(preset):

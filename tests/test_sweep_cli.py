@@ -203,6 +203,18 @@ def test_golden_sweep_runs_without_the_test_extras():
     assert len(rows) == 8 and columns[0] == "eta"
 
 
+def test_import_leaves_out_the_thread_pool():
+    # only a pooled sweep, SweepSpec(..., workers > 1), imports concurrent.futures
+    # (and with it logging, queue and traceback)
+    code = "import sys, triqi, triqi.cli\nprint('concurrent.futures' in sys.modules)\n"
+    src = str(Path(triqi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
     for path in sorted(Path(triqi.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
