@@ -67,7 +67,7 @@ class _PairContext:
     :class:`StructuredPair`.  Any other pair splits once on the
     :func:`spectral.components` of both operators' joined nonzero patterns,
     each scanned once here: ``Q_s`` decomposes each operator there, so both
-    eigensystems share their rows, and Helstrom forms ``pi1 rho1 - pi0 rho0``
+    eigensystems share their blocks, and Helstrom forms ``pi1 rho1 - pi0 rho0``
     block by block there.
     The operators are held by weak reference only.
     """
@@ -86,10 +86,10 @@ class _PairContext:
         if self.structured is not None:
             return self.structured._terms
         es0, es1 = (spectral.eigh(ref().to_dense(), self.groups) for ref in self.refs)
-        i, j, c = overlap_terms(es0, es1)
-        a, b = es0.eigenvalues[i], es1.eigenvalues[j]
+        c, a, b = overlap_terms(es0, es1)
         keep = np.ones(len(c), dtype=bool)
-        for name, w, x in (("rho0", es0.eigenvalues, a), ("rho1", es1.eigenvalues, b)):
+        for name, es, x in (("rho0", es0, a), ("rho1", es1, b)):
+            w = np.concatenate([part.ravel() for part, _ in es])
             top = max(float(w.max()), 1e-300)
             if w.min() < -1e-10 * top:
                 raise NumericalError(f"{name} has negative eigenvalue {w.min()} beyond tolerance")
@@ -211,10 +211,11 @@ def check_shot_count(m_shots) -> None:
 def bhattacharyya_bound(rho0: DensityOperator, rho1: DensityOperator, m_shots: int) -> float:
     """(1/2) [Tr(rho0^{1/2} rho1^{1/2})]^M, the s = 1/2 error bound.
 
-    Weaker than the Chernoff infimum but closed-form friendly.
+    Weaker than the Chernoff infimum but closed-form friendly.  ``Q_{1/2} <= 1``
+    (Cauchy-Schwarz), so a value rounded above 1 is taken as 1.
     """
     check_shot_count(m_shots)
-    return 0.5 * q_s(rho0, rho1, 0.5) ** m_shots
+    return 0.5 * min(q_s(rho0, rho1, 0.5), 1.0) ** m_shots
 
 
 def helstrom_optimum(rho0: DensityOperator, rho1: DensityOperator, pi0: float = 0.5) -> float:

@@ -51,12 +51,6 @@ class SignedTrace:
     value: float
     terms: tuple[TraceTerm, ...]
 
-    def term(self, name: str) -> TraceTerm:
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 def closed_form_overlap(eta: float, nbar: float) -> float:
     """Closed-form overlap 1 - sqrt(eta)/nbar; lies in (0, 1] for sqrt(eta) <= nbar."""
@@ -118,9 +112,13 @@ def match_tolerance(params: ProtocolParams) -> float:
                                      + 1.0 / params.nbar_mean ** 2)
 
 
-def principal_overlap(params: ProtocolParams) -> float:
-    """Tr(rho0^{1/2} rho1^{1/2}) with principal (PSD) roots on both sides."""
-    return pair_for(params).structured.q(0.5)
+def principal_overlap(params: ProtocolParams, pair: HypothesisPair | None = None) -> float:
+    """Tr(rho0^{1/2} rho1^{1/2}) with principal (PSD) roots on both sides.
+
+    ``pair``, if given, must have been built from ``params``; otherwise one
+    is built here.
+    """
+    return pair_for(params, pair).structured.q(0.5)
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def audit_overlap(params: ProtocolParams, fit_gap: bool = False,
         except (TriqiError, ValueError) as exc:
             incomplete.append(f"signed_root: {exc}")
         try:
-            principal = pair.structured.q(0.5)
+            principal = principal_overlap(params, pair)
         except (TriqiError, ValueError) as exc:
             incomplete.append(f"principal: {exc}")
 

@@ -1,7 +1,7 @@
 """Hermitian matrix-function engine.
 
 Dense path: eigendecomposition, batched over the exact connected components
-of the matrix, and the eigenvector overlap table of two such decompositions.
+of the matrix, and the ``Q_s`` terms of two such decompositions.
 Structured path: spectra of ``scale * diag(d) + weight * v v^dag`` through the
 rank-one secular equation with deflation, which covers the mixed hypothesis
 states without ever materializing them.  Both paths reduce ``Q_s`` to the one
@@ -25,20 +25,6 @@ DEFLATION_REL_GAP = 1e-13
 EIGH_HERMITIAN_TOL = 1e-10
 _SECULAR_MAX_ITER = 100
 _SCAN_ROWS = 128
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues and the matching unitary column eigenvectors.
-
-    ``blocks`` holds, per component size ``k``, ``(rows, cols, vectors)``: the
-    ``(m, k)`` indices of ``m`` components of the split (see :func:`components`),
-    the eigenvector columns that live on them and their ``(m, k, k)`` entries
-    ``V[rows[g, a], cols[g, b]]``.  An eigenvector is exactly zero off its component.
-    """
-
-    eigenvalues: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def _components(n: int, edges) -> np.ndarray:
@@ -107,15 +93,17 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-def eigh(matrix: np.ndarray, groups=None) -> EigenSystem:
-    """Hermitian eigendecomposition with an input symmetry check.
+def eigh(matrix: np.ndarray, groups=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hermitian eigendecomposition with an input symmetry check, per block.
 
     Decomposes each block of a split on its own, one batched
     ``np.linalg.eigh`` per component size; a fully dense matrix is one
-    component.  ``groups`` is a split that holds every nonzero entry of the
-    matrix, such as the :func:`components` of two operators' joined patterns,
-    which gives both eigensystems the same ``rows``; by default the components
-    of the matrix's own pattern.
+    component.  Returns, per ``(m, k)`` array of ``groups``, the ``(w, V)``
+    of its ``m`` blocks: ``(m, k)`` ascending eigenvalues and ``(m, k, k)``
+    column eigenvectors on the block's rows.  ``groups`` is a split that
+    holds every nonzero entry of the matrix, such as the :func:`components`
+    of two operators' joined patterns; by default the components of the
+    matrix's own pattern.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -129,15 +117,7 @@ def eigh(matrix: np.ndarray, groups=None) -> EigenSystem:
     scale = max(float(np.max([np.max(np.abs(stack)) for stack in stacks])), 1e-300)
     if dev > EIGH_HERMITIAN_TOL * scale:
         raise NumericalError(f"matrix deviates from Hermitian by {dev} (tol {EIGH_HERMITIAN_TOL * scale})")
-    parts = [(rows, *np.linalg.eigh((stack + _adjoint(stack)) / 2.0))
-             for rows, stack in zip(groups, stacks)]
-    w = np.concatenate([pw.ravel() for _, pw, _ in parts])
-    order = np.argsort(w, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    cols = np.split(rank, np.cumsum([rows.size for rows, _, _ in parts])[:-1])
-    return EigenSystem(w[order], tuple((rows, c.reshape(rows.shape), pv)
-                                       for (rows, _, pv), c in zip(parts, cols)))
+    return [np.linalg.eigh((stack + _adjoint(stack)) / 2.0) for stack in stacks]
 
 
 def block_eigvalsh(stacks) -> np.ndarray:
@@ -147,23 +127,22 @@ def block_eigvalsh(stacks) -> np.ndarray:
                                    for stack in stacks]))
 
 
-def overlap_terms(es0: EigenSystem, es1: EigenSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of the overlap table ``|V0^dag V1|^2`` as
-    ``(i, j, table)``: ``table[t]`` is the squared overlap of eigenvector
-    ``i[t]`` of ``es0`` with eigenvector ``j[t]`` of ``es1``.
+def overlap_terms(es0, es1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms ``(c, a, b)`` of ``Q_s`` of two :func:`eigh` results on one
+    split: per block, ``c[g, i, j]`` is the squared overlap ``|V0^dag V1|^2``
+    of eigenvector ``i`` of the first with eigenvector ``j`` of the second,
+    ``a = w0[g, i]`` and ``b = w1[g, j]``.
 
-    Both eigensystems must share their ``rows`` (see :func:`eigh`'s
-    ``groups``); two eigenvectors then overlap only on one block, and the
-    table is one batched product per component size, O(sum k^3).
+    Two eigenvectors overlap only on a block they share, so the table is one
+    batched product per component size, O(sum k^3).
     """
-    i, j, table = [], [], []
-    for (rows, c0, v0), (rows1, c1, v1) in zip(es0.blocks, es1.blocks, strict=True):
-        if not np.array_equal(rows, rows1):
-            raise ValueError("the eigensystems do not share one split")
-        table.append((np.abs(_adjoint(v0) @ v1) ** 2).ravel())
-        i.append(np.repeat(c0, c0.shape[1], axis=1).ravel())
-        j.append(np.tile(c1, c1.shape[1]).ravel())
-    return np.concatenate(i), np.concatenate(j), np.concatenate(table)
+    c, a, b = [], [], []
+    for (w0, v0), (w1, v1) in zip(es0, es1, strict=True):
+        table = np.abs(_adjoint(v0) @ v1) ** 2
+        c.append(table.ravel())
+        a.append(np.broadcast_to(w0[:, :, None], table.shape).ravel())
+        b.append(np.broadcast_to(w1[:, None, :], table.shape).ravel())
+    return np.concatenate(c), np.concatenate(a), np.concatenate(b)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +220,6 @@ class RankOneSpectrum:
         z2 = -self.gaps[-1] * np.prod(-self.gaps[:-1].T / poles, axis=1)
         out = z2 / self.gaps ** 2
         return out / out.sum(axis=1, keepdims=True)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Full spectrum, ascending."""
-        parts = [self.roots]
-        for g in self.groups:
-            if len(g.indices) > 1:
-                parts.append(np.full(len(g.indices) - 1, g.value))
-        parts.append(self.scale * self.d[self.inactive])
-        return np.sort(np.concatenate(parts))
 
     def trace_abs(self) -> float:
         """Sum of |eigenvalue| over the full spectrum (trace norm)."""

@@ -85,21 +85,40 @@ def components_ref(mat):
     return connected_components(csr_matrix(np.asarray(mat) != 0), directed=False)[1]
 
 
-def dense_eigenvectors(es):
-    """The full unitary eigenvector matrix of a ``spectral.EigenSystem``,
-    assembled from its ``(rows, cols, vectors)`` blocks: column ``cols[g, b]``
-    holds ``vectors[g, :, b]`` on the rows ``rows[g]`` and zeros elsewhere."""
-    n = len(es.eigenvalues)
-    v = np.zeros((n, n), dtype=np.result_type(*(vectors for _, _, vectors in es.blocks)))
-    for rows, cols, vectors in es.blocks:
+def block_columns(groups):
+    """Per ``(m, k)`` array of a split, the ``(m, k)`` columns that
+    :func:`dense_eigensystem` gives its eigenvectors: the blocks' columns in
+    order, numbered on from the previous array's."""
+    offsets = np.cumsum([0] + [rows.size for rows in groups])
+    return [start + np.arange(rows.size).reshape(rows.shape)
+            for start, rows in zip(offsets, groups)]
+
+
+def dense_eigensystem(groups, es):
+    """The eigenvalues and the full unitary eigenvector matrix of the per-block
+    ``(w, V)`` of ``spectral.eigh`` on the split ``groups``: for each array
+    ``rows`` of the split and its :func:`block_columns` ``cols``, column
+    ``cols[g, b]`` holds ``V[g, :, b]`` on the rows ``rows[g]`` and zeros
+    elsewhere, with eigenvalue ``w[g, b]``."""
+    n = sum(rows.size for rows in groups)
+    w = np.zeros(n)
+    v = np.zeros((n, n), dtype=np.result_type(*(vectors for _, vectors in es)))
+    for rows, cols, (values, vectors) in zip(groups, block_columns(groups), es, strict=True):
+        w[cols] = values
         v[rows[:, :, None], cols[:, None, :]] = vectors
-    return v
+    return w, v
 
 
-def reconstruct_ref(es):
-    """``V diag(w) V^dag`` of a ``spectral.EigenSystem``."""
-    v = dense_eigenvectors(es)
-    return (v * es.eigenvalues) @ v.conj().T
+def full_spectrum(es):
+    """The ascending spectrum of the per-block ``(w, V)`` of ``spectral.eigh``."""
+    return np.sort(np.concatenate([w.ravel() for w, _ in es]))
+
+
+def reconstruct_ref(groups, es):
+    """``V diag(w) V^dag`` of the per-block ``(w, V)`` of ``spectral.eigh`` on
+    the split ``groups``."""
+    w, v = dense_eigensystem(groups, es)
+    return (v * w) @ v.conj().T
 
 
 def dense_overlap_ref(v0, v1):
@@ -204,6 +223,17 @@ def assert_density_invariants(rho):
         eigs = np.linalg.eigvalsh(mat)
         top = max(float(eigs.max()), 0.0)
         assert eigs.min() >= -1e-10 * max(top, 1e-300), f"eigenvalue {eigs.min()!r}"
+
+
+def rank_one_eigenvalues(spectrum):
+    """The full ascending spectrum of a ``spectral.RankOneSpectrum``: its
+    secular roots, each group's value once per deflated direction and the
+    scaled diagonal off the groups."""
+    parts = [spectrum.roots]
+    for g in spectrum.groups:
+        parts.append(np.full(len(g.indices) - 1, g.value))
+    parts.append(spectrum.scale * spectrum.d[spectrum.inactive])
+    return np.sort(np.concatenate(parts))
 
 
 def trace_power_ref(d0, v, spectrum, s, support_tol=1e-12):
@@ -387,18 +417,42 @@ def q_reference(params, s):
         return float(block + mass * power(rest, 1 - s))
 
 
-def s_star_reference(params):
-    """The ``s`` in [0, 1] minimizing :func:`q_reference`: 120 bisection steps
-    on its 40-digit derivative ``dQ/ds = sum c a^s b^{1-s} ln(a/b)``, which
-    rises with ``s``; 0 if it is ``>= 0`` at 0 and 1 if it is ``<= 0`` at 1."""
+@lru_cache(maxsize=64)
+def _slope_terms(params):
+    """The terms of :func:`q_reference` on both supports as ``(c b, ln(a/b))``
+    to 40 digits, so that ``Q_s = sum c b exp(s ln(a/b))``."""
     e0, e1, overlap, mass, rest = _q_reference_terms(params)
     with mp.workdps(40):
         terms = [(overlap[i][j], mp.re(e0[i]), mp.re(e1[j])) for i in range(4) for j in range(4)]
         terms.append((mass, mp.one, rest))
-        terms = [(c * b, mp.log(a / b)) for c, a, b in terms if min(a, b) >= mp.mpf("1e-30")]
+        return [(c * b, mp.log(a / b)) for c, a, b in terms if min(a, b) >= mp.mpf("1e-30")]
 
+
+def _slopes_reference(params, s):
+    """``dQ/ds`` and ``d2Q/ds2`` of :func:`q_reference` at ``s`` to 40 digits."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        weighted = [(cb * r * mp.exp(s * r), r) for cb, r in _slope_terms(params)]
+        return sum(w for w, _ in weighted), sum(w * r for w, r in weighted)
+
+
+def dq_reference(params, s):
+    """``dQ/ds = sum c a^s b^{1-s} ln(a/b)`` of :func:`q_reference` at ``s``."""
+    return float(_slopes_reference(params, s)[0])
+
+
+def d2q_reference(params, s):
+    """``d2Q/ds2 = sum c a^s b^{1-s} ln(a/b)^2`` of :func:`q_reference` at ``s``."""
+    return float(_slopes_reference(params, s)[1])
+
+
+def s_star_reference(params):
+    """The ``s`` in [0, 1] minimizing :func:`q_reference`: 120 bisection steps
+    on its 40-digit derivative (see :func:`dq_reference`), which rises with
+    ``s``; 0 if it is ``>= 0`` at 0 and 1 if it is ``<= 0`` at 1."""
+    with mp.workdps(40):
         def slope(s):
-            return sum(cb * r * mp.exp(s * r) for cb, r in terms)
+            return _slopes_reference(params, s)[0]
 
         if slope(0) >= 0:
             return 0.0
@@ -446,6 +500,14 @@ def _levels_reference(nbar, cutoff, background, count=None):
         return [mp.one / k if n < k else mp.zero for n in levels]
     q = mp.mpf(nbar) / (mp.mpf(nbar) + 1)
     return [(1 - q) * q ** n / (1 - q ** cutoff) for n in levels]
+
+
+def trace_term(signed, name):
+    """The line ``name`` of a ``overlap_audit.SignedTrace``."""
+    for t in signed.terms:
+        if t.name == name:
+            return t
+    raise KeyError(name)
 
 
 def papersign_reference(params):

@@ -107,8 +107,10 @@ def test_traced_audit_reads_one_pair(harness):
     with run.spans.installed(tracer, run.layer_targets(t)):
         t.overlap_audit.audit_overlap(t.presets.GOLDEN_POINT)
     names = [s.name for s in tracer.spans]
-    # the signed root nests under the audit and reads the audit's one pair
+    # the signed root and the principal value nest under the audit and read
+    # the audit's one pair
     root, = [s for s in tracer.spans if s.name == "overlap_audit.audit"]
     signed, = [s for s in tracer.spans if s.name == "overlap_audit.signed_root"]
-    assert signed.parent == root.id
+    principal, = [s for s in tracer.spans if s.name == "overlap_audit.principal"]
+    assert signed.parent == root.id and principal.parent == root.id
     assert names.count("states.build_pair") == 1

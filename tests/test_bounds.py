@@ -21,9 +21,9 @@ from triqi.spectral import rank_one_spectrum
 from triqi.states import (BACKGROUND_VARIANTS, IDLER_VARIANTS, ProtocolParams,
                           build_hypothesis_pair, flat_levels)
 
-from oracles import (QsGrid, dense_eigenvectors, dense_overlap_ref, helstrom_ref,
-                     pair_full_arrays_ref, povm_error_ref, q_reference, qs_ref, s_star_reference,
-                     support_powers_ref, trace_power_ref, triplet_ket_ref)
+from oracles import (QsGrid, block_columns, d2q_reference, dense_eigensystem, dense_overlap_ref,
+                     dq_reference, helstrom_ref, pair_full_arrays_ref, povm_error_ref, q_reference,
+                     qs_ref, s_star_reference, support_powers_ref, trace_power_ref, triplet_ket_ref)
 
 GOLDEN_PAIR = build_hypothesis_pair(GOLDEN_POINT)
 TRACED_PAIR = build_hypothesis_pair(GOLDEN_POINT_TRACED)
@@ -213,6 +213,17 @@ def test_bhattacharyya_trivial_and_arithmetic():
     assert bhattacharyya_bound(rho0, rho1, 10) == pytest.approx(0.17433922005, abs=1e-9)
     with pytest.raises(ValueError):
         bhattacharyya_bound(rho0, rho1, 0)
+
+
+@pytest.mark.parametrize("idler", IDLER_VARIANTS)
+def test_bhattacharyya_takes_an_overlap_rounded_above_one_as_one(idler):
+    # Q_{1/2} <= 1 by Cauchy-Schwarz, but at flat nbar = 20, theta = eta = 0
+    # it rounds above 1, where a large shot count used to overflow the power
+    pair = build_hypothesis_pair(ProtocolParams(theta=0.0, eta=0.0, nbar2=20.0, nbar3=20.0,
+                                                background="flat", idler=idler))
+    assert q_s(pair.rho0, pair.rho1, 0.5) > 1.0
+    for m in (1, 10 ** 300):
+        assert bhattacharyya_bound(pair.rho0, pair.rho1, m) == 0.5
 
 
 def test_bound_ordering_chernoff_vs_bhattacharyya():
@@ -440,16 +451,21 @@ def test_dense_overlap_blocks_match_dense_product(params):
     patterns = [spectral.nonzero_pattern(rho.to_dense()) for rho in (d0, d1)]
     groups = spectral.components(d0.space.total_dim, patterns)
     es0, es1 = (spectral.eigh(rho.to_dense(), groups) for rho in (d0, d1))
-    table = dense_overlap_ref(dense_eigenvectors(es0), dense_eigenvectors(es1))
-    # the per-block entries are the whole table: every other entry is zero
-    i, j, entries = spectral.overlap_terms(es0, es1)
+    (w0, v0), (w1, v1) = (dense_eigensystem(groups, es) for es in (es0, es1))
+    table = dense_overlap_ref(v0, v1)
+    # the per-block terms are the whole table, every other entry is zero, and
+    # each term carries the eigenvalues of its two eigenvectors
+    c, a, b = spectral.overlap_terms(es0, es1)
+    cols = block_columns(groups)
+    i = np.concatenate([np.repeat(col, col.shape[1], axis=1).ravel() for col in cols])
+    j = np.concatenate([np.tile(col, col.shape[1]).ravel() for col in cols])
     blocks = np.zeros_like(table)
-    blocks[i, j] = entries
+    blocks[i, j] = c
     assert np.abs(blocks - table).max() <= 1e-14
+    assert np.array_equal(a, w0[i]) and np.array_equal(b, w1[j])
     # the dense lane's support mask, applied once, gives the per-call powers
     for s in (0.0, 0.25, 0.5, 1.0):
-        ref = float(support_powers_ref(es0.eigenvalues, s) @ table
-                    @ support_powers_ref(es1.eigenvalues, 1.0 - s))
+        ref = float(support_powers_ref(w0, s) @ table @ support_powers_ref(w1, 1.0 - s))
         assert q_s(d0, d1, s) == pytest.approx(ref, abs=1e-14), s
 
 
@@ -628,6 +644,51 @@ def test_s_star_matches_the_40_digit_root_of_dq(params):
         warnings.simplefilter("ignore", RegimeWarning)
         report = evaluate_point(params)
     assert abs(report.s_star - s_star_reference(params)) <= 1e-10
+
+
+SLOPE_S = (0.05, 0.3, 0.5, 0.7, 0.95)
+SLOPE_REL = 1e-13
+
+
+def _slopes_and_size(terms, s):
+    """``bounds._slopes`` at ``s`` and ``sum |c a^s b^{1-s} ln(a/b)|``, the
+    size of the terms of ``dQ/ds``, which may cancel to far below it."""
+    c, a, b = terms
+    ln_ratio = np.log(a / b)
+    dq, d2q = bounds._slopes(terms, ln_ratio, s)
+    return dq, d2q, float(np.sum(np.abs(c * a ** s * b ** (1.0 - s) * ln_ratio)))
+
+
+@pytest.mark.parametrize("params", [
+    GOLDEN_POINT, GOLDEN_POINT_TRACED, AUDIT_POINT, AUDIT_POINT_SMALL,
+    pytest.param(AUDIT_POINT_SMALL.with_updates(eta=1e-5), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 15: dQ/ds cancels at eta = 1e-5, 1.9e-12 of its size off")),
+    pytest.param(AUDIT_POINT_SMALL.with_updates(background="thermal"), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 13: support defect, dQ/ds 3.7e-11 of its size off")),
+], ids=["golden", "golden_traced", "flat50", "flat20", "flat20_eta1e-5", "thermal20"])
+def test_slopes_match_the_40_digit_derivatives(params):
+    # d2Q/ds2 is a sum of nonnegative terms, so it is gated relative to itself
+    terms = build_hypothesis_pair(params).structured._terms
+    for s in SLOPE_S:
+        dq, d2q, size = _slopes_and_size(terms, s)
+        assert abs(dq - dq_reference(params, s)) <= SLOPE_REL * size, s
+        d2q_ref = d2q_reference(params, s)
+        assert abs(d2q - d2q_ref) <= SLOPE_REL * d2q_ref, s
+
+
+@pytest.mark.parametrize("params", DENSE_CHECK_POINTS,
+                         ids=[f"point{i}" for i in range(len(DENSE_CHECK_POINTS))])
+def test_dense_and_structured_slopes_agree(params):
+    pair = build_hypothesis_pair(params)
+    d0, d1 = dense_copy(pair.rho0), dense_copy(pair.rho1)
+    dense = _pair_context(d0, d1).terms
+    for s in SLOPE_S:
+        dq, d2q, size = _slopes_and_size(pair.structured._terms, s)
+        dense_dq, dense_d2q, _ = _slopes_and_size(dense, s)
+        assert abs(dense_dq - dq) <= SLOPE_REL * size, s
+        assert abs(dense_d2q - d2q) <= SLOPE_REL * d2q, s
 
 
 def _q0_identity(params):

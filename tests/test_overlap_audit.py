@@ -12,7 +12,7 @@ from triqi.overlap_audit import (audit_overlap, closed_form_overlap, gap_leading
 from triqi.presets import AUDIT_POINT, AUDIT_POINT_SMALL, DENSE_CHECK_POINTS, GOLDEN_POINT
 from triqi.states import ProtocolParams, build_hypothesis_pair, flat_probs
 
-from oracles import pair_matrices_ref, qs_ref, triplet_ket_ref
+from oracles import pair_matrices_ref, qs_ref, trace_term, triplet_ket_ref
 
 
 def test_closed_form_examples():
@@ -38,7 +38,8 @@ def test_signed_trace_eta_zero_collapses_to_one():
     st = signed_root_overlap(p)
     assert st.value == pytest.approx(1.0, abs=1e-15)
     # the plus branch of the triplet term: the cross term enters with its sign flipped
-    flipped = st.term("background_identity").value - st.term("entangled_cross").value
+    flipped = (trace_term(st, "background_identity").value
+               - trace_term(st, "entangled_cross").value)
     assert flipped == pytest.approx(1.0, abs=1e-15)
 
 
@@ -52,7 +53,8 @@ def test_signed_trace_at_audit_point():
 
 def test_signed_trace_rejected_sign_exceeds_one():
     st = signed_root_overlap(AUDIT_POINT)
-    assert st.term("background_identity").value - st.term("entangled_cross").value > 1.0
+    assert (trace_term(st, "background_identity").value
+            - trace_term(st, "entangled_cross").value) > 1.0
 
 
 def test_signed_trace_below_one_on_preset_grid():
@@ -86,10 +88,10 @@ def test_signed_trace_terms_match_dense_construction():
     unit = np.trace(rho0_half @ rho0_half).real
     cross = -math.sqrt(p.eta) * np.trace(rho0_half @ p_psi).real
     blk = -np.trace(rho0_half @ block_root).real
-    assert st.term("background_identity").value == pytest.approx(unit, abs=1e-14)
-    assert st.term("entangled_cross").value == pytest.approx(cross, abs=1e-14)
-    assert st.term("signal_block_correction").value == pytest.approx(blk, abs=1e-14)
-    assert not st.term("signal_block_correction").included
+    assert trace_term(st, "background_identity").value == pytest.approx(unit, abs=1e-14)
+    assert trace_term(st, "entangled_cross").value == pytest.approx(cross, abs=1e-14)
+    assert trace_term(st, "signal_block_correction").value == pytest.approx(blk, abs=1e-14)
+    assert not trace_term(st, "signal_block_correction").included
     assert st.value == pytest.approx(unit + cross, abs=1e-14)
 
 

@@ -17,9 +17,9 @@ from triqi.spectral import (DEFLATION_REL_GAP, StructuredPair, _kron_mass, _secu
                             rank_one_spectrum)
 from triqi.states import IDLER_VARIANTS, ProtocolParams, build_hypothesis_pair, thermal_probs
 
-from oracles import (components_ref, dense_eigenvectors, helstrom_ref, pair_arrays_ref,
-                     pair_full_arrays_ref, q_flat_closed_form, qs_ref, reconstruct_ref,
-                     thermal_probs_ref, trace_power_ref)
+from oracles import (block_columns, components_ref, dense_eigensystem, full_spectrum, helstrom_ref,
+                     pair_arrays_ref, pair_full_arrays_ref, q_flat_closed_form, qs_ref,
+                     rank_one_eigenvalues, reconstruct_ref, thermal_probs_ref, trace_power_ref)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -32,11 +32,16 @@ def random_psd(dim):
     return m / np.trace(m).real
 
 
+def own_split(mat):
+    """The split ``eigh`` takes by default: the components of ``mat``'s pattern."""
+    return spectral.components(len(mat), [spectral.nonzero_pattern(mat)])
+
+
 def test_eigh_sorted_examples():
     es = eigh(np.diag([3.0, 1.0, 2.0]))
-    assert_allclose(es.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+    assert_allclose(full_spectrum(es), [1.0, 2.0, 3.0], atol=1e-14)
     es = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert_allclose(es.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    assert_allclose(full_spectrum(es), [-1.0, 1.0], atol=1e-14)
 
 
 def test_eigh_invariants():
@@ -44,8 +49,8 @@ def test_eigh_invariants():
         m = random_psd(dim)
         es = eigh(m)
         top = np.abs(m).max()
-        assert np.abs(reconstruct_ref(es) - m).max() <= 1e-10 * top
-        v = dense_eigenvectors(es)
+        assert np.abs(reconstruct_ref(own_split(m), es) - m).max() <= 1e-10 * top
+        _, v = dense_eigensystem(own_split(m), es)
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
 
 
@@ -174,33 +179,38 @@ def test_split_eigh_matches_full_decomposition(mat):
     reference = np.linalg.eigvalsh(mat)
     scale = max(float(np.abs(reference).max()), 1e-300)
     es = eigh(mat)
-    assert np.abs(es.eigenvalues - reference).max() <= 1e-12 * scale
-    assert np.all(np.diff(es.eigenvalues) >= 0)
-    v = dense_eigenvectors(es)
+    groups = own_split(mat)
+    # the default split is the matrix's own components
+    assert all(np.array_equal(x, y) for default, explicit in zip(es, eigh(mat, groups), strict=True)
+               for x, y in zip(default, explicit))
+    assert np.abs(full_spectrum(es) - reference).max() <= 1e-12 * scale
+    assert all(np.all(np.diff(w, axis=1) >= 0) for w, _ in es)
+    _, v = dense_eigensystem(groups, es)
     assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
-    assert np.abs(reconstruct_ref(es) - mat).max() <= 1e-12 * scale
-    # the recorded split is the exact component structure, and each
-    # eigenvector lives on one component and is zero elsewhere
+    assert np.abs(reconstruct_ref(groups, es) - mat).max() <= 1e-12 * scale
+    # the split is the exact component structure, and each eigenvector
+    # lives on one component and is zero elsewhere
     labels = components_ref(mat)
-    for part in ([rows for rows, _, _ in es.blocks], [cols for _, cols, _ in es.blocks]):
+    for part in (groups, block_columns(groups)):
         assert np.array_equal(np.sort(np.concatenate([p.ravel() for p in part])), np.arange(n))
-    for rows, cols, vectors in es.blocks:
-        assert vectors.shape == rows.shape + rows.shape[1:]
+    for rows, cols, (w, vectors) in zip(groups, block_columns(groups), es, strict=True):
+        assert w.shape == rows.shape and vectors.shape == rows.shape + rows.shape[1:]
         for r, c in zip(rows, cols):
             assert set(labels[r]) == {labels[r[0]]} and np.sum(labels == labels[r[0]]) == len(r)
             assert np.all(v[np.setdiff1d(np.arange(n), r)][:, c] == 0)
     for j in range(n):
         assert len(set(labels[np.flatnonzero(v[:, j])])) == 1
     # a coarser split that holds the matrix's own, here its components joined
-    # with those of a chain over the even indices, decomposes it as well and
-    # records exactly that split as the rows
+    # with those of a chain over the even indices, decomposes it as well,
+    # one (w, V) per array of that split
     chain = (np.arange(0, n - 2, 2), np.arange(2, n, 2))
     coarse = spectral.components(n, [spectral.nonzero_pattern(mat), chain])
     joined = eigh(mat, coarse)
-    assert np.abs(joined.eigenvalues - reference).max() <= 1e-12 * scale
-    assert np.abs(reconstruct_ref(joined) - mat).max() <= 1e-12 * scale
-    assert [rows.tobytes() for rows, _, _ in joined.blocks] == [g.tobytes() for g in coarse]
-    vj = dense_eigenvectors(joined)
+    assert np.abs(full_spectrum(joined) - reference).max() <= 1e-12 * scale
+    assert np.abs(reconstruct_ref(coarse, joined) - mat).max() <= 1e-12 * scale
+    assert [(w.shape, vectors.shape) for w, vectors in joined] == \
+        [(g.shape, g.shape + g.shape[1:]) for g in coarse]
+    _, vj = dense_eigensystem(coarse, joined)
     assert np.abs(vj.conj().T @ vj - np.eye(n)).max() <= 1e-12
     for i, j in ((0, n - 1), (n - 1, 0)) if n > 1 else ():
         skew = mat.astype(complex)
@@ -213,7 +223,7 @@ def test_h0_spectrum_matches_golden_file():
     golden = np.loadtxt(GOLDEN_DIR / "h0_spectrum_golden.txt")
     pair = build_hypothesis_pair(GOLDEN_POINT)
     es = eigh(pair.rho0.to_dense())
-    assert_allclose(es.eigenvalues, golden, atol=1e-13)
+    assert_allclose(full_spectrum(es), golden, atol=1e-13)
     # the structured representation carries the same spectrum as its diagonal
     d0, _ = pair_full_arrays_ref(as_diag_plus_low_rank(pair.rho0).structure.pair)
     assert_allclose(np.sort(d0), golden, atol=1e-13)
@@ -223,12 +233,12 @@ def test_h1_spectrum_matches_golden_file():
     golden = np.loadtxt(GOLDEN_DIR / "h1_spectrum_golden.txt")
     pair = build_hypothesis_pair(GOLDEN_POINT)
     es = eigh(pair.rho1.to_dense())
-    assert_allclose(es.eigenvalues, golden, atol=1e-13)
+    assert_allclose(full_spectrum(es), golden, atol=1e-13)
     # the secular path reproduces the same full spectrum without materializing
     sp = pair.structured
     d0, v = pair_full_arrays_ref(sp)
     spectrum = rank_one_spectrum(d0, sp.scale, sp.weight, v)
-    assert_allclose(spectrum.eigenvalues(), np.clip(golden, 0.0, None), atol=1e-12)
+    assert_allclose(rank_one_eigenvalues(spectrum), np.clip(golden, 0.0, None), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +251,7 @@ def test_sqrt_rank_one_commuting_closed_form():
     d = np.full(n, 1.0 / n)
     v = np.zeros(n, dtype=complex)
     v[2] = 1.0
-    eigs = rank_one_spectrum(d, 1.0 - eta, eta, v).eigenvalues()
+    eigs = rank_one_eigenvalues(rank_one_spectrum(d, 1.0 - eta, eta, v))
     expected = np.sort(np.concatenate([[(1 - eta) / n + eta], np.full(n - 1, (1 - eta) / n)]))
     assert_allclose(eigs, expected, atol=1e-14)
 
@@ -249,7 +259,7 @@ def test_sqrt_rank_one_commuting_closed_form():
 def test_sqrt_rank_one_eta_zero():
     d = np.array([0.1, 0.2, 0.7])
     v = np.array([1.0, 0.0, 0.0], dtype=complex)
-    eigs = rank_one_spectrum(d, 1.0, 0.0, v).eigenvalues()
+    eigs = rank_one_eigenvalues(rank_one_spectrum(d, 1.0, 0.0, v))
     assert_allclose(np.sort(np.sqrt(np.clip(eigs, 0.0, None))), np.sqrt(np.sort(d)), atol=1e-15)
 
 
@@ -264,7 +274,7 @@ def test_rank_one_thermal_cross_section_oracle():
     v[0] = np.cos(theta)
     v[33] = -1j * np.sin(theta)
     spectrum = rank_one_spectrum(d, 1.0 - eta, eta, v)
-    full = spectrum.eigenvalues()
+    full = rank_one_eigenvalues(spectrum)
 
     # oracle: the update lives inside the first 8x8 level block, so the exact
     # eigenvalues are the dense eigh of that block plus the untouched diagonal
@@ -283,7 +293,7 @@ def test_rank_one_interlacing():
     v /= np.linalg.norm(v)
     eta = 0.2
     spectrum = rank_one_spectrum(d, 1.0 - eta, eta, v)
-    eigs = spectrum.eigenvalues()
+    eigs = rank_one_eigenvalues(spectrum)
     base = np.sort((1 - eta) * d)
     slack = 1e-12
     assert np.all(eigs[:-1] <= base[1:] + slack)
@@ -300,7 +310,7 @@ def test_rank_one_dense_sqrt_agrees_with_eigh_path():
     eta = 0.15
     spectrum = rank_one_spectrum(d, 1.0 - eta, eta, v)
     dense = (1 - eta) * np.diag(d).astype(complex) + eta * np.outer(v, v.conj())
-    assert_allclose(np.sort(spectrum.eigenvalues()), np.linalg.eigvalsh(dense), atol=1e-12)
+    assert_allclose(np.sort(rank_one_eigenvalues(spectrum)), np.linalg.eigvalsh(dense), atol=1e-12)
 
 
 def test_rank_one_degenerate_deflation():
@@ -311,7 +321,7 @@ def test_rank_one_degenerate_deflation():
     spectrum = rank_one_spectrum(d, 1.0 - eta, eta, v)
     assert len(spectrum.groups) == 1
     dense = (1 - eta) * np.diag(d) + eta * np.outer(v, v.conj())
-    assert_allclose(spectrum.eigenvalues(), np.linalg.eigvalsh(dense), atol=1e-14)
+    assert_allclose(rank_one_eigenvalues(spectrum), np.linalg.eigvalsh(dense), atol=1e-14)
 
 
 def test_secular_rejects_negative_weight():
@@ -348,7 +358,7 @@ def test_secular_solver_over_its_domain(problem):
     # the operator's size, against which the deflation test also measures
     ref = max(float(np.max(np.abs(d))), weight * float(np.sum(np.abs(v) ** 2)))
     dense = np.diag(d).astype(complex) + weight * np.outer(v, v.conj())
-    assert np.abs(spectrum.eigenvalues() - np.linalg.eigvalsh(dense)).max() <= 1e-12 * ref
+    assert np.abs(rank_one_eigenvalues(spectrum) - np.linalg.eigvalsh(dense)).max() <= 1e-12 * ref
 
     values = [g.value for g in spectrum.groups]
     masses = np.array([g.mass for g in spectrum.groups])

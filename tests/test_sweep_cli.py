@@ -277,7 +277,9 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 (spectral, "eigvalsh"), (fock.DensityOperator, "diag_plus_low_rank"),
                 (fock.DensityOperator, "nonzero_pattern"), (fock.SpaceDescriptor, "modes"),
                 (spectral.StructuredPair, "dim"), (triqi, "EigenSystem"), (triqi, "eigh"),
-                (bounds, "CONVEXITY_SLACK"), (bounds, "_INV_PHI"), (bounds, "_golden_section")]
+                (bounds, "CONVEXITY_SLACK"), (bounds, "_INV_PHI"), (bounds, "_golden_section"),
+                (spectral, "EigenSystem"), (spectral.RankOneSpectrum, "eigenvalues"),
+                (overlap_audit.SignedTrace, "term")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     # a structured operator is one hypothesis of a build: one pair, one idler
     # rotation, no rotation per mode
